@@ -28,7 +28,6 @@ from .heterogeneity import (
 )
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
 from .nn import (
-    Gradient,
     Layer,
     Minibatch,
     ModelParams,
@@ -47,6 +46,7 @@ from .nn import (
 from .participation import ParticipationSchedule, markov_stationary
 from .server import (
     AggregatorState,
+    DivergenceError,
     aggregate,
     baseline_aggregate,
     history_coefficient,

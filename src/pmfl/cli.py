@@ -172,7 +172,9 @@ def _cmd_synth_data(parser, args) -> int:
     if test.num_samples:
         export_csv(test, out / "test.csv")
     with open(out / "dataset_meta.json", "w") as fh:
-        json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)
+        json.dump(
+            dataclasses.asdict(spec), fh, indent=2, sort_keys=True, allow_nan=False
+        )
         fh.write("\n")
     print(f"wrote {train.num_samples} train rows and {test.num_samples} test rows "
           f"to {out}")
@@ -193,7 +195,7 @@ def _cmd_inspect(parser, args) -> int:
             summary = json.load(fh)
     if args.json:
         print(json.dumps({"manifest": manifest, "summary": summary},
-                         indent=2, sort_keys=True))
+                         indent=2, sort_keys=True, allow_nan=False))
         return 0
     cfg = manifest["resolved_config"]
     print(f"run directory : {run_dir}")

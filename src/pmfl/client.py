@@ -1,8 +1,8 @@
 """Node-side state and the local training loop.
 
-A participating node copies the broadcast global model, runs a fixed number of
-one-minibatch gradient steps on the combined objective, and ships back the
-flat difference between its final and initial parameters.  After every
+A participating node starts from the broadcast global model, runs a fixed
+number of one-minibatch gradient steps on the combined objective, and ships
+back the flat difference between its final and initial parameters.  After every
 iteration the pre-step model is snapshotted into the node's sliding buffer, so
 the buffer always holds the models *preceding* the one currently training;
 those snapshots feed the contrastive term, both this round and in later rounds
@@ -115,7 +115,7 @@ def local_train(
         rng, node.num_samples, cfg.batch_size, cfg.local_iterations
     )
     mu_reference = node.buffer.newest()
-    w = global_params.copy()
+    w = global_params  # sgd_step returns fresh parameters; this is never written
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = combined_loss_and_grad(

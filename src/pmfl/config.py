@@ -225,5 +225,5 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -23,12 +23,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .nn import (
-    Gradient,
     Minibatch,
     ModelParams,
     _backward_cached,
     _forward_cached,
-    _split_layer_grads,
     cross_entropy_and_grad,
     forward_representation,
     log_softmax,
@@ -79,8 +77,8 @@ def _cos_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LocalBuffer:
     """Sliding window of model snapshots, strictly oldest-first eviction.
 
-    Capacity 0 disables buffering (pushes are dropped).  Snapshots are deep
-    copies, so later training steps never mutate stored history.
+    Capacity 0 disables buffering (pushes are dropped).  A push stores a copy
+    of the model's vector, so later training steps never mutate stored history.
     """
 
     def __init__(self, capacity: int):
@@ -193,7 +191,7 @@ def combined_loss_and_grad(
     temperature: float,
     contrastive_weight: float,
     mu_reference: ModelParams | None = None,
-) -> tuple[float, Gradient]:
+) -> tuple[float, ModelParams]:
     """Cross-entropy plus weighted contrastive term, with its full gradient.
 
     ``mu_reference`` is the model whose representation anchors the per-sample
@@ -220,8 +218,7 @@ def combined_loss_and_grad(
     dlogits /= n
 
     if len(buffer) == 0:
-        grads = _backward_cached(params, inputs, pres, dlogits)
-        return ce, _split_layer_grads(params, grads, ce)
+        return ce, _backward_cached(params, inputs, pres, dlogits)
 
     z_glob = forward_representation(global_params, X)
     hist = [forward_representation(m, X) for m in buffer]
@@ -250,5 +247,4 @@ def combined_loss_and_grad(
         dz += coeff[:, None] * _dcos_rows(z, h, s_hist[:, j])
     dz *= contrastive_weight / n
 
-    grads = _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)
-    return loss, _split_layer_grads(params, grads, loss)
+    return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)

@@ -206,7 +206,7 @@ def _aggregate_for_variant(
             state, updates, mode=mode, weights_override=np.ones(state.num_nodes)
         )
     if variant in ("uniform_average", "cached_update"):
-        return baseline_aggregate(variant, state, updates, indicators, mode=mode)
+        return baseline_aggregate(variant, state, updates, indicators)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -277,7 +277,7 @@ def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -336,7 +336,7 @@ def _save_checkpoint(
              for n in env.nodes],
             dtype=np.int64,
         ),
-        "history": np.stack([flatten(m) for m in state.history])
+        "history": np.stack(state.history)
         if len(state.history)
         else np.zeros((0, state.num_params)),
     }
@@ -368,8 +368,7 @@ def _load_checkpoint(
     next_round = int(data["next_round"])
     state.round_idx = next_round
     state.history.clear()
-    for row in data["history"]:
-        state.history.append(unflatten(spec, row))
+    state.history.extend(data["history"])
     if "cached_updates" in data:
         state.cached_updates = data["cached_updates"].copy()
     last = data["last_participation"]

@@ -1,9 +1,15 @@
 """Dense feedforward model split into encoder, projection and classifier blocks.
 
 The representation fed to the contrastive loss is the projection output
-``z = projection(encoder(x))``; the classifier maps ``z`` to logits.  The three
-blocks are disjoint parameter sets and their flattened layout is contiguous, so
-block-level comparisons and whole-model vector arithmetic are both cheap.
+``z = projection(encoder(x))``; the classifier maps ``z`` to logits.
+
+A model, and a gradient alike, is one :class:`ModelParams`: a single owned,
+contiguous float64 vector plus its :class:`ModelSpec`.  The per-layer
+``weight``/``bias`` arrays in its ``encoder``, ``projection`` and
+``classifier`` lists are views into that vector, so writing through a layer
+writes the model, and whole-model arithmetic (SGD steps, update deltas,
+aggregation, snapshots) is one vector operation.  Layout: encoder, projection,
+classifier; within a layer the weight (row-major) comes before the bias.
 
 All arithmetic is float64.  Rectifier activations follow every layer except the
 final classifier layer, whose raw outputs are the logits.
@@ -11,7 +17,8 @@ final classifier layer, whose raw outputs are the logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,14 +28,6 @@ BLOCKS = ("encoder", "projection", "classifier")
 class Layer(NamedTuple):
     weight: np.ndarray  # (fan_out, fan_in)
     bias: np.ndarray  # (fan_out,)
-
-
-def _as_layer(weight, bias) -> Layer:
-    w = np.asarray(weight, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-        raise ValueError(f"bad layer shapes: weight {w.shape}, bias {b.shape}")
-    return Layer(w, b)
 
 
 @dataclass(frozen=True)
@@ -77,59 +76,75 @@ class ModelSpec:
                 return shapes
         raise ValueError(f"unknown block {block!r}")
 
+    @cached_property
+    def layer_offsets(self) -> tuple[tuple[int, int, int], ...]:
+        """(start, fan_out, fan_in) of every layer in the flat layout, in order."""
+        out = []
+        pos = 0
+        for block in BLOCKS:
+            for fan_out, fan_in in self.block_shapes(block):
+                out.append((pos, fan_out, fan_in))
+                pos += fan_out * fan_in + fan_out
+        return tuple(out)
+
     @property
     def num_params(self) -> int:
-        return sum(
-            out * fin + out for b in BLOCKS for out, fin in self.block_shapes(b)
+        start, fan_out, fan_in = self.layer_offsets[-1]
+        return start + fan_out * fan_in + fan_out
+
+
+def _layer_views(spec: ModelSpec, vector: np.ndarray) -> list[Layer]:
+    """Every layer's weight and bias as views into ``vector``."""
+    views = []
+    for start, fan_out, fan_in in spec.layer_offsets:
+        stop = start + fan_out * fan_in
+        views.append(
+            Layer(
+                vector[start:stop].reshape(fan_out, fan_in),
+                vector[stop : stop + fan_out],
+            )
         )
+    return views
 
 
-@dataclass
 class ModelParams:
-    """Concrete weights for one model; see :class:`ModelSpec` for the layout."""
+    """Concrete weights for one model: a flat vector and per-layer views into it.
 
-    encoder: list[Layer]
-    projection: list[Layer]
-    classifier: list[Layer]
+    The constructor adopts a contiguous float64 ``vector`` without copying
+    it, so the caller hands over ownership.  Pickling and deep-copying carry
+    (spec, vector) and rebuild the views, so a clone's layers alias the
+    clone's own vector.
+    """
+
+    def __init__(self, spec: ModelSpec, vector: np.ndarray):
+        vector = np.ascontiguousarray(vector, dtype=np.float64)
+        if vector.shape != (spec.num_params,):
+            raise ValueError(
+                f"flat vector has {vector.shape} entries, spec needs {spec.num_params}"
+            )
+        self._spec = spec
+        self.vector = vector
+        self._layers = _layer_views(spec, vector)
+        n_enc, n_proj = len(spec.encoder), len(spec.projection)
+        self.encoder = self._layers[:n_enc]
+        self.projection = self._layers[n_enc : n_enc + n_proj]
+        self.classifier = self._layers[n_enc + n_proj :]
+
+    def __reduce__(self):
+        return ModelParams, (self._spec, self.vector)
 
     def spec(self) -> ModelSpec:
-        if not self.classifier:
-            raise ValueError("classifier block is empty")
-        first = (self.encoder + self.projection + self.classifier)[0]
-        return ModelSpec(
-            input_dim=first.weight.shape[1],
-            encoder=tuple(l.weight.shape[0] for l in self.encoder),
-            projection=tuple(l.weight.shape[0] for l in self.projection),
-            classifier=tuple(l.weight.shape[0] for l in self.classifier),
-        )
+        return self._spec
 
     def layers(self) -> list[Layer]:
-        return self.encoder + self.projection + self.classifier
+        return self._layers
 
     @property
     def num_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers())
+        return self.vector.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            encoder=[Layer(l.weight.copy(), l.bias.copy()) for l in self.encoder],
-            projection=[Layer(l.weight.copy(), l.bias.copy()) for l in self.projection],
-            classifier=[Layer(l.weight.copy(), l.bias.copy()) for l in self.classifier],
-        )
-
-
-@dataclass
-class Gradient:
-    """Loss gradient, shape-congruent with :class:`ModelParams`."""
-
-    encoder: list[Layer]
-    projection: list[Layer]
-    classifier: list[Layer]
-
-    loss: float = 0.0
-
-    def layers(self) -> list[Layer]:
-        return self.encoder + self.projection + self.classifier
+        return ModelParams(self._spec, self.vector.copy())
 
 
 @dataclass
@@ -151,50 +166,33 @@ class Minibatch:
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
-    """Uniform [-s, s] weights with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
-    blocks = {}
-    for block in BLOCKS:
-        layers = []
-        for fan_out, fan_in in spec.block_shapes(block):
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-s, s, size=(fan_out, fan_in))
-            layers.append(Layer(w, np.zeros(fan_out)))
-        blocks[block] = layers
-    return ModelParams(**blocks)
+    """Uniform [-s, s] weights with s = sqrt(6 / (fan_in + fan_out)); zero biases.
 
-
-def flatten(obj: ModelParams | Gradient) -> np.ndarray:
-    """Concatenate every weight matrix and bias vector into one float64 vector.
-
-    Layout: encoder, projection, classifier; within a layer the weight comes
-    before the bias.  Exact inverse of :func:`unflatten`.
+    Weights are drawn layer by layer in layout order.
     """
-    parts: list[np.ndarray] = []
-    for layer in obj.layers():
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+    params = ModelParams(spec, np.zeros(spec.num_params))
+    for layer in params.layers():
+        fan_out, fan_in = layer.weight.shape
+        s = np.sqrt(6.0 / (fan_in + fan_out))
+        layer.weight[...] = rng.uniform(-s, s, size=(fan_out, fan_in))
+    return params
+
+
+def flatten(params: ModelParams) -> np.ndarray:
+    """The model's flat vector (see the module docstring for the layout).
+
+    A read-only view, not a copy: it follows later writes to the model, and
+    a caller that needs to change it copies it first.  Inverse of
+    :func:`unflatten`.
+    """
+    flat = params.vector.view()
+    flat.flags.writeable = False
+    return flat
 
 
 def unflatten(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
-    """Rebuild structured parameters from a flat vector (see :func:`flatten`)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1 or flat.shape[0] != spec.num_params:
-        raise ValueError(
-            f"flat vector has {flat.shape} entries, spec needs {spec.num_params}"
-        )
-    pos = 0
-    blocks = {}
-    for block in BLOCKS:
-        layers = []
-        for fan_out, fan_in in spec.block_shapes(block):
-            w = flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy()
-            pos += fan_out * fan_in
-            b = flat[pos : pos + fan_out].copy()
-            pos += fan_out
-            layers.append(Layer(w, b))
-        blocks[block] = layers
-    return ModelParams(**blocks)
+    """Parameters holding a copy of ``flat`` (see :func:`flatten`)."""
+    return ModelParams(spec, np.array(flat, dtype=np.float64))
 
 
 def partition_slices(spec: ModelSpec) -> dict[str, slice]:
@@ -240,33 +238,27 @@ def _backward_cached(
     pres: list[np.ndarray],
     dlogits: np.ndarray,
     dz_extra: np.ndarray | None = None,
-) -> list[Layer]:
+) -> ModelParams:
     """Backprop from logit gradients (plus an optional representation gradient).
 
     ``dz_extra`` is added where the representation leaves the projection block,
-    which is how a loss term that reads ``z`` directly joins the chain.
+    which is how a loss term that reads ``z`` directly joins the chain.  The
+    gradient comes back in the model's own layout, written through its views.
     """
     layers = params.layers()
     n_rep = len(params.encoder) + len(params.projection)
-    grads: list[Layer] = [None] * len(layers)  # type: ignore[list-item]
+    # every entry is written below: the layer views tile the vector
+    grad = ModelParams(params.spec(), np.empty(params.num_params))
     d = dlogits
     for i in range(len(layers) - 1, -1, -1):
         if dz_extra is not None and i == n_rep - 1:
             d = d + dz_extra
         dpre = d if i == len(layers) - 1 else d * (pres[i] > 0.0)
-        grads[i] = Layer(dpre.T @ inputs[i], dpre.sum(axis=0))
+        g = grad.layers()[i]
+        np.matmul(dpre.T, inputs[i], out=g.weight)
+        dpre.sum(axis=0, out=g.bias)
         d = dpre @ layers[i].weight
-    return grads
-
-
-def _split_layer_grads(params: ModelParams, grads: list[Layer], loss: float) -> Gradient:
-    ne, np_ = len(params.encoder), len(params.projection)
-    return Gradient(
-        encoder=grads[:ne],
-        projection=grads[ne : ne + np_],
-        classifier=grads[ne + np_ :],
-        loss=float(loss),
-    )
+    return grad
 
 
 def forward_representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -311,7 +303,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-lp[np.arange(labels.shape[0]), labels].mean())
 
 
-def cross_entropy_and_grad(params: ModelParams, batch: Minibatch) -> tuple[float, Gradient]:
+def cross_entropy_and_grad(
+    params: ModelParams, batch: Minibatch
+) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient in all three blocks."""
     logits, _, inputs, pres = _forward_cached(params, batch.features)
     _check_labels(batch.labels, logits.shape[-1])
@@ -321,24 +315,17 @@ def cross_entropy_and_grad(params: ModelParams, batch: Minibatch) -> tuple[float
     dlogits = np.exp(lp)
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
-    grads = _backward_cached(params, inputs, pres, dlogits)
-    return loss, _split_layer_grads(params, grads, loss)
+    return loss, _backward_cached(params, inputs, pres, dlogits)
 
 
-def sgd_step(params: ModelParams, grad: Gradient, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
     """One descent step ``p - lr * g``; returns fresh parameters."""
-    blocks = {}
-    for block in BLOCKS:
-        blocks[block] = [
-            Layer(p.weight - lr * g.weight, p.bias - lr * g.bias)
-            for p, g in zip(getattr(params, block), getattr(grad, block))
-        ]
-    return ModelParams(**blocks)
+    return ModelParams(params.spec(), params.vector - lr * grad.vector)
 
 
 def param_delta(after: ModelParams, before: ModelParams) -> np.ndarray:
     """Flat update vector ``after - before``."""
-    return flatten(after) - flatten(before)
+    return after.vector - before.vector
 
 
 def zeros_like_flat(params: ModelParams) -> np.ndarray:

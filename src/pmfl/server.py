@@ -27,7 +27,17 @@ from .nn import ModelParams, flatten, unflatten
 log = logging.getLogger(__name__)
 
 AGGREGATION_MODES = ("corrected", "literal")
-BASELINE_KINDS = ("uniform_average", "cached_update", "awc_only")
+BASELINE_KINDS = ("uniform_average", "cached_update")
+
+
+class DivergenceError(ValueError):
+    """Aggregation produced a non-finite global model."""
+
+    def __init__(self, round_idx: int):
+        super().__init__(
+            f"global model became non-finite at round {round_idx}; the run diverged"
+        )
+        self.round_idx = round_idx
 
 
 def history_coefficient(round_idx: int, horizon: int) -> float:
@@ -57,7 +67,7 @@ class AggregatorState:
     rounds_waiting: np.ndarray = field(init=False)  # per node, since last event
     event_counts: np.ndarray = field(init=False)  # recorded intervals so far
     weights: np.ndarray = field(init=False)  # running mean interval length
-    history: deque = field(init=False)  # globals strictly older than current
+    history: deque = field(init=False)  # flat globals strictly older than current
     cached_updates: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -129,10 +139,15 @@ def _stack_updates(state: AggregatorState, updates: dict[int, np.ndarray]) -> np
 
 
 def _advance(state: AggregatorState, new_flat: np.ndarray) -> ModelParams:
-    """Adopt the new global model, sliding the old one into the history."""
+    """Adopt the new global model, sliding the old one into the history.
+
+    Raises :class:`DivergenceError` instead when the new model is not finite.
+    """
+    if not np.isfinite(new_flat).all():
+        raise DivergenceError(state.round_idx)
     new_global = unflatten(state.global_model.spec(), new_flat)
     if state.history.maxlen:
-        state.history.append(state.global_model)
+        state.history.append(flatten(state.global_model))
     state.global_model = new_global
     state.round_idx += 1
     return new_global
@@ -143,7 +158,7 @@ def _smooth(state: AggregatorState, candidate: np.ndarray) -> np.ndarray:
     if state.history_size <= 1 or len(state.history) == 0:
         return candidate
     psi = history_coefficient(state.round_idx, state.horizon)
-    hist = np.stack([flatten(m) for m in state.history])
+    hist = np.stack(state.history)
     return (1.0 - psi) * candidate + psi * hist.mean(axis=0)
 
 
@@ -179,14 +194,12 @@ def baseline_aggregate(
     state: AggregatorState,
     updates: dict[int, np.ndarray],
     indicators: np.ndarray,
-    mode: str = "corrected",
 ) -> ModelParams:
     """Reference aggregators the full scheme is compared against.
 
     ``uniform_average``: mean of the participants' updates, no reweighting, no
     smoothing.  ``cached_update``: every node's most recent update (zero until
-    it first participates) averaged over all nodes each round.  ``awc_only``:
-    adaptive weights without the historical smoothing.
+    it first participates) averaged over all nodes each round.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
@@ -199,26 +212,16 @@ def baseline_aggregate(
     if kind == "uniform_average":
         part = np.flatnonzero(a == 1)
         if part.size == 0:
-            return _advance(state, base.copy())
+            return _advance(state, base)
         weighted = np.ones(part.size) @ u[part]
         candidate = base + (state.global_lr / part.size) * weighted
         return _advance(state, candidate)
 
-    if kind == "cached_update":
-        if state.cached_updates is None:
-            state.cached_updates = np.zeros((state.num_nodes, state.num_params))
-        part = np.flatnonzero(a == 1)
-        state.cached_updates[part] = u[part]
-        weighted = np.ones(state.num_nodes) @ state.cached_updates
-        candidate = base + (state.global_lr / state.num_nodes) * weighted
-        return _advance(state, candidate)
-
-    # awc_only: adaptive weights, smoothing disabled
-    weighted = state.weights @ u
-    if mode == "corrected":
-        candidate = base + (state.global_lr / state.num_nodes) * weighted
-    elif mode == "literal":
-        candidate = base - state.global_lr * weighted
-    else:
-        raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
+    # cached_update
+    if state.cached_updates is None:
+        state.cached_updates = np.zeros((state.num_nodes, state.num_params))
+    part = np.flatnonzero(a == 1)
+    state.cached_updates[part] = u[part]
+    weighted = np.ones(state.num_nodes) @ state.cached_updates
+    candidate = base + (state.global_lr / state.num_nodes) * weighted
     return _advance(state, candidate)

@@ -158,22 +158,27 @@ class TestLocalTrain:
             w = sgd_step(w, grad, 0.05)
         np.testing.assert_array_equal(delta, param_delta(w, w0))
 
-    def test_contrastive_loop_matches_frozen_reference_oracle(self):
-        node = make_node(6, n=9, capacity=4)
+    # capacity below the iteration count evicts the frozen reference mid-round
+    @pytest.mark.parametrize("capacity, iterations", [(4, 4), (2, 5)])
+    def test_contrastive_loop_matches_frozen_reference_oracle(self, capacity, iterations):
+        node = make_node(6, n=9, capacity=capacity)
         prefill = perturbed(make_global(7), np.random.default_rng(1), 0.2)
         node.buffer.push(prefill)
         w0 = make_global(7)
         cfg = LocalTrainConfig(
-            local_iterations=4, local_lr=0.1, batch_size=4, contrastive_weight=0.6
+            local_iterations=iterations,
+            local_lr=0.1,
+            batch_size=4,
+            contrastive_weight=0.6,
         )
         delta = local_train(node, w0, cfg, 3)
 
         rng = stream(99, "train", node.node_id, 3)
-        buf = LocalBuffer(4)
+        buf = LocalBuffer(capacity)
         buf.push(prefill)
         frozen_ref = buf.newest()  # pinned before any mid-round snapshots
         w = w0.copy()
-        for idx in epoch_batches_oracle(rng, 9, 4, 4):
+        for idx in epoch_batches_oracle(rng, 9, 4, iterations):
             _, grad = combined_loss_and_grad(
                 w,
                 Minibatch(node.features[idx], node.labels[idx]),

@@ -23,6 +23,7 @@ from pmfl.harness import (
 )
 from pmfl.nn import flatten, init_params, unflatten
 from pmfl.rng import stream
+from pmfl.server import DivergenceError
 
 from oracles import expected_weight
 
@@ -291,6 +292,21 @@ class TestCheckpointing:
         run_experiment(tiny_config(checkpoint_every=2), tmp_path)
         assert not (tmp_path / CHECKPOINT_FILE).exists()
         assert not (tmp_path / CHECKPOINT_ROWS_FILE).exists()
+
+
+class TestDivergence:
+    # default config: tiny_config stays finite for its few rounds
+    @pytest.mark.parametrize(
+        "overrides, round_idx",
+        [({"aggregation_mode": "literal"}, 6), ({"local_lr": 50.0}, 1)],
+    )
+    def test_non_finite_global_model_stops_the_run(self, tmp_path, overrides, round_idx):
+        cfg = ExperimentConfig(rounds=60, **overrides)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            run_experiment(cfg, tmp_path)
+        assert exc.value.round_idx == round_idx
+        assert f"round {round_idx}" in str(exc.value)
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestSweep:

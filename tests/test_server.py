@@ -294,21 +294,6 @@ class TestBaselines:
             gb = baseline_aggregate("uniform_average", sb, updates, np.ones(3, dtype=int))
             np.testing.assert_array_equal(flatten(ga), flatten(gb))
 
-    def test_awc_only_is_aggregate_without_smoothing(self):
-        rng = np.random.default_rng(33)
-        trace = (rng.random((30, 4)) < 0.3).astype(int)
-        sa = make_state(4, horizon=40, history_size=3)
-        sb = make_state(4, horizon=40, history_size=0)
-        for row in trace:
-            updates = {k: rng.standard_normal(DIM) * row[k] for k in range(4)}
-            update_weights(sa, row)
-            update_weights(sb, row)
-            ga = baseline_aggregate("awc_only", sa, updates, row)
-            gb = aggregate(sb, updates)
-            # sa tracks history (its state allows smoothing) but never reads it
-            np.testing.assert_array_equal(flatten(ga), flatten(gb))
-            np.testing.assert_array_equal(sa.weights, sb.weights)
-
     def test_corrected_with_unit_weights_equals_uniform_when_all_attend(self):
         rng = np.random.default_rng(34)
         sa = make_state(3, base=np.zeros(DIM), history_size=0, cutoff=None)
@@ -328,6 +313,3 @@ class TestBaselines:
             baseline_aggregate("median", state, zero_updates(2), np.array([1, 1]))
         with pytest.raises(ValueError):
             baseline_aggregate("uniform_average", state, zero_updates(2), np.array([1]))
-        with pytest.raises(ValueError):
-            baseline_aggregate("awc_only", state, zero_updates(2), np.array([1, 1]),
-                               mode="other")
