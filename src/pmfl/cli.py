@@ -117,13 +117,15 @@ def _cmd_run(parser, args) -> int:
                          "drop the other flags")
         if not (out / "manifest.json").exists():
             parser.error(f"{out} has no manifest.json to resume from")
-        try:
-            result = resume_run(out)
-        except FileNotFoundError as exc:
-            parser.error(str(exc))
     else:
         cfg = _build_config(parser, args)
-        result = run_experiment(cfg, out)
+    try:
+        result = resume_run(out) if args.resume else run_experiment(cfg, out)
+    except FileNotFoundError as exc:  # e.g. --resume of a run with no checkpoint
+        parser.error(str(exc))
+    except ValueError as exc:  # e.g. a diverged run or a failed partition
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     summary = result.summary
     print(f"run complete: {result.rounds_completed} rounds -> {result.out_dir}")
     for key in ("final_train_accuracy", "final_test_accuracy",

@@ -58,7 +58,6 @@ class NodeState:
     labels: np.ndarray
     buffer: LocalBuffer
     root_seed: int
-    last_participation_round: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -129,7 +128,6 @@ def local_train(
         )
         node.buffer.push(w)  # the buffer holds models older than the current one
         w = sgd_step(w, grad, cfg.local_lr)
-    node.last_participation_round = round_idx
     return param_delta(w, global_params)
 
 

@@ -74,7 +74,7 @@ class ExperimentConfig:
     # harness
     eval_every: int = 10
     checkpoint_every: int = 0  # 0: only on failure
-    workers: int = 1
+    workers: int = 1  # process pool size for run_sweep cells
 
     @classmethod
     def full_scale(cls, **overrides) -> "ExperimentConfig":

@@ -4,8 +4,8 @@ Everything a run needs (dataset, shards, frequencies, traces, initial model)
 is rebuilt deterministically from the config, so a checkpoint only has to
 carry the mutable state: the global model, the weight bookkeeping, the node
 buffers and the metric rows recorded so far.  Reruns of the same config are
-byte-identical, with any worker count, and a resumed run finishes with the
-same bytes as an uninterrupted one.
+byte-identical, a resumed run finishes with the same bytes as an
+uninterrupted one, and a sweep writes the same bytes with any worker count.
 
 Output files per run:
 
@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,12 +187,6 @@ class RunResult:
         return self.summary.get("top5_test_accuracy")
 
 
-def _train_task(args):
-    node, global_params, local_cfg, round_idx = args
-    delta = local_train(node, global_params, local_cfg, round_idx)
-    return node.node_id, delta, node.buffer, node.last_participation_round
-
-
 def _aggregate_for_variant(
     variant: str,
     state: AggregatorState,
@@ -331,11 +326,6 @@ def _save_checkpoint(
         "weights": state.weights,
         "rounds_waiting": state.rounds_waiting,
         "event_counts": state.event_counts,
-        "last_participation": np.asarray(
-            [-1 if n.last_participation_round is None else n.last_participation_round
-             for n in env.nodes],
-            dtype=np.int64,
-        ),
         "history": np.stack(state.history)
         if len(state.history)
         else np.zeros((0, state.num_params)),
@@ -371,11 +361,7 @@ def _load_checkpoint(
     state.history.extend(data["history"])
     if "cached_updates" in data:
         state.cached_updates = data["cached_updates"].copy()
-    last = data["last_participation"]
     for node in env.nodes:
-        node.last_participation_round = (
-            None if last[node.node_id] < 0 else int(last[node.node_id])
-        )
         node.buffer = LocalBuffer(env.cfg.local_buffer_size)
         for flat_row in data[f"buffer_{node.node_id}"]:
             node.buffer.push(unflatten(spec, flat_row))
@@ -460,11 +446,6 @@ def run_experiment(
     export_trace_csv(env.trace, out_dir / "participation.csv")
 
     empty_shards = np.asarray([n.num_samples == 0 for n in env.nodes])
-    pool = (
-        ProcessPoolExecutor(max_workers=resolved.workers)
-        if resolved.workers > 1
-        else None
-    )
     try:
         for t in range(start_round, resolved.rounds):
             indicators = env.trace[t].astype(np.int64)
@@ -473,22 +454,10 @@ def run_experiment(
             participants = [int(k) for k in np.flatnonzero(indicators == 1)]
 
             updates: dict[int, np.ndarray] = {}
-            if pool is not None and participants:
-                tasks = [
-                    (env.nodes[k], state.global_model, env.local_cfg, t)
-                    for k in participants
-                ]
-                for node_id, delta, buffer, last_round in pool.map(
-                    _train_task, tasks, chunksize=1
-                ):
-                    updates[node_id] = delta
-                    env.nodes[node_id].buffer = buffer
-                    env.nodes[node_id].last_participation_round = last_round
-            else:
-                for k in participants:
-                    updates[k] = local_train(
-                        env.nodes[k], state.global_model, env.local_cfg, t
-                    )
+            for k in participants:
+                updates[k] = local_train(
+                    env.nodes[k], state.global_model, env.local_cfg, t
+                )
             for k in range(resolved.num_nodes):
                 if k not in updates:
                     updates[k] = nonparticipant_update(num_params)
@@ -538,13 +507,11 @@ def run_experiment(
         # never clobber it with this mid-round state snapshot
         if not (out_dir / CHECKPOINT_FILE).exists():
             _save_checkpoint(out_dir, env, state, state.round_idx, rows)
-        log.exception(
+        # the caller gets the traceback with the exception
+        log.error(
             "run failed at round %d; checkpoint kept in %s", state.round_idx, out_dir
         )
         raise
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     _write_weights_csv(out_dir / "weights.csv", rows, resolved.num_nodes)
@@ -580,10 +547,31 @@ def resume_run(out_dir) -> RunResult:
     return run_experiment(cfg, out_dir, resume=True)
 
 
-def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
-    """Cartesian grid of runs; cells fail independently and in a fixed order.
+def _run_cell(args) -> dict:
+    """One sweep cell in a pool process; a failure becomes an error row."""
+    base, overrides, index, cell_dir = args
+    row = {"cell": index, **overrides}
+    try:
+        cfg = dataclasses.replace(base, **overrides)
+        result = run_experiment(cfg, cell_dir)
+        row.update(
+            status="ok",
+            final_test_accuracy=result.summary["final_test_accuracy"],
+            top5_test_accuracy=result.summary["top5_test_accuracy"],
+            final_train_accuracy=result.summary["final_train_accuracy"],
+            mean_deviation_last_quarter=result.summary["mean_deviation_last_quarter"],
+        )
+    except Exception as exc:  # cell failures must not kill the sweep
+        log.exception("sweep cell %s failed", cell_dir.name)
+        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+    return row
 
-    Returns one summary row per cell and writes ``sweep_summary.csv``.
+
+def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
+    """Cartesian grid of runs; cells fail independently.
+
+    The cells run on a pool of ``base.workers`` processes.  Returns one
+    summary row per cell, in grid order, and writes ``sweep_summary.csv``.
     """
     if not grid:
         raise ValueError("sweep needs at least one field to vary")
@@ -595,28 +583,16 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)
-    rows = []
+    cells = []
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         overrides = dict(zip(keys, combo))
         label = "__".join(f"{k}={overrides[k]}" for k in keys)
         cell_dir = out_dir / f"cell_{index:03d}__{label}".replace("/", "_")
-        row = {"cell": index, **{k: overrides[k] for k in keys}}
-        try:
-            cfg = dataclasses.replace(base, **overrides)
-            result = run_experiment(cfg, cell_dir)
-            row.update(
-                status="ok",
-                final_test_accuracy=result.summary["final_test_accuracy"],
-                top5_test_accuracy=result.summary["top5_test_accuracy"],
-                final_train_accuracy=result.summary["final_train_accuracy"],
-                mean_deviation_last_quarter=result.summary[
-                    "mean_deviation_last_quarter"
-                ],
-            )
-        except Exception as exc:  # cell failures must not kill the sweep
-            log.exception("sweep cell %d (%s) failed", index, label)
-            row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        rows.append(row)
+        cells.append((base, overrides, index, cell_dir))
+    # spawn, not fork: this process may already run BLAS threads
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=base.workers, mp_context=spawn) as pool:
+        rows = list(pool.map(_run_cell, cells))
 
     fieldnames = ["cell", *keys, "status", "final_test_accuracy",
                   "top5_test_accuracy", "final_train_accuracy",

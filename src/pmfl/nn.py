@@ -280,12 +280,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(
@@ -326,7 +320,3 @@ def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
 def param_delta(after: ModelParams, before: ModelParams) -> np.ndarray:
     """Flat update vector ``after - before``."""
     return after.vector - before.vector
-
-
-def zeros_like_flat(params: ModelParams) -> np.ndarray:
-    return np.zeros(params.num_params)

@@ -29,7 +29,7 @@ from pmfl.contrastive import (
     combined_loss_and_grad,
     contrastive_loss,
 )
-from pmfl.harness import run_experiment
+from pmfl.harness import run_experiment, run_sweep
 from pmfl.nn import (
     Minibatch,
     ModelSpec,
@@ -45,7 +45,7 @@ from pmfl.server import AggregatorState, history_coefficient, update_weights
 
 from fixtures import gradcheck_case
 from oracles import expected_weight, fd_gradient, max_rel_err, perturbed
-from test_harness import assert_same_outputs, tiny_config
+from test_harness import assert_same_outputs, assert_same_sweeps, tiny_config
 from test_participation import bernoulli_sigma, markov_sigma
 
 # Sized so the full three-variant, ten-seed battery finishes in a few
@@ -110,9 +110,18 @@ def accuracy_series(run_dir) -> np.ndarray:
         )
 
 
+def desk_sweep(root, grid: dict, **overrides) -> list[dict]:
+    """Sweep rows of a desk-profile grid, run on two worker processes."""
+    cfg = ExperimentConfig(**dict(DESK_PROFILE, **overrides), workers=2)
+    rows = run_sweep(cfg, grid, root)
+    failed = [row for row in rows if row["status"] != "ok"]
+    assert not failed, failed
+    return rows
+
+
 @dataclass
 class AblationBattery:
-    summaries: dict  # (variant, seed) -> summary dict
+    summaries: dict  # (variant, seed) -> sweep row with the run's summary stats
     elapsed_seconds: float
 
 
@@ -121,12 +130,9 @@ def ablation_battery(tmp_path_factory) -> AblationBattery:
     """The full scheme and both single-component ablations on ten seeds."""
     root = tmp_path_factory.mktemp("ablations")
     t0 = time.monotonic()
-    summaries = {}
-    for variant in ("pmfl", "wo_awc", "wo_mct"):
-        for seed in SEEDS:
-            cfg = ExperimentConfig(**DESK_PROFILE, variant=variant, seed=seed)
-            result = run_experiment(cfg, root / f"{variant}_{seed}")
-            summaries[variant, seed] = result.summary
+    grid = {"variant": ["pmfl", "wo_awc", "wo_mct"], "seed": list(SEEDS)}
+    rows = desk_sweep(root, grid)
+    summaries = {(row["variant"], row["seed"]): row for row in rows}
     return AblationBattery(summaries, time.monotonic() - t0)
 
 
@@ -139,16 +145,13 @@ def smoothing_jitter(tmp_path_factory) -> dict:
     decayed-to-zero tail.
     """
     root = tmp_path_factory.mktemp("smoothing")
-    profile = dict(DESK_PROFILE, mean_frequency=0.05, rounds=110, eval_every=1)
+    grid = {"global_buffer_size": [3, 0], "seed": list(SEEDS)}
+    rows = desk_sweep(root, grid, mean_frequency=0.05, rounds=110, eval_every=1)
     out = {}
-    for history in (3, 0):
-        profile["global_buffer_size"] = history
-        for seed in SEEDS:
-            cfg = ExperimentConfig(**profile, seed=seed)
-            run_dir = root / f"h{history}_s{seed}"
-            run_experiment(cfg, run_dir)
-            acc = accuracy_series(run_dir)
-            out[history, seed] = float(np.std(np.diff(acc[-100:])))
+    for row in rows:
+        (run_dir,) = root.glob(f"cell_{row['cell']:03d}__*")
+        acc = accuracy_series(run_dir)
+        out[row["global_buffer_size"], row["seed"]] = float(np.std(np.diff(acc[-100:])))
     return out
 
 
@@ -359,6 +362,7 @@ def test_11_reruns_and_worker_counts_are_byte_identical(tmp_path):
     run_experiment(cfg, tmp_path / "b")
     assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
-    run_experiment(tiny_config(workers=2), tmp_path / "w2")
-    run_experiment(tiny_config(workers=1), tmp_path / "w1")
-    assert_same_outputs(tmp_path / "w1", tmp_path / "w2", exclude=("manifest.json",))
+    grid = {"variant": ["pmfl", "wo_awc"], "seed": [1, 2]}
+    run_sweep(tiny_config(pattern="markovian", workers=2), grid, tmp_path / "w2")
+    run_sweep(tiny_config(pattern="markovian", workers=1), grid, tmp_path / "w1")
+    assert_same_sweeps(tmp_path / "w1", tmp_path / "w2")

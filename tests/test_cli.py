@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmfl
 from pmfl.cli import main
 from pmfl.config import save_config
 from pmfl.harness import run_experiment
@@ -67,6 +72,24 @@ class TestRunCommand:
             main(["run", "--out", str(tmp_path / "r"), "--num-nodes", "0"])
         assert err.value.code == 2
         assert "num_nodes" in capsys.readouterr().err
+
+    def test_diverged_run_is_a_clean_error(self, tmp_path):
+        # a real process, so that a traceback printed by any handler shows up
+        src = str(Path(pmfl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = str(tmp_path / "r")
+        # the default config diverges at round 1 with this step size, and a
+        # resume replays that round from the failure checkpoint
+        for args in (["--rounds", "60", "--local-lr", "50"], ["--resume"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pmfl.cli", "run", "--out", out, *args],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert "pmfl run: error: DivergenceError" in proc.stderr
+            assert "round 1" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_resume_rejects_other_flags(self, tmp_path):
         with pytest.raises(SystemExit):

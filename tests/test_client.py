@@ -95,7 +95,6 @@ class TestLocalTrain:
         delta = local_train(node, make_global(), LocalTrainConfig(local_iterations=0), 0)
         np.testing.assert_array_equal(delta, 0.0)
         assert len(node.buffer) == 0
-        assert node.last_participation_round == 0
 
     def test_single_full_batch_step_closed_form(self):
         node = make_node(2, n=8, capacity=0)
@@ -140,7 +139,6 @@ class TestLocalTrain:
         # the two oldest survivors are the last two snapshots of round 0
         np.testing.assert_array_equal(kept_after[0], kept_before[1])
         np.testing.assert_array_equal(kept_after[1], kept_before[2])
-        assert node.last_participation_round == 1
 
     def test_no_contrastive_matches_plain_sgd_loop(self):
         node = make_node(5, n=11, capacity=3)
@@ -211,7 +209,6 @@ class TestLocalTrain:
         with caplog.at_level(logging.ERROR, logger="pmfl.client"):
             delta = local_train(node, w0, LocalTrainConfig(), 4)
         np.testing.assert_array_equal(delta, 0.0)
-        assert node.last_participation_round is None
         assert len(node.buffer) == 0
         assert any("empty shard" in r.message for r in caplog.records)
 

@@ -63,6 +63,19 @@ def assert_same_outputs(dir_a, dir_b, exclude=()):
         assert a == b, f"{name} differs"
 
 
+def assert_same_sweeps(dir_a, dir_b):
+    """Same cells with the same outputs, and the same ``sweep_summary.csv``."""
+    cells = sorted(p.name for p in Path(dir_a).iterdir() if p.is_dir())
+    assert cells == sorted(p.name for p in Path(dir_b).iterdir() if p.is_dir())
+    for name in cells:
+        # manifests echo the configs, which differ in the worker count
+        assert_same_outputs(
+            Path(dir_a) / name, Path(dir_b) / name, exclude=("manifest.json",)
+        )
+    summary = "sweep_summary.csv"
+    assert (Path(dir_a) / summary).read_bytes() == (Path(dir_b) / summary).read_bytes()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -204,10 +217,10 @@ class TestDeterminism:
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        run_experiment(tiny_config(workers=1), tmp_path / "a")
-        run_experiment(tiny_config(workers=2), tmp_path / "b")
-        # manifests echo the configs, which differ in the worker count
-        assert_same_outputs(tmp_path / "a", tmp_path / "b", exclude=("manifest.json",))
+        grid = {"seed": [1, 2, 3]}  # more cells than workers
+        run_sweep(tiny_config(workers=1), grid, tmp_path / "a")
+        run_sweep(tiny_config(workers=2), grid, tmp_path / "b")
+        assert_same_sweeps(tmp_path / "a", tmp_path / "b")
 
     def test_wo_mct_is_pmfl_with_contrastive_knobs_off(self, tmp_path):
         run_experiment(tiny_config(variant="wo_mct"), tmp_path / "a")
@@ -282,6 +295,24 @@ class TestCheckpointing:
             run_experiment(cfg, tmp_path)
         data = np.load(tmp_path / CHECKPOINT_FILE)
         assert int(data["next_round"]) == 2  # boundary snapshot, not the dirty state
+
+    def test_checkpoint_with_last_participation_array_still_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        # checkpoints used to carry each node's last attended round
+        cfg = tiny_config(checkpoint_every=2)
+        self._interrupt_at(monkeypatch, 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path / "b")
+        monkeypatch.undo()
+        path = tmp_path / "b" / CHECKPOINT_FILE
+        arrays = dict(np.load(path))
+        arrays["last_participation"] = np.full(cfg.num_nodes, -1, dtype=np.int64)
+        np.savez(path, **arrays)
+
+        resume_run(tmp_path / "b")
+        run_experiment(tiny_config(), tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b", exclude=("manifest.json",))
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         run_experiment(tiny_config(), tmp_path)

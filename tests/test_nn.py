@@ -21,9 +21,7 @@ from pmfl.nn import (
     partition_slices,
     param_delta,
     sgd_step,
-    softmax,
     unflatten,
-    zeros_like_flat,
 )
 from pmfl.rng import stream
 
@@ -232,9 +230,8 @@ class TestSoftmaxLoss:
     def test_softmax_properties(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((8, 5))
-        p = softmax(logits)
+        p = np.exp(log_softmax(logits))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(np.exp(log_softmax(logits)), p, rtol=1e-12)
         shifted = log_softmax(logits + 123.0)
         np.testing.assert_allclose(shifted, log_softmax(logits), atol=1e-12)
 
@@ -307,7 +304,6 @@ class TestSgd:
             param_delta(after, case.params),
             flatten(after) - flatten(case.params),
         )
-        assert zeros_like_flat(case.params).shape == flatten(case.params).shape
 
     def test_step_descends_on_smooth_fixture(self):
         case = gradcheck_case(4, with_contrastive=False)
