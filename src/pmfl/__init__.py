@@ -9,15 +9,7 @@ participation patterns and a CLI harness round out the package.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config, save_config
-from .contrastive import (
-    ContrastiveContext,
-    LocalBuffer,
-    combined_loss_and_grad,
-    compute_mu,
-    contrastive_loss,
-    cosine_similarity,
-    partition_samples,
-)
+from .contrastive import LocalBuffer, combined_loss_and_grad, cosine_similarity
 from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
 from .data import DatasetSpec, LabeledDataset, export_csv, ingest_csv, synth_dataset
 from .harness import RunResult, build_environment, run_experiment, run_sweep, resume_run

@@ -16,15 +16,14 @@ positive.
 from __future__ import annotations
 
 import logging
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .nn import (
     Minibatch,
     ModelParams,
+    ModelSpec,
     _backward_cached,
     _forward_cached,
     cross_entropy_and_grad,
@@ -58,129 +57,92 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _cos_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine similarity with the same conventions as above."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+def _cos_rows(a: np.ndarray, b: np.ndarray, na=None, nb=None) -> np.ndarray:
+    """Cosine similarity along the last axis, with the same conventions as above.
+
+    Leading axes broadcast; ``na`` and ``nb`` are the row norms of ``a`` and
+    ``b`` when the caller already has them.
+    """
+    na = np.linalg.norm(a, axis=-1) if na is None else na
+    nb = np.linalg.norm(b, axis=-1) if nb is None else nb
     denom = na * nb
     bad = denom == 0.0
     if bad.any():
         # dead rectifier rows are routine mid-training, so keep this quiet
         log.debug("cosine similarity with zero-norm rows, returning 0 there")
     denom = np.where(bad, 1.0, denom)
-    sims = np.einsum("ij,ij->i", a, b) / denom
+    sims = np.einsum("...j,...j->...", a, b) / denom
     sims = np.where(bad, 0.0, sims)
-    equal = np.all(a == b, axis=1) & ~bad
+    equal = np.all(a == b, axis=-1) & ~bad
     return np.where(equal, 1.0, sims)
+
+
+def _dcos_rows(
+    z: np.ndarray, other: np.ndarray, sims: np.ndarray, nz: np.ndarray, no: np.ndarray
+) -> np.ndarray:
+    """Gradient of cos(z_i, other_i) in z_i along the last axis; zero where a
+    norm is zero.  ``nz`` and ``no`` are the row norms; leading axes broadcast."""
+    ok = (nz > 0.0) & (no > 0.0)
+    nz_safe = np.where(ok, nz, 1.0)
+    no_safe = np.where(ok, no, 1.0)
+    grad = other / (nz_safe * no_safe)[..., None] - sims[..., None] * z / (nz_safe**2)[..., None]
+    grad[~ok] = 0.0
+    return grad
 
 
 class LocalBuffer:
     """Sliding window of model snapshots, strictly oldest-first eviction.
 
-    Capacity 0 disables buffering (pushes are dropped).  A push stores a copy
-    of the model's vector, so later training steps never mutate stored history.
+    The window is one read-only ``(len, P)`` array, :attr:`rows`, oldest
+    first.  Capacity 0 disables buffering (pushes are dropped).  A push
+    builds a new array and never writes the old one, so a row read from the
+    buffer (a model from :meth:`newest`, say) keeps its values without a copy
+    however the buffer moves on.  ``spec`` fixes the row width up front;
+    without it the first push does.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, spec: ModelSpec | None = None):
         if capacity < 0:
             raise ValueError("buffer capacity must be >= 0")
         self.capacity = int(capacity)
-        self._entries: deque[ModelParams] = deque(maxlen=self.capacity)
+        self.spec = spec
+        self.rows = np.empty((0, 0 if spec is None else spec.num_params))
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: np.ndarray) -> None:
+        if len(rows) > self.capacity:
+            raise ValueError(f"{len(rows)} rows exceed the capacity {self.capacity}")
+        rows.flags.writeable = False
+        self._rows = rows
 
     def push(self, params: ModelParams) -> None:
-        if self.capacity > 0:
-            self._entries.append(params.copy())
+        if self.capacity == 0:
+            return
+        if self.spec is None:
+            self.spec = params.spec()
+            self.rows = np.empty((0, self.spec.num_params))
+        kept = self.rows[max(len(self) + 1 - self.capacity, 0) :]
+        self.rows = np.concatenate([kept, params.vector[None]])
 
     def newest(self) -> ModelParams | None:
-        return self._entries[-1] if self._entries else None
+        return ModelParams(self.spec, self.rows[-1]) if len(self) else None
 
     def oldest(self) -> ModelParams | None:
-        return self._entries[0] if self._entries else None
+        return ModelParams(self.spec, self.rows[0]) if len(self) else None
 
     def entries(self) -> list[ModelParams]:
-        """Snapshots ordered oldest to newest."""
-        return list(self._entries)
+        """Snapshots ordered oldest to newest, as read-only views of the rows."""
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[ModelParams]:
-        return iter(self._entries)
-
-
-@dataclass
-class ContrastiveContext:
-    """Fixed contrastive points for one sample: the global representation plus
-    the partitioned historical representations."""
-
-    global_rep: np.ndarray
-    positives: list[np.ndarray] = field(default_factory=list)
-    negatives: list[np.ndarray] = field(default_factory=list)
-    temperature: float = 0.5
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-
-
-def partition_samples(
-    current_rep: np.ndarray, candidates: Iterable[np.ndarray], mu: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split historical representations into (positives, negatives).
-
-    A candidate is positive when its similarity to ``current_rep`` is at least
-    ``mu``; every candidate lands in exactly one side.
-    """
-    positives, negatives = [], []
-    for cand in candidates:
-        if cosine_similarity(current_rep, cand) >= mu:
-            positives.append(cand)
-        else:
-            negatives.append(cand)
-    return positives, negatives
-
-
-def contrastive_loss(current_rep: np.ndarray, ctx: ContrastiveContext) -> float:
-    """-log(pos / (pos + neg)) over exponentiated, temperature-scaled sims.
-
-    ``pos`` always includes the global term, so the ratio is well defined; an
-    empty negative set gives exactly 0.
-    """
-    tau = ctx.temperature
-    pos = np.exp(cosine_similarity(current_rep, ctx.global_rep) / tau)
-    for p in ctx.positives:
-        pos += np.exp(cosine_similarity(current_rep, p) / tau)
-    neg = 0.0
-    for n in ctx.negatives:
-        neg += np.exp(cosine_similarity(current_rep, n) / tau)
-    return float(np.log1p(neg / pos))
-
-
-def compute_mu(buffer: LocalBuffer, global_params: ModelParams, x: np.ndarray) -> float:
-    """Per-sample partition threshold.
-
-    Similarity between the newest buffered model's representation of ``x`` and
-    the global model's; exactly 1 when the buffer is empty (the global model is
-    then its own reference).
-    """
-    newest = buffer.newest()
-    if newest is None:
-        return 1.0
-    return cosine_similarity(
-        forward_representation(newest, x), forward_representation(global_params, x)
-    )
-
-
-def _dcos_rows(z: np.ndarray, other: np.ndarray, sims: np.ndarray) -> np.ndarray:
-    """Row-wise gradient of cos(z_i, other_i) in z_i; zero where a norm is zero."""
-    nz = np.linalg.norm(z, axis=1)
-    no = np.linalg.norm(other, axis=1)
-    ok = (nz > 0.0) & (no > 0.0)
-    nz_safe = np.where(ok, nz, 1.0)
-    no_safe = np.where(ok, no, 1.0)
-    grad = other / (nz_safe * no_safe)[:, None] - sims[:, None] * z / (nz_safe**2)[:, None]
-    grad[~ok] = 0.0
-    return grad
+        return (ModelParams(self.spec, row) for row in self.rows)
 
 
 def combined_loss_and_grad(
@@ -220,15 +182,20 @@ def combined_loss_and_grad(
     if len(buffer) == 0:
         return ce, _backward_cached(params, inputs, pres, dlogits)
 
-    z_glob = forward_representation(global_params, X)
-    hist = [forward_representation(m, X) for m in buffer]
-    if mu_reference is None:
-        mu = np.ones(n)
-    else:
-        mu = _cos_rows(forward_representation(mu_reference, X), z_glob)
+    # one stacked pass: [threshold reference,] global, snapshots oldest first
+    refs = [global_params.vector, buffer.rows]
+    if mu_reference is not None:
+        refs.insert(0, mu_reference.vector)
+    reps = forward_representation(ModelParams(params.spec(), np.vstack(refs)), X)
+    others = reps[-(len(buffer) + 1) :]  # (1 + buffered, n, dim), global first
+    mu = np.ones(n) if mu_reference is None else _cos_rows(reps[0], reps[1])
 
-    s_glob = _cos_rows(z, z_glob)
-    s_hist = np.stack([_cos_rows(z, h) for h in hist], axis=1)  # (n, buffered)
+    nz = np.linalg.norm(z, axis=-1)
+    no = np.linalg.norm(others, axis=-1)
+    sims = _cos_rows(z, others, nz, no)
+    # snapshot sums run along contiguous (n, buffered) rows: numpy's pairwise
+    # summation makes the bits depend on that layout
+    s_glob, s_hist = sims[0], np.ascontiguousarray(sims[1:].T)
     pos_mask = s_hist >= mu[:, None]
 
     tau = temperature
@@ -241,10 +208,10 @@ def combined_loss_and_grad(
 
     dpos = -neg / (pos * (pos + neg))
     dneg = 1.0 / (pos + neg)
-    dz = (dpos * e_glob / tau)[:, None] * _dcos_rows(z, z_glob, s_glob)
-    for j, h in enumerate(hist):
-        coeff = np.where(pos_mask[:, j], dpos, dneg) * e_hist[:, j] / tau
-        dz += coeff[:, None] * _dcos_rows(z, h, s_hist[:, j])
+    hist_coeff = np.where(pos_mask, dpos[:, None], dneg[:, None]) * e_hist / tau
+    coeff = np.vstack([dpos * e_glob / tau, hist_coeff.T])  # (1 + buffered, n)
+    # summing over the leading axis adds the terms one by one, global first
+    dz = (coeff[..., None] * _dcos_rows(z, others, sims, nz, no)).sum(axis=0)
     dz *= contrastive_weight / n
 
     return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)

@@ -27,7 +27,9 @@ import itertools
 import json
 import logging
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,12 +143,13 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         p01=cfg.markov_p01,
     )
     trace = schedule.trace_matrix(cfg.rounds)
+    spec = model_spec_for(cfg)
     nodes = [
         NodeState(
             node_id=k,
             features=train.features[shards[k]],
             labels=train.labels[shards[k]],
-            buffer=LocalBuffer(cfg.local_buffer_size),
+            buffer=LocalBuffer(cfg.local_buffer_size, spec),
             root_seed=cfg.seed,
         )
         for k in range(cfg.num_nodes)
@@ -167,7 +170,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         assignment=assignment,
         trace=trace,
         nodes=nodes,
-        spec=model_spec_for(cfg),
+        spec=spec,
         local_cfg=local_cfg,
     )
 
@@ -326,19 +329,11 @@ def _save_checkpoint(
         "weights": state.weights,
         "rounds_waiting": state.rounds_waiting,
         "event_counts": state.event_counts,
-        "history": np.stack(state.history)
-        if len(state.history)
-        else np.zeros((0, state.num_params)),
+        "history": state.history.rows,
+        **{f"buffer_{node.node_id}": node.buffer.rows for node in env.nodes},
     }
     if state.cached_updates is not None:
         arrays["cached_updates"] = state.cached_updates
-    for node in env.nodes:
-        entries = node.buffer.entries()
-        arrays[f"buffer_{node.node_id}"] = (
-            np.stack([flatten(m) for m in entries])
-            if entries
-            else np.zeros((0, state.num_params))
-        )
     np.savez(out_dir / CHECKPOINT_FILE, **arrays)
     _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": _rows_to_jsonable(rows)})
 
@@ -350,24 +345,91 @@ def _load_checkpoint(
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
     data = np.load(path)
-    spec = env.spec
-    state.global_model = unflatten(spec, data["global_flat"])
-    state.weights = data["weights"].copy()
-    state.rounds_waiting = data["rounds_waiting"].copy()
-    state.event_counts = data["event_counts"].copy()
-    next_round = int(data["next_round"])
-    state.round_idx = next_round
-    state.history.clear()
-    state.history.extend(data["history"])
+    state.global_model = unflatten(env.spec, data["global_flat"])
+    # every read of a saved array is a fresh copy
+    for name in ("weights", "rounds_waiting", "event_counts"):
+        setattr(state, name, data[name])
+    state.round_idx = next_round = int(data["next_round"])
+    state.history.rows = data["history"]
     if "cached_updates" in data:
-        state.cached_updates = data["cached_updates"].copy()
+        state.cached_updates = data["cached_updates"]
     for node in env.nodes:
-        node.buffer = LocalBuffer(env.cfg.local_buffer_size)
-        for flat_row in data[f"buffer_{node.node_id}"]:
-            node.buffer.push(unflatten(spec, flat_row))
+        node.buffer.rows = data[f"buffer_{node.node_id}"]
     with open(out_dir / CHECKPOINT_ROWS_FILE) as fh:
         rows = _rows_from_jsonable(json.load(fh)["rows"])
     return next_round, rows
+
+
+def _play_round(
+    env: Environment, state: AggregatorState, t: int, empty_shards: np.ndarray
+) -> RoundMetrics:
+    """Local training, weight update, aggregation and evaluation of round ``t``."""
+    cfg = env.cfg
+    indicators = env.trace[t].astype(np.int64)
+    if empty_shards.any():
+        indicators = np.where(empty_shards, 0, indicators)
+    participants = [int(k) for k in np.flatnonzero(indicators == 1)]
+
+    updates: dict[int, np.ndarray] = {}
+    for k in participants:
+        updates[k] = local_train(env.nodes[k], state.global_model, env.local_cfg, t)
+    num_params = env.spec.num_params
+    for k in range(cfg.num_nodes):
+        if k not in updates:
+            updates[k] = nonparticipant_update(num_params)
+
+    update_weights(state, indicators)
+    psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
+    deviation = (
+        update_deviation([updates[k] for k in participants]) if participants else None
+    )
+
+    new_global = _aggregate_for_variant(
+        cfg.variant, state, updates, indicators, cfg.aggregation_mode
+    )
+
+    row = RoundMetrics(
+        round_idx=t,
+        num_participants=len(participants),
+        psi=psi,
+        deviation=deviation,
+        weights=state.weights.copy(),  # aggregation reads the weights, never writes
+    )
+    if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
+        row.train_accuracy, row.train_loss = evaluate(
+            new_global, env.train.features, env.train.labels
+        )
+        if env.test.num_samples:
+            row.test_accuracy, row.test_loss = evaluate(
+                new_global, env.test.features, env.test.labels
+            )
+    return row
+
+
+def _round_boundary(
+    env: Environment, state: AggregatorState, rows: list[RoundMetrics]
+):
+    """Capture everything a round changes; the returned function puts it back.
+
+    Window rows are kept by reference, since pushes replace them and never
+    write them; the arrays the server updates in place are copied.
+    """
+    kept = {"global_model": state.global_model, "round_idx": state.round_idx}
+    for name in ("weights", "rounds_waiting", "event_counts", "cached_updates"):
+        value = getattr(state, name)
+        kept[name] = None if value is None else value.copy()
+    windows = [state.history, *(node.buffer for node in env.nodes)]
+    window_rows = [window.rows for window in windows]
+    num_rows = len(rows)
+
+    def rewind() -> None:
+        for name, value in kept.items():
+            setattr(state, name, value)
+        for window, old in zip(windows, window_rows):
+            window.rows = old
+        del rows[num_rows:]
+
+    return rewind
 
 
 def _summarize(
@@ -446,72 +508,26 @@ def run_experiment(
     export_trace_csv(env.trace, out_dir / "participation.csv")
 
     empty_shards = np.asarray([n.num_samples == 0 for n in env.nodes])
-    try:
-        for t in range(start_round, resolved.rounds):
-            indicators = env.trace[t].astype(np.int64)
-            if empty_shards.any():
-                indicators = np.where(empty_shards, 0, indicators)
-            participants = [int(k) for k in np.flatnonzero(indicators == 1)]
-
-            updates: dict[int, np.ndarray] = {}
-            for k in participants:
-                updates[k] = local_train(
-                    env.nodes[k], state.global_model, env.local_cfg, t
-                )
-            for k in range(resolved.num_nodes):
-                if k not in updates:
-                    updates[k] = nonparticipant_update(num_params)
-
-            update_weights(state, indicators)
-            psi = (
-                history_coefficient(t, resolved.rounds)
-                if resolved.rounds >= 2
-                else None
-            )
-            deviation = (
-                update_deviation([updates[k] for k in participants])
-                if participants
-                else None
-            )
-            weights_snapshot = state.weights.copy()
-
-            new_global = _aggregate_for_variant(
-                resolved.variant, state, updates, indicators, resolved.aggregation_mode
-            )
-
-            row = RoundMetrics(
-                round_idx=t,
-                num_participants=len(participants),
-                psi=psi,
-                deviation=deviation,
-                weights=weights_snapshot,
-            )
-            if (t + 1) % resolved.eval_every == 0 or t == resolved.rounds - 1:
-                row.train_accuracy, row.train_loss = evaluate(
-                    new_global, env.train.features, env.train.labels
-                )
-                if env.test.num_samples:
-                    row.test_accuracy, row.test_loss = evaluate(
-                        new_global, env.test.features, env.test.labels
-                    )
-            rows.append(row)
-
-            if (
-                resolved.checkpoint_every
-                and (t + 1) % resolved.checkpoint_every == 0
-                and t + 1 < resolved.rounds
-            ):
-                _save_checkpoint(out_dir, env, state, t + 1, rows)
-    except Exception:
-        # a periodic checkpoint pair on disk is from a clean round boundary;
-        # never clobber it with this mid-round state snapshot
-        if not (out_dir / CHECKPOINT_FILE).exists():
+    rewind = _round_boundary(env, state, rows)
+    # a diverging run stops with DivergenceError; numpy's warnings on the way
+    # there add nothing to it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            for t in range(start_round, resolved.rounds):
+                rows.append(_play_round(env, state, t, empty_shards))
+                every = resolved.checkpoint_every
+                if every and (t + 1) % every == 0 and t + 1 < resolved.rounds:
+                    _save_checkpoint(out_dir, env, state, t + 1, rows)
+                rewind = _round_boundary(env, state, rows)
+        except BaseException:
+            # the checkpoint is the last completed round, never a half-done one
+            rewind()
             _save_checkpoint(out_dir, env, state, state.round_idx, rows)
-        # the caller gets the traceback with the exception
-        log.error(
-            "run failed at round %d; checkpoint kept in %s", state.round_idx, out_dir
-        )
-        raise
+            # the caller gets the traceback with the exception
+            log.error(
+                "run failed at round %d; checkpoint kept in %s", state.round_idx, out_dir
+            )
+            raise
 
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     _write_weights_csv(out_dir / "weights.csv", rows, resolved.num_nodes)
@@ -567,6 +583,22 @@ def _run_cell(args) -> dict:
     return row
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Processes started inside get one BLAS thread each where the caller set
+    no count: parallel cells would only oversubscribe the cores with more."""
+    added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
     """Cartesian grid of runs; cells fail independently.
 
@@ -591,7 +623,9 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
         cells.append((base, overrides, index, cell_dir))
     # spawn, not fork: this process may already run BLAS threads
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=base.workers, mp_context=spawn) as pool:
+    with _one_blas_thread(), ProcessPoolExecutor(
+        max_workers=base.workers, mp_context=spawn
+    ) as pool:
         rows = list(pool.map(_run_cell, cells))
 
     fieldnames = ["cell", *keys, "status", "final_test_accuracy",

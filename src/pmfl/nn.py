@@ -10,6 +10,8 @@ contiguous float64 vector plus its :class:`ModelSpec`.  The per-layer
 writes the model, and whole-model arithmetic (SGD steps, update deltas,
 aggregation, snapshots) is one vector operation.  Layout: encoder, projection,
 classifier; within a layer the weight (row-major) comes before the bias.
+A ``(S, P)`` array of such vectors is a stack of S models: its layer views
+carry the leading axis, and one forward pass evaluates every model in it.
 
 All arithmetic is float64.  Rectifier activations follow every layer except the
 final classifier layer, whose raw outputs are the logits.
@@ -94,14 +96,15 @@ class ModelSpec:
 
 
 def _layer_views(spec: ModelSpec, vector: np.ndarray) -> list[Layer]:
-    """Every layer's weight and bias as views into ``vector``."""
+    """Every layer's weight and bias as views into ``vector``; leading axes stay."""
+    lead = vector.shape[:-1]
     views = []
     for start, fan_out, fan_in in spec.layer_offsets:
         stop = start + fan_out * fan_in
         views.append(
             Layer(
-                vector[start:stop].reshape(fan_out, fan_in),
-                vector[stop : stop + fan_out],
+                vector[..., start:stop].reshape(*lead, fan_out, fan_in),
+                vector[..., stop : stop + fan_out],
             )
         )
     return views
@@ -111,14 +114,15 @@ class ModelParams:
     """Concrete weights for one model: a flat vector and per-layer views into it.
 
     The constructor adopts a contiguous float64 ``vector`` without copying
-    it, so the caller hands over ownership.  Pickling and deep-copying carry
-    (spec, vector) and rebuild the views, so a clone's layers alias the
-    clone's own vector.
+    it, so the caller hands over ownership (a read-only vector gives a
+    read-only model).  A ``(S, P)`` vector is a stack of S models, which the
+    forward passes accept.  Pickling and deep-copying carry (spec, vector)
+    and rebuild the views, so a clone's layers alias the clone's own vector.
     """
 
     def __init__(self, spec: ModelSpec, vector: np.ndarray):
         vector = np.ascontiguousarray(vector, dtype=np.float64)
-        if vector.shape != (spec.num_params,):
+        if vector.ndim not in (1, 2) or vector.shape[-1] != spec.num_params:
             raise ValueError(
                 f"flat vector has {vector.shape} entries, spec needs {spec.num_params}"
             )
@@ -141,7 +145,7 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return self.vector.size
+        return self.vector.shape[-1]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self._spec, self.vector.copy())
@@ -216,7 +220,8 @@ def _atleast_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _forward_cached(params: ModelParams, X: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop."""
+    """Forward pass keeping per-layer inputs and pre-activations for backprop;
+    a stack of S models maps the (n, input_dim) batch to (S, n, ...) outputs."""
     layers = params.layers()
     n_rep = len(params.encoder) + len(params.projection)
     h = X
@@ -224,7 +229,7 @@ def _forward_cached(params: ModelParams, X: np.ndarray):
     z = X
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
-        pre = h @ w.T + b
+        pre = h @ w.mT + b[..., None, :]
         pres.append(pre)
         h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
         if i == n_rep - 1:
@@ -262,10 +267,11 @@ def _backward_cached(
 
 
 def forward_representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Representation z = projection(encoder(x)); accepts a vector or a batch."""
+    """Representation z = projection(encoder(x)); accepts a vector or a batch.
+    A stack of S models adds a leading axis of S to the result."""
     X, single = _atleast_batch(x)
     _, z, _, _ = _forward_cached(params, X)
-    return z[0] if single else z
+    return z[..., 0, :] if single else z
 
 
 def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ optima, so it is not the default.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contrastive import LocalBuffer
 from .nn import ModelParams, flatten, unflatten
 
 log = logging.getLogger(__name__)
@@ -67,7 +67,7 @@ class AggregatorState:
     rounds_waiting: np.ndarray = field(init=False)  # per node, since last event
     event_counts: np.ndarray = field(init=False)  # recorded intervals so far
     weights: np.ndarray = field(init=False)  # running mean interval length
-    history: deque = field(init=False)  # flat globals strictly older than current
+    history: LocalBuffer = field(init=False)  # globals strictly older than current
     cached_updates: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -89,7 +89,9 @@ class AggregatorState:
         self.rounds_waiting = np.zeros(self.num_nodes, dtype=np.int64)
         self.event_counts = np.zeros(self.num_nodes, dtype=np.int64)
         self.weights = np.ones(self.num_nodes)
-        self.history = deque(maxlen=max(self.history_size - 1, 0))
+        self.history = LocalBuffer(
+            max(self.history_size - 1, 0), self.global_model.spec()
+        )
 
     @property
     def num_params(self) -> int:
@@ -146,8 +148,7 @@ def _advance(state: AggregatorState, new_flat: np.ndarray) -> ModelParams:
     if not np.isfinite(new_flat).all():
         raise DivergenceError(state.round_idx)
     new_global = unflatten(state.global_model.spec(), new_flat)
-    if state.history.maxlen:
-        state.history.append(flatten(state.global_model))
+    state.history.push(state.global_model)
     state.global_model = new_global
     state.round_idx += 1
     return new_global
@@ -155,11 +156,10 @@ def _advance(state: AggregatorState, new_flat: np.ndarray) -> ModelParams:
 
 def _smooth(state: AggregatorState, candidate: np.ndarray) -> np.ndarray:
     """Blend the candidate with the mean of the buffered older globals."""
-    if state.history_size <= 1 or len(state.history) == 0:
+    if len(state.history) == 0:
         return candidate
     psi = history_coefficient(state.round_idx, state.horizon)
-    hist = np.stack(state.history)
-    return (1.0 - psi) * candidate + psi * hist.mean(axis=0)
+    return (1.0 - psi) * candidate + psi * state.history.rows.mean(axis=0)
 
 
 def aggregate(

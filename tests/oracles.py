@@ -7,10 +7,23 @@ the vectorized code under test.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from pmfl.nn import ModelParams, flatten, unflatten
+from pmfl.contrastive import LocalBuffer, cosine_similarity
+from pmfl.nn import (
+    Minibatch,
+    ModelParams,
+    _backward_cached,
+    _forward_cached,
+    cross_entropy_and_grad,
+    flatten,
+    forward_representation,
+    log_softmax,
+    unflatten,
+)
 
 
 def scalar_forward(params: ModelParams, x) -> tuple[list[float], list[float]]:
@@ -90,3 +103,145 @@ def perturbed(params: ModelParams, rng: np.random.Generator, scale: float) -> Mo
     """A nearby model: params plus gaussian noise of the given scale."""
     flat = flatten(params)
     return unflatten(params.spec(), flat + scale * rng.standard_normal(flat.size))
+
+
+@dataclass
+class ContrastiveContext:
+    """Fixed contrastive points for one sample: the global representation plus
+    the partitioned historical representations."""
+
+    global_rep: np.ndarray
+    positives: list[np.ndarray] = field(default_factory=list)
+    negatives: list[np.ndarray] = field(default_factory=list)
+    temperature: float = 0.5
+
+    def __post_init__(self):
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
+
+
+def partition_samples(
+    current_rep: np.ndarray, candidates: Iterable[np.ndarray], mu: float
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Split historical representations into (positives, negatives).
+
+    A candidate is positive when its similarity to ``current_rep`` is at least
+    ``mu``; every candidate lands in exactly one side.
+    """
+    positives, negatives = [], []
+    for cand in candidates:
+        if cosine_similarity(current_rep, cand) >= mu:
+            positives.append(cand)
+        else:
+            negatives.append(cand)
+    return positives, negatives
+
+
+def contrastive_loss(current_rep: np.ndarray, ctx: ContrastiveContext) -> float:
+    """-log(pos / (pos + neg)) over exponentiated, temperature-scaled sims.
+
+    ``pos`` always includes the global term, so the ratio is well defined; an
+    empty negative set gives exactly 0.
+    """
+    tau = ctx.temperature
+    pos = np.exp(cosine_similarity(current_rep, ctx.global_rep) / tau)
+    for p in ctx.positives:
+        pos += np.exp(cosine_similarity(current_rep, p) / tau)
+    neg = 0.0
+    for n in ctx.negatives:
+        neg += np.exp(cosine_similarity(current_rep, n) / tau)
+    return float(np.log1p(neg / pos))
+
+
+def compute_mu(buffer: LocalBuffer, global_params: ModelParams, x: np.ndarray) -> float:
+    """Per-sample partition threshold.
+
+    Similarity between the newest buffered model's representation of ``x`` and
+    the global model's; exactly 1 when the buffer is empty (the global model is
+    then its own reference).
+    """
+    newest = buffer.newest()
+    if newest is None:
+        return 1.0
+    return cosine_similarity(
+        forward_representation(newest, x), forward_representation(global_params, x)
+    )
+
+
+def _looped_cos_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    denom = na * nb
+    bad = denom == 0.0
+    denom = np.where(bad, 1.0, denom)
+    sims = np.einsum("ij,ij->i", a, b) / denom
+    sims = np.where(bad, 0.0, sims)
+    equal = np.all(a == b, axis=1) & ~bad
+    return np.where(equal, 1.0, sims)
+
+
+def _looped_dcos_rows(z: np.ndarray, other: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    nz = np.linalg.norm(z, axis=1)
+    no = np.linalg.norm(other, axis=1)
+    ok = (nz > 0.0) & (no > 0.0)
+    nz_safe = np.where(ok, nz, 1.0)
+    no_safe = np.where(ok, no, 1.0)
+    grad = other / (nz_safe * no_safe)[:, None] - sims[:, None] * z / (nz_safe**2)[:, None]
+    grad[~ok] = 0.0
+    return grad
+
+
+def looped_loss_and_grad(
+    params: ModelParams,
+    batch: Minibatch,
+    global_params: ModelParams,
+    buffer: LocalBuffer,
+    temperature: float,
+    contrastive_weight: float,
+    mu_reference: ModelParams | None = None,
+) -> tuple[float, ModelParams]:
+    """``combined_loss_and_grad`` with one forward pass and one gradient term
+    per reference model, as the package computed it before it stacked them."""
+    if contrastive_weight == 0.0:
+        return cross_entropy_and_grad(params, batch)
+
+    X = batch.features
+    n = X.shape[0]
+    logits, z, inputs, pres = _forward_cached(params, X)
+    lp = log_softmax(logits)
+    ce = float(-lp[np.arange(n), batch.labels].mean())
+    dlogits = np.exp(lp)
+    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits /= n
+
+    if len(buffer) == 0:
+        return ce, _backward_cached(params, inputs, pres, dlogits)
+
+    z_glob = forward_representation(global_params, X)
+    hist = [forward_representation(m, X) for m in buffer]
+    if mu_reference is None:
+        mu = np.ones(n)
+    else:
+        mu = _looped_cos_rows(forward_representation(mu_reference, X), z_glob)
+
+    s_glob = _looped_cos_rows(z, z_glob)
+    s_hist = np.stack([_looped_cos_rows(z, h) for h in hist], axis=1)  # (n, buffered)
+    pos_mask = s_hist >= mu[:, None]
+
+    tau = temperature
+    e_glob = np.exp(s_glob / tau)
+    e_hist = np.exp(s_hist / tau)
+    pos = e_glob + np.where(pos_mask, e_hist, 0.0).sum(axis=1)
+    neg = np.where(pos_mask, 0.0, e_hist).sum(axis=1)
+    l_con = np.log1p(neg / pos)
+    loss = ce + contrastive_weight * float(l_con.mean())
+
+    dpos = -neg / (pos * (pos + neg))
+    dneg = 1.0 / (pos + neg)
+    dz = (dpos * e_glob / tau)[:, None] * _looped_dcos_rows(z, z_glob, s_glob)
+    for j, h in enumerate(hist):
+        coeff = np.where(pos_mask[:, j], dpos, dneg) * e_hist[:, j] / tau
+        dz += coeff[:, None] * _looped_dcos_rows(z, h, s_hist[:, j])
+    dz *= contrastive_weight / n
+
+    return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)

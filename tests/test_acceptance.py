@@ -23,12 +23,7 @@ import pytest
 
 from pmfl.client import LocalTrainConfig, NodeState, _epoch_batches, local_train
 from pmfl.config import ExperimentConfig
-from pmfl.contrastive import (
-    ContrastiveContext,
-    LocalBuffer,
-    combined_loss_and_grad,
-    contrastive_loss,
-)
+from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
 from pmfl.harness import run_experiment, run_sweep
 from pmfl.nn import (
     Minibatch,
@@ -44,7 +39,14 @@ from pmfl.participation import ParticipationSchedule
 from pmfl.server import AggregatorState, history_coefficient, update_weights
 
 from fixtures import gradcheck_case
-from oracles import expected_weight, fd_gradient, max_rel_err, perturbed
+from oracles import (
+    ContrastiveContext,
+    contrastive_loss,
+    expected_weight,
+    fd_gradient,
+    max_rel_err,
+    perturbed,
+)
 from test_harness import assert_same_outputs, assert_same_sweeps, tiny_config
 from test_participation import bernoulli_sigma, markov_sigma
 

@@ -90,6 +90,7 @@ class TestRunCommand:
             assert "pmfl run: error: DivergenceError" in proc.stderr
             assert "round 1" in proc.stderr
             assert "Traceback" not in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
 
     def test_resume_rejects_other_flags(self, tmp_path):
         with pytest.raises(SystemExit):

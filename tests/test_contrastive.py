@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from pmfl.contrastive import (
-    ContrastiveContext,
     LocalBuffer,
     combined_loss_and_grad,
-    compute_mu,
-    contrastive_loss,
     cosine_similarity,
-    partition_samples,
     _cos_rows,
 )
 from pmfl.nn import (
@@ -27,7 +23,15 @@ from pmfl.nn import (
 from pmfl.rng import stream
 
 from fixtures import gradcheck_case
-from oracles import fd_gradient, max_rel_err, perturbed
+from oracles import (
+    ContrastiveContext,
+    compute_mu,
+    contrastive_loss,
+    fd_gradient,
+    max_rel_err,
+    partition_samples,
+    perturbed,
+)
 
 
 class TestCosineSimilarity:

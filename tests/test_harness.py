@@ -4,6 +4,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -288,13 +291,74 @@ class TestCheckpointing:
         rows = json.loads((tmp_path / CHECKPOINT_ROWS_FILE).read_text())["rows"]
         assert len(rows) == 2  # rounds 0 and 1 completed
 
-    def test_clean_periodic_checkpoint_survives_a_crash(self, tmp_path, monkeypatch):
+    def test_crash_checkpoint_is_the_last_completed_round(self, tmp_path, monkeypatch):
         cfg = tiny_config(checkpoint_every=2)
         self._interrupt_at(monkeypatch, 3)
         with pytest.raises(RuntimeError):
             run_experiment(cfg, tmp_path)
         data = np.load(tmp_path / CHECKPOINT_FILE)
-        assert int(data["next_round"]) == 2  # boundary snapshot, not the dirty state
+        # newer than the periodic checkpoint of round 2, older than the crash
+        assert int(data["next_round"]) == 3
+        rows = json.loads((tmp_path / CHECKPOINT_ROWS_FILE).read_text())["rows"]
+        assert [r["round_idx"] for r in rows] == [0, 1, 2]
+
+    def _fail_in_local_train(self, monkeypatch, round_idx, participant, exc):
+        real = harness.local_train
+        seen = []
+
+        def wrapper(node, global_params, cfg, t):
+            if t == round_idx:
+                seen.append(node.node_id)
+                if len(seen) == participant:
+                    raise exc
+            return real(node, global_params, cfg, t)
+
+        monkeypatch.setattr(harness, "local_train", wrapper)
+
+    def _resume_matches_uninterrupted(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.undo()
+        resume_run(tmp_path / "b")
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_crash_inside_local_training_resumes_to_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # the second participant of round 3 fails after the first one has
+        # trained and pushed snapshots into its buffer
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        self._fail_in_local_train(monkeypatch, 3, 2, RuntimeError("injected failure"))
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path / "b")
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
+
+    def test_crash_in_evaluation_after_aggregation_resumes_to_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        real = harness.evaluate
+        calls = {"n": 0}
+
+        def wrapper(*args):
+            calls["n"] += 1
+            if calls["n"] == 3:  # train split of round 3, the second evaluated one
+                raise RuntimeError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "evaluate", wrapper)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path / "b")
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
+
+    def test_keyboard_interrupt_leaves_a_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        self._fail_in_local_train(monkeypatch, 2, 1, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, tmp_path / "b")
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 2
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
 
     def test_checkpoint_with_last_participation_array_still_resumes(
         self, tmp_path, monkeypatch
@@ -338,9 +402,33 @@ class TestDivergence:
         assert exc.value.round_idx == round_idx
         assert f"round {round_idx}" in str(exc.value)
         assert not (tmp_path / "summary.json").exists()
+        # the failure checkpoint is the last finite round, not the diverged one
+        data = np.load(tmp_path / CHECKPOINT_FILE)
+        assert int(data["next_round"]) == round_idx
+        for name in data.files:
+            assert np.isfinite(data[name]).all(), name
+
+
+def _blas_env() -> dict:
+    return {name: os.environ.get(name) for name in harness.BLAS_THREAD_VARS}
 
 
 class TestSweep:
+    def test_cells_start_with_one_blas_thread_unless_set(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        before = dict(os.environ)
+        spawn = multiprocessing.get_context("spawn")
+        with harness._one_blas_thread(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            seen = pool.submit(_blas_env).result()
+        assert seen == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": "1",
+        }
+        assert dict(os.environ) == before
+
     def test_single_cell_matches_direct_run(self, tmp_path):
         base = tiny_config()
         rows = run_sweep(base, {"seed": [5]}, tmp_path / "sweep")

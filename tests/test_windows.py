@@ -1,0 +1,115 @@
+"""Windows of past models as one array each: buffer rows, the stacked
+reference pass of the contrastive term, and checkpoints written before the
+windows were arrays."""
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pmfl.config import ExperimentConfig
+from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
+from pmfl.harness import resume_run, run_experiment
+from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
+
+from oracles import looped_loss_and_grad, perturbed
+from test_harness import assert_same_outputs
+
+SPEC = ModelSpec(input_dim=5, encoder=(8,), projection=(6,), classifier=(4,))
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _models(count: int, seed: int) -> list[ModelParams]:
+    rng = np.random.default_rng(seed)
+    return [init_params(SPEC, rng) for _ in range(count)]
+
+
+class TestBufferRows:
+    def test_rows_are_the_window_oldest_first(self):
+        models = _models(5, 0)
+        buf = LocalBuffer(3, SPEC)
+        assert buf.rows.shape == (0, SPEC.num_params)
+        for m in models:
+            buf.push(m)
+        np.testing.assert_array_equal(buf.rows, np.stack([m.vector for m in models[2:]]))
+
+    def test_push_replaces_the_array_and_never_writes_it(self):
+        buf = LocalBuffer(2)
+        a, b, c = _models(3, 1)
+        buf.push(a)
+        buf.push(b)
+        before = buf.rows
+        kept = before.copy()
+        buf.push(c)
+        assert buf.rows is not before
+        np.testing.assert_array_equal(before, kept)
+        assert not buf.rows.flags.writeable
+
+    def test_a_model_read_from_the_buffer_keeps_its_values(self):
+        buf = LocalBuffer(1)
+        a, b = _models(2, 2)
+        buf.push(a)
+        newest = buf.newest()
+        buf.push(b)
+        np.testing.assert_array_equal(newest.vector, a.vector)
+        with pytest.raises(ValueError):
+            newest.encoder[0].weight[:] = 0.0
+
+    def test_rows_beyond_the_capacity_are_rejected(self):
+        buf = LocalBuffer(1, SPEC)
+        with pytest.raises(ValueError):
+            buf.rows = np.zeros((2, SPEC.num_params))
+
+
+class TestStackedForward:
+    def test_each_slice_equals_its_own_model_bit_for_bit(self):
+        models = _models(4, 3)
+        stack = ModelParams(SPEC, np.stack([m.vector for m in models]))
+        X = np.random.default_rng(4).standard_normal((7, SPEC.input_dim))
+        reps = forward_representation(stack, X)
+        assert reps.shape == (4, 7, SPEC.representation_dim)
+        single = forward_representation(stack, X[0])
+        assert single.shape == (4, SPEC.representation_dim)
+        for s, m in enumerate(models):
+            np.testing.assert_array_equal(reps[s], forward_representation(m, X))
+            np.testing.assert_array_equal(single[s], forward_representation(m, X[0]))
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("with_reference", [True, False])
+    @pytest.mark.parametrize("capacity", [1, 4, 12])
+    def test_matches_the_looped_kernel_bit_for_bit(self, capacity, with_reference):
+        rng = np.random.default_rng((capacity, with_reference))
+        params = init_params(SPEC, rng)
+        buf = LocalBuffer(capacity)
+        for _ in range(capacity + 2):  # fill, then evict
+            buf.push(perturbed(params, rng, 0.3))
+        batch = Minibatch(
+            rng.standard_normal((32, SPEC.input_dim)), rng.integers(0, 4, size=32)
+        )
+        reference = perturbed(params, rng, 0.1) if with_reference else None
+        args = (params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference)
+
+        loss, grad = combined_loss_and_grad(*args)
+        want_loss, want_grad = looped_loss_and_grad(*args)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad.vector, want_grad.vector)
+
+
+class TestOldCheckpoints:
+    # written by the code that still kept each window as a list of models:
+    # tiny_config with 3 local iterations, buffers of 4 and a checkpoint every
+    # 2 rounds, interrupted in round 4
+    @pytest.mark.parametrize("variant", ["pmfl", "cached_update"])
+    def test_resume_to_the_same_bytes(self, tmp_path, variant):
+        run_dir = tmp_path / "resumed"
+        shutil.copytree(DATA / f"checkpoint_{variant}", run_dir)
+        resume_run(run_dir)
+
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        cfg = ExperimentConfig.from_dict(manifest["requested_config"])
+        run_experiment(cfg, tmp_path / "straight")
+        assert_same_outputs(tmp_path / "straight", run_dir)
