@@ -123,7 +123,7 @@ def _cmd_run(parser, args) -> int:
         result = resume_run(out) if args.resume else run_experiment(cfg, out)
     except FileNotFoundError as exc:  # e.g. --resume of a run with no checkpoint
         parser.error(str(exc))
-    except ValueError as exc:  # e.g. a diverged run or a failed partition
+    except ValueError as exc:  # a diverged run, a failed partition, a bad checkpoint
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     summary = result.summary

@@ -7,6 +7,15 @@ buffers and the metric rows recorded so far.  Reruns of the same config are
 byte-identical, a resumed run finishes with the same bytes as an
 uninterrupted one, and a sweep writes the same bytes with any worker count.
 
+A checkpoint is two files.  ``checkpoint.npz`` holds the state arrays plus
+``row_weights``, every recorded round's node weights as one (rounds, nodes)
+array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
+round.  Each is replaced whole, and a pair whose row counts disagree (a run
+stopped between the two replaces) is refused on resume.  A checkpoint is
+written every ``checkpoint_every`` rounds and on any failure, Ctrl-C and
+SIGTERM included, and always holds the last completed round.  Every file is
+written to a temporary file first and then renamed over its target.
+
 Output files per run:
 
 - ``metrics.csv``    one row per evaluated round (accuracy/loss on train/test)
@@ -28,6 +37,8 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
 from .config import ExperimentConfig
 from .contrastive import LocalBuffer
@@ -217,7 +229,7 @@ def _fmt(value) -> str:
 
 
 def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -249,7 +261,7 @@ def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
 
 
 def _write_weights_csv(path, rows: list[RoundMetrics], num_nodes: int) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["round", "psi", "participants", "deviation"]
@@ -264,7 +276,7 @@ def _write_weights_csv(path, rows: list[RoundMetrics], num_nodes: int) -> None:
 
 
 def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value", "cum_fraction"])
         for value, frac in acc_cdf:
@@ -274,13 +286,14 @@ def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
-    (out_dir / "model.bin").write_bytes(flat.astype("<f8").tobytes())
+    with atomic_open(out_dir / "model.bin", "wb") as fh:
+        fh.write(flat.astype("<f8").tobytes())
     _write_json(
         out_dir / "model_meta.json",
         {
@@ -295,25 +308,25 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
     )
 
 
+# the JSON half of a checkpoint; the weight vectors go into the npz
+_SCALAR_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RoundMetrics) if f.name != "weights"
+)
+
+
 def _rows_to_jsonable(rows: list[RoundMetrics]) -> list[dict]:
-    out = []
-    for r in rows:
-        d = dataclasses.asdict(r)
-        d["weights"] = None if r.weights is None else [float(v) for v in r.weights]
-        out.append(d)
-    return out
+    return [{name: getattr(r, name) for name in _SCALAR_FIELDS} for r in rows]
 
 
-def _rows_from_jsonable(raw: list[dict]) -> list[RoundMetrics]:
-    rows = []
-    for d in raw:
-        weights = d.pop("weights")
-        rows.append(
-            RoundMetrics(
-                **d, weights=None if weights is None else np.asarray(weights)
-            )
-        )
-    return rows
+def _rows_from_jsonable(raw: list[dict], row_weights) -> list[RoundMetrics]:
+    """Rows from their scalar fields and, row by row, their weight vectors.
+
+    Checkpoints written before ``row_weights`` existed keep each row's
+    weights in the JSON; pass ``None`` to read them from there.
+    """
+    if row_weights is None:
+        row_weights = [np.asarray(d.pop("weights")) for d in raw]
+    return [RoundMetrics(**d, weights=w) for d, w in zip(raw, row_weights)]
 
 
 def _save_checkpoint(
@@ -331,10 +344,16 @@ def _save_checkpoint(
         "event_counts": state.event_counts,
         "history": state.history.rows,
         **{f"buffer_{node.node_id}": node.buffer.rows for node in env.nodes},
+        # reshaped so that no rows still make a (0, nodes) array
+        "row_weights": np.array([r.weights for r in rows], dtype=np.float64).reshape(
+            len(rows), state.num_nodes
+        ),
     }
     if state.cached_updates is not None:
         arrays["cached_updates"] = state.cached_updates
-    np.savez(out_dir / CHECKPOINT_FILE, **arrays)
+    # savez appends ".npz" to a path without it, so it gets the open file
+    with atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
+        np.savez(fh, **arrays)
     _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": _rows_to_jsonable(rows)})
 
 
@@ -345,19 +364,31 @@ def _load_checkpoint(
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
     data = np.load(path)
+    next_round = int(data["next_round"])
+    row_weights = data["row_weights"] if "row_weights" in data else None
+    with open(out_dir / CHECKPOINT_ROWS_FILE) as fh:
+        raw = json.load(fh)["rows"]
+    # one round, one row; the files are replaced one after the other, so a
+    # run stopped in between leaves a pair that disagrees
+    if len(raw) != next_round or (
+        row_weights is not None and len(row_weights) != len(raw)
+    ):
+        weights_note = "" if row_weights is None else f", {len(row_weights)} row_weights"
+        raise ValueError(
+            f"{CHECKPOINT_FILE} (next_round {next_round}{weights_note}) and "
+            f"{CHECKPOINT_ROWS_FILE} ({len(raw)} rows) in {out_dir} disagree"
+        )
     state.global_model = unflatten(env.spec, data["global_flat"])
     # every read of a saved array is a fresh copy
     for name in ("weights", "rounds_waiting", "event_counts"):
         setattr(state, name, data[name])
-    state.round_idx = next_round = int(data["next_round"])
+    state.round_idx = next_round
     state.history.rows = data["history"]
     if "cached_updates" in data:
         state.cached_updates = data["cached_updates"]
     for node in env.nodes:
         node.buffer.rows = data[f"buffer_{node.node_id}"]
-    with open(out_dir / CHECKPOINT_ROWS_FILE) as fh:
-        rows = _rows_from_jsonable(json.load(fh)["rows"])
-    return next_round, rows
+    return next_round, _rows_from_jsonable(raw, row_weights)
 
 
 def _play_round(
@@ -464,10 +495,35 @@ def _summarize(
     }
 
 
+def _raise_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_raises():
+    """In the main thread, SIGTERM raises ``SystemExit`` while inside, so a
+    terminated run checkpoints like an interrupted one; the previous handler
+    comes back on exit.  Other threads cannot set handlers and keep them."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_on_sigterm)
+    try:
+        yield
+    finally:
+        # None: a handler Python did not install, which it cannot put back
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir, resume: bool = False
 ) -> RunResult:
     """Run one experiment end to end, writing every artifact into ``out_dir``."""
+    with _sigterm_raises():
+        return _run_experiment(cfg, out_dir, resume)
+
+
+def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -631,7 +687,7 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
     fieldnames = ["cell", *keys, "status", "final_test_accuracy",
                   "top5_test_accuracy", "final_train_accuracy",
                   "mean_deviation_last_quarter", "error"]
-    with open(out_dir / "sweep_summary.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "sweep_summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         for row in rows:

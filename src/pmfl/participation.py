@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .rng import stream
 
 PATTERNS = ("bernoulli", "markovian", "cyclic")
@@ -94,7 +95,7 @@ class ParticipationSchedule:
 def export_trace_csv(trace: np.ndarray, path) -> None:
     """Write a (rounds, nodes) indicator matrix as round-per-row CSV."""
     trace = np.asarray(trace)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round"] + [f"node_{k}" for k in range(trace.shape[1])])
         for t in range(trace.shape[0]):

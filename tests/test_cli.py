@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import pmfl
+import pmfl.harness as harness
 from pmfl.cli import main
 from pmfl.config import save_config
-from pmfl.harness import run_experiment
+from pmfl.harness import CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE, run_experiment
 
 from test_harness import assert_same_outputs, tiny_config
 
@@ -106,6 +107,30 @@ class TestRunCommand:
             main(["run", "--out", str(tmp_path), "--resume"])
         assert err.value.code == 2
         assert "no checkpoint" in capsys.readouterr().err
+
+    def test_resume_of_a_checkpoint_pair_that_disagrees_is_a_clean_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the run stops after a checkpoint's npz is replaced and before its
+        # JSON is
+        real = harness._write_json
+
+        def write_json(path, payload):
+            if Path(path).name == CHECKPOINT_ROWS_FILE and len(payload["rows"]) > 2:
+                raise KeyboardInterrupt
+            return real(path, payload)
+
+        monkeypatch.setattr(harness, "_write_json", write_json)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+        monkeypatch.undo()
+        capsys.readouterr()
+
+        assert main(["run", "--out", str(tmp_path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pmfl run: error: ValueError: ")
+        assert CHECKPOINT_FILE in err and CHECKPOINT_ROWS_FILE in err
 
 
 class TestSweepCommand:

@@ -6,6 +6,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import pmfl.harness as harness
+from pmfl.atomic import atomic_open
 from pmfl.config import ExperimentConfig
 from pmfl.harness import (
     CHECKPOINT_FILE,
@@ -24,7 +27,9 @@ from pmfl.harness import (
     run_experiment,
     run_sweep,
 )
+from pmfl.metrics import RoundMetrics
 from pmfl.nn import flatten, init_params, unflatten
+from pmfl.participation import export_trace_csv
 from pmfl.rng import stream
 from pmfl.server import DivergenceError
 
@@ -360,6 +365,78 @@ class TestCheckpointing:
         assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 2
         self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
 
+    def test_sigterm_leaves_a_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        real = harness.local_train
+
+        def wrapper(node, global_params, cfg, t):
+            if t == 3:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return real(node, global_params, cfg, t)
+
+        monkeypatch.setattr(harness, "local_train", wrapper)
+        before = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(SystemExit) as exc:
+            run_experiment(cfg, tmp_path / "b")
+        assert exc.value.code == 128 + signal.SIGTERM
+        assert signal.getsignal(signal.SIGTERM) == before
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
+
+    def test_periodic_checkpoint_keeps_the_row_weights_in_the_npz(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(checkpoint_every=2)
+        real = harness._save_checkpoint
+        kept = []
+
+        def wrapper(out_dir, env, state, next_round, rows):
+            real(out_dir, env, state, next_round, rows)
+            snapshot = tmp_path / f"checkpoint_{next_round}"
+            snapshot.mkdir()
+            for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
+                shutil.copy(out_dir / name, snapshot / name)
+            kept.append((next_round, snapshot))
+
+        monkeypatch.setattr(harness, "_save_checkpoint", wrapper)
+        run_experiment(cfg, tmp_path / "run")
+        weight_rows = read_csv(tmp_path / "run" / "weights.csv")[1:]
+        weights = np.array([[float(v) for v in r[4:]] for r in weight_rows])
+
+        assert [next_round for next_round, _ in kept] == [2, 4]
+        for next_round, snapshot in kept:
+            rows = json.loads((snapshot / CHECKPOINT_ROWS_FILE).read_text())["rows"]
+            assert [r["round_idx"] for r in rows] == list(range(next_round))
+            assert all("weights" not in r for r in rows)
+            row_weights = np.load(snapshot / CHECKPOINT_FILE)["row_weights"]
+            assert row_weights.shape == (next_round, cfg.num_nodes)
+            np.testing.assert_array_equal(row_weights, weights[:next_round])
+
+    @pytest.mark.parametrize("edit", ["drop_json_row", "drop_row_weight"])
+    def test_checkpoint_pair_that_disagrees_is_refused(
+        self, tmp_path, monkeypatch, edit
+    ):
+        cfg = tiny_config(checkpoint_every=2)
+        self._interrupt_at(monkeypatch, 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path)
+        monkeypatch.undo()
+        if edit == "drop_json_row":
+            path = tmp_path / CHECKPOINT_ROWS_FILE
+            doc = json.loads(path.read_text())
+            del doc["rows"][-1]
+            path.write_text(json.dumps(doc))
+        else:
+            path = tmp_path / CHECKPOINT_FILE
+            arrays = dict(np.load(path))
+            arrays["row_weights"] = arrays["row_weights"][:-1]
+            np.savez(path, **arrays)
+
+        with pytest.raises(ValueError) as exc:
+            resume_run(tmp_path)
+        assert CHECKPOINT_FILE in str(exc.value)
+        assert CHECKPOINT_ROWS_FILE in str(exc.value)
+
     def test_checkpoint_with_last_participation_array_still_resumes(
         self, tmp_path, monkeypatch
     ):
@@ -387,6 +464,76 @@ class TestCheckpointing:
         run_experiment(tiny_config(checkpoint_every=2), tmp_path)
         assert not (tmp_path / CHECKPOINT_FILE).exists()
         assert not (tmp_path / CHECKPOINT_ROWS_FILE).exists()
+        # and no temporary file of any write is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUT_FILES)
+
+
+# each writes part of its output, then meets a value it cannot format
+_BAD_ROWS = [
+    RoundMetrics(0, 1, psi=0.5, train_accuracy=1.0),
+    RoundMetrics(1, 1, psi="not a number", train_accuracy=1.0),
+]
+FAILING_WRITES = {
+    "summary.json": lambda p: harness._write_json(p, {"a": 1.0, "b": float("nan")}),
+    "metrics.csv": lambda p: harness._write_metrics_csv(p, _BAD_ROWS),
+    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS, 0),
+    "cdf.csv": lambda p: harness._write_cdf_csv(p, np.array([[0.5, 1.0]]), [("x", 1.0)]),
+    "participation.csv": lambda p: export_trace_csv(np.array([[0, 1], [1, np.nan]]), p),
+}
+
+
+class TestAtomicWrites:
+    """A write that fails part way leaves the previous file as it was and no
+    partial file beside it."""
+
+    @pytest.mark.parametrize("name", sorted(FAILING_WRITES))
+    def test_failed_artifact_write_keeps_the_previous_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("previous\n")
+        with pytest.raises(ValueError):
+            FAILING_WRITES[name](path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_interrupted_binary_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"previous")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(path, "wb") as fh:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    def test_failed_checkpoint_keeps_the_previous_pair(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "b"
+        real = np.savez
+        pair = {}
+
+        def savez(fh, **arrays):
+            if int(arrays["next_round"]) == 2:
+                return real(fh, **arrays)
+            # every later checkpoint, the failure checkpoint too, fails part way
+            for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
+                pair.setdefault(name, (run_dir / name).read_bytes())
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(tiny_config(checkpoint_every=2), run_dir)
+        monkeypatch.undo()
+        for name, content in pair.items():
+            assert (run_dir / name).read_bytes() == content, name
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            [CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE, "manifest.json",
+             "partition.json", "participation.csv"]
+        )
+        assert int(np.load(run_dir / CHECKPOINT_FILE)["next_round"]) == 2
+
+        resume_run(run_dir)
+        run_experiment(tiny_config(), tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", run_dir, exclude=("manifest.json",))
 
 
 class TestDivergence:
