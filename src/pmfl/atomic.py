@@ -1,6 +1,7 @@
 """Files that appear whole or not at all."""
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,3 +27,10 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Strict JSON (no NaN or infinity), sorted and indented, written whole."""
+    with atomic_open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+from .atomic import write_json
 from .config import ExperimentConfig, _coerce, load_config
 from .data import DatasetSpec, export_csv, synth_dataset
 from .harness import resume_run, run_experiment, run_sweep
@@ -173,11 +174,7 @@ def _cmd_synth_data(parser, args) -> int:
     export_csv(train, out / "train.csv")
     if test.num_samples:
         export_csv(test, out / "test.csv")
-    with open(out / "dataset_meta.json", "w") as fh:
-        json.dump(
-            dataclasses.asdict(spec), fh, indent=2, sort_keys=True, allow_nan=False
-        )
-        fh.write("\n")
+    write_json(out / "dataset_meta.json", dataclasses.asdict(spec))
     print(f"wrote {train.num_samples} train rows and {test.num_samples} test rows "
           f"to {out}")
     return 0

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .atomic import write_json
 from .participation import PATTERNS
 from .server import AGGREGATION_MODES
 
@@ -224,6 +225,4 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(path, cfg.to_dict())

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .rng import stream
 
 
@@ -170,7 +171,7 @@ def ingest_csv(
 
 def export_csv(dataset: LabeledDataset, path) -> None:
     """Write ``feature..., label`` rows with full float precision."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])

@@ -7,13 +7,17 @@ buffers and the metric rows recorded so far.  Reruns of the same config are
 byte-identical, a resumed run finishes with the same bytes as an
 uninterrupted one, and a sweep writes the same bytes with any worker count.
 
-A checkpoint is two files.  ``checkpoint.npz`` holds the state arrays plus
+After every round the loop keeps a snapshot of the state
+(:func:`_state_arrays`).  A checkpoint writes that snapshot every
+``checkpoint_every`` rounds, and on any failure (Ctrl-C, SIGTERM and a
+failed end-of-run write included) the latest one, so it always holds the
+last completed round and the live state is never rolled back.  A checkpoint
+is two files.  ``checkpoint.npz`` holds the state arrays, every node's
+window as one array ``buffers`` cut apart by ``buffer_lengths``, and
 ``row_weights``, every recorded round's node weights as one (rounds, nodes)
 array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
 round.  Each is replaced whole, and a pair whose row counts disagree (a run
-stopped between the two replaces) is refused on resume.  A checkpoint is
-written every ``checkpoint_every`` rounds and on any failure, Ctrl-C and
-SIGTERM included, and always holds the last completed round.  Every file is
+stopped between the two replaces) is refused on resume.  Every file is
 written to a temporary file first and then renamed over its target.
 
 Output files per run:
@@ -48,6 +52,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
+from .atomic import write_json as _write_json
 from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
 from .config import ExperimentConfig
 from .contrastive import LocalBuffer
@@ -132,6 +137,12 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         raise ValueError(
             f"dataset rows have {train.input_dim} features, config says "
             f"{cfg.dataset_input_dim}"
+        )
+    # a CSV's classes come from its labels; fewer than configured is fine
+    if train.num_classes > cfg.dataset_num_classes:
+        raise ValueError(
+            f"dataset labels run up to {train.num_classes - 1}, config says "
+            f"{cfg.dataset_num_classes} classes"
         )
     shards, dists = dirichlet_partition(
         train.labels,
@@ -285,12 +296,6 @@ def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
             writer.writerow(["node_loss", _fmt(value), _fmt(frac)])
 
 
-def _write_json(path, payload: dict) -> None:
-    with atomic_open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
     with atomic_open(out_dir / "model.bin", "wb") as fh:
         fh.write(flat.astype("<f8").tobytes())
@@ -312,6 +317,8 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
 _SCALAR_FIELDS = tuple(
     f.name for f in dataclasses.fields(RoundMetrics) if f.name != "weights"
 )
+# server arrays that rounds write in place, so a snapshot copies them
+_SERVER_ARRAYS = ("weights", "rounds_waiting", "event_counts", "cached_updates")
 
 
 def _rows_to_jsonable(rows: list[RoundMetrics]) -> list[dict]:
@@ -329,28 +336,38 @@ def _rows_from_jsonable(raw: list[dict], row_weights) -> list[RoundMetrics]:
     return [RoundMetrics(**d, weights=w) for d, w in zip(raw, row_weights)]
 
 
-def _save_checkpoint(
-    out_dir: Path,
-    env: Environment,
-    state: AggregatorState,
-    next_round: int,
-    rows: list[RoundMetrics],
-) -> None:
+def _state_arrays(env: Environment, state: AggregatorState) -> dict:
+    """The run state at a round boundary, as the arrays a checkpoint saves.
+
+    The global vector and the window rows are kept by reference: rounds
+    replace them and never write them.  ``buffers`` holds every node's
+    window, joined into one array only when it is saved.
+    """
     arrays = {
-        "next_round": np.asarray(next_round),
-        "global_flat": flatten(state.global_model),
-        "weights": state.weights,
-        "rounds_waiting": state.rounds_waiting,
-        "event_counts": state.event_counts,
+        "next_round": np.asarray(state.round_idx),
+        "global_flat": state.global_model.vector,
         "history": state.history.rows,
-        **{f"buffer_{node.node_id}": node.buffer.rows for node in env.nodes},
+        "buffers": [node.buffer.rows for node in env.nodes],
+    }
+    for name in _SERVER_ARRAYS:
+        value = getattr(state, name)
+        if value is not None:  # cached_updates, before a cached_update round
+            arrays[name] = value.copy()
+    return arrays
+
+
+def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> None:
+    """Write a snapshot of :func:`_state_arrays` and the rows recorded before it."""
+    windows = arrays["buffers"]
+    arrays = {
+        **arrays,
+        "buffers": np.concatenate(windows),
+        "buffer_lengths": np.array([len(w) for w in windows], dtype=np.int64),
         # reshaped so that no rows still make a (0, nodes) array
         "row_weights": np.array([r.weights for r in rows], dtype=np.float64).reshape(
-            len(rows), state.num_nodes
+            len(rows), len(windows)
         ),
     }
-    if state.cached_updates is not None:
-        arrays["cached_updates"] = state.cached_updates
     # savez appends ".npz" to a path without it, so it gets the open file
     with atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
         np.savez(fh, **arrays)
@@ -359,7 +376,8 @@ def _save_checkpoint(
 
 def _load_checkpoint(
     out_dir: Path, env: Environment, state: AggregatorState
-) -> tuple[int, list[RoundMetrics]]:
+) -> list[RoundMetrics]:
+    """Put a checkpoint's state into ``state`` and the nodes; return its rows."""
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
@@ -378,27 +396,28 @@ def _load_checkpoint(
             f"{CHECKPOINT_FILE} (next_round {next_round}{weights_note}) and "
             f"{CHECKPOINT_ROWS_FILE} ({len(raw)} rows) in {out_dir} disagree"
         )
-    state.global_model = unflatten(env.spec, data["global_flat"])
-    # every read of a saved array is a fresh copy
-    for name in ("weights", "rounds_waiting", "event_counts"):
-        setattr(state, name, data[name])
+    if "buffers" in data:
+        ends = np.cumsum(data["buffer_lengths"])[:-1]
+        windows = np.split(data["buffers"], ends)
+    else:  # written before the windows were one array
+        windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
+
     state.round_idx = next_round
+    state.global_model = unflatten(env.spec, data["global_flat"])
     state.history.rows = data["history"]
-    if "cached_updates" in data:
-        state.cached_updates = data["cached_updates"]
-    for node in env.nodes:
-        node.buffer.rows = data[f"buffer_{node.node_id}"]
-    return next_round, _rows_from_jsonable(raw, row_weights)
+    for node, window in zip(env.nodes, windows):
+        node.buffer.rows = window
+    # every read of a saved array is a fresh copy
+    for name in _SERVER_ARRAYS:
+        if name in data:
+            setattr(state, name, data[name])
+    return _rows_from_jsonable(raw, row_weights)
 
 
-def _play_round(
-    env: Environment, state: AggregatorState, t: int, empty_shards: np.ndarray
-) -> RoundMetrics:
+def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetrics:
     """Local training, weight update, aggregation and evaluation of round ``t``."""
     cfg = env.cfg
     indicators = env.trace[t].astype(np.int64)
-    if empty_shards.any():
-        indicators = np.where(empty_shards, 0, indicators)
     participants = [int(k) for k in np.flatnonzero(indicators == 1)]
 
     updates: dict[int, np.ndarray] = {}
@@ -437,32 +456,6 @@ def _play_round(
     return row
 
 
-def _round_boundary(
-    env: Environment, state: AggregatorState, rows: list[RoundMetrics]
-):
-    """Capture everything a round changes; the returned function puts it back.
-
-    Window rows are kept by reference, since pushes replace them and never
-    write them; the arrays the server updates in place are copied.
-    """
-    kept = {"global_model": state.global_model, "round_idx": state.round_idx}
-    for name in ("weights", "rounds_waiting", "event_counts", "cached_updates"):
-        value = getattr(state, name)
-        kept[name] = None if value is None else value.copy()
-    windows = [state.history, *(node.buffer for node in env.nodes)]
-    window_rows = [window.rows for window in windows]
-    num_rows = len(rows)
-
-    def rewind() -> None:
-        for name, value in kept.items():
-            setattr(state, name, value)
-        for window, old in zip(windows, window_rows):
-            window.rows = old
-        del rows[num_rows:]
-
-    return rewind
-
-
 def _summarize(
     cfg: ExperimentConfig, rows: list[RoundMetrics], trace: np.ndarray, num_params: int
 ) -> dict:
@@ -493,6 +486,23 @@ def _summarize(
         "realized_mean_frequency": float(trace.mean()) if trace.size else 0.0,
         "evaluated_round_count": len(evaluated),
     }
+
+
+def _write_results(
+    out_dir: Path, env: Environment, state: AggregatorState, rows: list[RoundMetrics]
+) -> dict:
+    """Evaluate the final model per node and write every end-of-run artifact."""
+    cfg = env.cfg
+    _write_metrics_csv(out_dir / "metrics.csv", rows)
+    _write_weights_csv(out_dir / "weights.csv", rows, cfg.num_nodes)
+    per_node = [evaluate(state.global_model, n.features, n.labels) for n in env.nodes]
+    acc_cdf = node_cdf([a for a, _ in per_node])
+    loss_cdf = node_cdf([l for _, l in per_node])
+    _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)
+    summary = _summarize(cfg, rows, env.trace, env.spec.num_params)
+    _write_json(out_dir / "summary.json", summary)
+    _write_model(out_dir, env.spec, flatten(state.global_model))
+    return summary
 
 
 def _raise_on_sigterm(signum, frame):
@@ -541,10 +551,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
     )
 
     rows: list[RoundMetrics] = []
-    start_round = 0
     if resume:
-        start_round, rows = _load_checkpoint(out_dir, env, state)
-        log.info("resuming %s at round %d", out_dir, start_round)
+        rows = _load_checkpoint(out_dir, env, state)
+        log.info("resuming %s at round %d", out_dir, state.round_idx)
 
     _write_json(
         out_dir / "manifest.json",
@@ -563,43 +572,26 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
     )
     export_trace_csv(env.trace, out_dir / "participation.csv")
 
-    empty_shards = np.asarray([n.num_samples == 0 for n in env.nodes])
-    rewind = _round_boundary(env, state, rows)
-    # a diverging run stops with DivergenceError; numpy's warnings on the way
-    # there add nothing to it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            for t in range(start_round, resolved.rounds):
-                rows.append(_play_round(env, state, t, empty_shards))
+    snapshot = _state_arrays(env, state)
+    try:
+        # a diverging run stops with DivergenceError; numpy's warnings on the
+        # way there add nothing to it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for t in range(state.round_idx, resolved.rounds):
+                rows.append(_play_round(env, state, t))
+                snapshot = _state_arrays(env, state)
                 every = resolved.checkpoint_every
                 if every and (t + 1) % every == 0 and t + 1 < resolved.rounds:
-                    _save_checkpoint(out_dir, env, state, t + 1, rows)
-                rewind = _round_boundary(env, state, rows)
-        except BaseException:
-            # the checkpoint is the last completed round, never a half-done one
-            rewind()
-            _save_checkpoint(out_dir, env, state, state.round_idx, rows)
-            # the caller gets the traceback with the exception
-            log.error(
-                "run failed at round %d; checkpoint kept in %s", state.round_idx, out_dir
-            )
-            raise
-
-    _write_metrics_csv(out_dir / "metrics.csv", rows)
-    _write_weights_csv(out_dir / "weights.csv", rows, resolved.num_nodes)
-
-    per_node = [
-        evaluate(state.global_model, n.features, n.labels)
-        for n in env.nodes
-        if n.num_samples
-    ]
-    acc_cdf = node_cdf([a for a, _ in per_node])
-    loss_cdf = node_cdf([l for _, l in per_node])
-    _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)
-
-    summary = _summarize(resolved, rows, env.trace, num_params)
-    _write_json(out_dir / "summary.json", summary)
-    _write_model(out_dir, env.spec, flatten(state.global_model))
+                    _save_checkpoint(out_dir, snapshot, rows)
+        summary = _write_results(out_dir, env, state, rows)
+    except BaseException:
+        # the checkpoint is the last completed round, never a half-done one,
+        # and the end-of-run writes come after the last round
+        next_round = int(snapshot["next_round"])
+        _save_checkpoint(out_dir, snapshot, rows[:next_round])
+        # the caller gets the traceback with the exception
+        log.error("run failed; its checkpoint in %s resumes at round %d", out_dir, next_round)
+        raise
 
     # a finished run does not need its checkpoint any more
     for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):

@@ -93,6 +93,27 @@ class TestRunCommand:
             assert "Traceback" not in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
 
+    def _csv_run(self, tmp_path, num_classes):
+        data = tmp_path / "data"
+        main(["synth-data", "--out", str(data), "--num-classes", str(num_classes),
+              "--input-dim", "6", "--samples-per-class", "30"])
+        # TINY_FLAGS configure 3 classes
+        flags = TINY_FLAGS + ["--dataset-source", str(data / "train.csv")]
+        return main(["run", "--out", str(tmp_path / "r")] + flags)
+
+    def test_csv_with_more_classes_than_configured_is_a_clean_error(
+        self, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        assert self._csv_run(tmp_path, 4) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pmfl run: error: ValueError: ")
+        assert not (tmp_path / "r" / CHECKPOINT_FILE).exists()
+
+    def test_csv_with_fewer_classes_than_configured_runs(self, tmp_path):
+        assert self._csv_run(tmp_path, 2) == 0
+
     def test_resume_rejects_other_flags(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--out", str(tmp_path), "--resume", "--rounds", "5"])

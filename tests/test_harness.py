@@ -10,13 +10,16 @@ import shutil
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pmfl.harness as harness
 from pmfl.atomic import atomic_open
-from pmfl.config import ExperimentConfig
+from pmfl.cli import main as cli_main
+from pmfl.config import ExperimentConfig, save_config
+from pmfl.data import export_csv
 from pmfl.harness import (
     CHECKPOINT_FILE,
     CHECKPOINT_ROWS_FILE,
@@ -383,6 +386,48 @@ class TestCheckpointing:
         assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
         self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
 
+    @pytest.mark.parametrize(
+        "writer, exc",
+        [
+            ("_write_metrics_csv", RuntimeError("injected failure")),
+            ("_write_weights_csv", RuntimeError("injected failure")),
+            ("_write_cdf_csv", KeyboardInterrupt()),
+            ("_write_model", OSError("disk full")),
+        ],
+    )
+    def test_failed_end_of_run_write_leaves_the_last_round(
+        self, tmp_path, monkeypatch, writer, exc
+    ):
+        # no periodic checkpoint, so the failure has to leave one
+        cfg = tiny_config()
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(harness, writer, fail)
+        with pytest.raises(type(exc)):
+            run_experiment(cfg, tmp_path / "b")
+        data = np.load(tmp_path / "b" / CHECKPOINT_FILE)
+        assert int(data["next_round"]) == cfg.rounds
+        rows = json.loads((tmp_path / "b" / CHECKPOINT_ROWS_FILE).read_text())["rows"]
+        assert len(rows) == cfg.rounds
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
+
+    def test_windows_are_one_array_in_the_npz(self, tmp_path, monkeypatch):
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        self._fail_in_local_train(monkeypatch, 3, 1, RuntimeError("injected failure"))
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path / "b")
+        data = np.load(tmp_path / "b" / CHECKPOINT_FILE)
+        assert sorted(data.files) == sorted(
+            ["next_round", "global_flat", "history", "buffers", "buffer_lengths",
+             "weights", "rounds_waiting", "event_counts", "row_weights"]
+        )
+        lengths = data["buffer_lengths"]
+        assert lengths.shape == (cfg.num_nodes,) and 0 < lengths.sum() <= 4 * cfg.num_nodes
+        assert data["buffers"].shape == (lengths.sum(), model_spec_for(cfg).num_params)
+        self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
+
     def test_periodic_checkpoint_keeps_the_row_weights_in_the_npz(
         self, tmp_path, monkeypatch
     ):
@@ -390,8 +435,9 @@ class TestCheckpointing:
         real = harness._save_checkpoint
         kept = []
 
-        def wrapper(out_dir, env, state, next_round, rows):
-            real(out_dir, env, state, next_round, rows)
+        def wrapper(out_dir, arrays, rows):
+            real(out_dir, arrays, rows)
+            next_round = int(arrays["next_round"])
             snapshot = tmp_path / f"checkpoint_{next_round}"
             snapshot.mkdir()
             for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
@@ -534,6 +580,42 @@ class TestAtomicWrites:
         resume_run(run_dir)
         run_experiment(tiny_config(), tmp_path / "a")
         assert_same_outputs(tmp_path / "a", run_dir, exclude=("manifest.json",))
+
+
+class TestAtomicWritesOutsideRuns:
+    """Config files and datasets are written whole or not at all, too."""
+
+    def _keeps_previous(self, path, write, exc=ValueError):
+        path.write_text("previous\n")
+        before = sorted(p.name for p in path.parent.iterdir())
+        with pytest.raises(exc):
+            write()
+        assert path.read_text() == "previous\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == before
+
+    def test_failed_config_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        # local_lr sorts after other keys, so part of the file is out first
+        cfg = tiny_config(local_lr=float("nan"))
+        self._keeps_previous(path, lambda: save_config(cfg, path))
+
+    def test_failed_csv_export_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "train.csv"
+        rows = SimpleNamespace(features=[[1.0, 2.0], [3.0, "x"]], labels=[0, 1])
+        self._keeps_previous(path, lambda: export_csv(rows, path))
+
+    def test_failed_dataset_meta_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        def dump(payload, fh, **kwargs):
+            fh.write('{"partial": ')
+            raise OSError("disk full")
+
+        args = ["synth-data", "--out", str(tmp_path), "--num-classes", "2",
+                "--input-dim", "2", "--samples-per-class", "5"]
+        cli_main(args)  # the CSVs are there before and after the failed write
+        monkeypatch.setattr(json, "dump", dump)
+        self._keeps_previous(tmp_path / "dataset_meta.json", lambda: cli_main(args), OSError)
 
 
 class TestDivergence:
