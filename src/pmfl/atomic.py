@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,6 +28,20 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_stale_temporaries(directory, names) -> None:
+    """Delete the temporary files :func:`atomic_open` left in ``directory``
+    while writing one of ``names``.
+
+    A writer killed outright (SIGKILL, power loss) leaves its temporary file
+    for good.  Call this before any writer of ``names`` in ``directory``
+    starts; other files are left alone.
+    """
+    for path in Path(directory).iterdir():
+        stale = re.fullmatch(r"\.(.+)\.\d+\.[0-9a-f]{8}\.tmp", path.name)
+        if stale and stale.group(1) in names:
+            path.unlink(missing_ok=True)
 
 
 def write_json(path, payload) -> None:

@@ -91,6 +91,12 @@ class ExperimentConfig:
             if not ok:
                 problems.append(f"{name}: {why}")
 
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # NaN passes every range check below, and JSON cannot hold either
+            check(
+                not isinstance(value, float) or math.isfinite(value), f.name, "must be finite"
+            )
         check(self.num_nodes >= 1, "num_nodes", "must be >= 1")
         check(self.rounds >= 0, "rounds", "must be >= 0")
         check(self.variant in VARIANTS, "variant", f"must be one of {VARIANTS}")

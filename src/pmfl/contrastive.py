@@ -25,11 +25,11 @@ from .nn import (
     ModelParams,
     ModelSpec,
     _backward_cached,
-    _forward_cached,
+    _dense_cached,
     cross_entropy_and_grad,
-    forward_representation,
     log_softmax,
 )
+from .nn import forward_representation  # noqa: F401  (perfbench/layers.py wraps it here)
 
 log = logging.getLogger(__name__)
 
@@ -67,14 +67,16 @@ def _cos_rows(a: np.ndarray, b: np.ndarray, na=None, nb=None) -> np.ndarray:
     nb = np.linalg.norm(b, axis=-1) if nb is None else nb
     denom = na * nb
     bad = denom == 0.0
+    dots = np.einsum("...j,...j->...", a, b)
+    equal = (a == b).all(axis=-1)
     if bad.any():
         # dead rectifier rows are routine mid-training, so keep this quiet
         log.debug("cosine similarity with zero-norm rows, returning 0 there")
-    denom = np.where(bad, 1.0, denom)
-    sims = np.einsum("...j,...j->...", a, b) / denom
-    sims = np.where(bad, 0.0, sims)
-    equal = np.all(a == b, axis=-1) & ~bad
-    return np.where(equal, 1.0, sims)
+        sims = np.where(bad, 0.0, dots / np.where(bad, 1.0, denom))
+        equal &= ~bad
+    else:
+        sims = dots / denom
+    return np.where(equal, 1.0, sims) if equal.any() else sims
 
 
 def _dcos_rows(
@@ -83,10 +85,12 @@ def _dcos_rows(
     """Gradient of cos(z_i, other_i) in z_i along the last axis; zero where a
     norm is zero.  ``nz`` and ``no`` are the row norms; leading axes broadcast."""
     ok = (nz > 0.0) & (no > 0.0)
-    nz_safe = np.where(ok, nz, 1.0)
-    no_safe = np.where(ok, no, 1.0)
-    grad = other / (nz_safe * no_safe)[..., None] - sims[..., None] * z / (nz_safe**2)[..., None]
-    grad[~ok] = 0.0
+    all_ok = ok.all()
+    if not all_ok:
+        nz, no = np.where(ok, nz, 1.0), np.where(ok, no, 1.0)
+    grad = other / (nz * no)[..., None] - sims[..., None] * z / (nz**2)[..., None]
+    if not all_ok:
+        grad[~ok] = 0.0
     return grad
 
 
@@ -172,7 +176,25 @@ def combined_loss_and_grad(
 
     X = batch.features
     n = X.shape[0]
-    logits, z, inputs, pres = _forward_cached(params, X)
+    # one stacked pass through the representation layers: the current model,
+    # [the threshold reference,] the global model, snapshots oldest first
+    refs = [params.vector]
+    if len(buffer):
+        if mu_reference is not None:
+            refs.append(mu_reference.vector)
+        refs += [global_params.vector, buffer.rows]
+    stack = ModelParams(params.spec(), np.vstack(refs))
+    n_rep = params.spec().representation_layers
+    inputs, pres = [], []
+    reps = _dense_cached(stack.layers()[:n_rep], X, inputs, pres, rectify_last=True)
+    if not n_rep:  # the representation is the input itself
+        reps = np.broadcast_to(X, (len(stack.vector), *X.shape))
+    # only the current model goes on through the classifier; the first layer's
+    # input is the shared batch, the later ones carry the stack axis
+    inputs = inputs[:1] + [h[0] for h in inputs[1:]]
+    pres = [p[0] for p in pres]
+    z = reps[0]
+    logits = _dense_cached(params.classifier, z, inputs, pres, rectify_last=False)
     lp = log_softmax(logits)
     ce = float(-lp[np.arange(n), batch.labels].mean())
     dlogits = np.exp(lp)
@@ -182,16 +204,14 @@ def combined_loss_and_grad(
     if len(buffer) == 0:
         return ce, _backward_cached(params, inputs, pres, dlogits)
 
-    # one stacked pass: [threshold reference,] global, snapshots oldest first
-    refs = [global_params.vector, buffer.rows]
-    if mu_reference is not None:
-        refs.insert(0, mu_reference.vector)
-    reps = forward_representation(ModelParams(params.spec(), np.vstack(refs)), X)
+    norms = np.linalg.norm(reps, axis=-1)  # (models, n), each used for mu and sims
     others = reps[-(len(buffer) + 1) :]  # (1 + buffered, n, dim), global first
-    mu = np.ones(n) if mu_reference is None else _cos_rows(reps[0], reps[1])
+    nz, no = norms[0], norms[-(len(buffer) + 1) :]
+    if mu_reference is None:
+        mu = np.ones(n)
+    else:
+        mu = _cos_rows(reps[1], reps[2], norms[1], norms[2])
 
-    nz = np.linalg.norm(z, axis=-1)
-    no = np.linalg.norm(others, axis=-1)
     sims = _cos_rows(z, others, nz, no)
     # snapshot sums run along contiguous (n, buffered) rows: numpy's pairwise
     # summation makes the bits depend on that layout

@@ -8,6 +8,8 @@ their difficulty is a single knob.  CSV rows are ``feature..., label``.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,11 @@ class DatasetSpec:
     standardize: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # NaN passes every range check below, and JSON cannot hold either
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.input_dim < 1:

@@ -18,7 +18,9 @@ window as one array ``buffers`` cut apart by ``buffer_lengths``, and
 array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
 round.  Each is replaced whole, and a pair whose row counts disagree (a run
 stopped between the two replaces) is refused on resume.  Every file is
-written to a temporary file first and then renamed over its target.
+written to a temporary file first and then renamed over its target; a run
+starts by deleting the temporary files of its own outputs that a killed run
+left behind.
 
 Output files per run:
 
@@ -51,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
 from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
 from .config import ExperimentConfig
@@ -537,6 +539,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    remove_stale_temporaries(out_dir, (*OUTPUT_FILES, CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE))
     resolved = cfg.resolved()
     env = build_environment(resolved)
     num_params = env.spec.num_params

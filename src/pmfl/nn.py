@@ -60,6 +60,11 @@ class ModelSpec:
         return self.classifier[-1]
 
     @property
+    def representation_layers(self) -> int:
+        """Layers from the input to the representation: encoder and projection."""
+        return len(self.encoder) + len(self.projection)
+
+    @property
     def representation_dim(self) -> int:
         for dims in (self.projection, self.encoder):
             if dims:
@@ -116,8 +121,10 @@ class ModelParams:
     The constructor adopts a contiguous float64 ``vector`` without copying
     it, so the caller hands over ownership (a read-only vector gives a
     read-only model).  A ``(S, P)`` vector is a stack of S models, which the
-    forward passes accept.  Pickling and deep-copying carry (spec, vector)
-    and rebuild the views, so a clone's layers alias the clone's own vector.
+    forward passes accept.  The layer views are built on first use, since
+    most models (SGD results, window rows, stacks) are only ever read as a
+    vector.  Pickling and deep-copying carry (spec, vector), so a clone's
+    layers alias the clone's own vector.
     """
 
     def __init__(self, spec: ModelSpec, vector: np.ndarray):
@@ -128,11 +135,6 @@ class ModelParams:
             )
         self._spec = spec
         self.vector = vector
-        self._layers = _layer_views(spec, vector)
-        n_enc, n_proj = len(spec.encoder), len(spec.projection)
-        self.encoder = self._layers[:n_enc]
-        self.projection = self._layers[n_enc : n_enc + n_proj]
-        self.classifier = self._layers[n_enc + n_proj :]
 
     def __reduce__(self):
         return ModelParams, (self._spec, self.vector)
@@ -140,8 +142,24 @@ class ModelParams:
     def spec(self) -> ModelSpec:
         return self._spec
 
+    @cached_property
+    def _layers(self) -> list[Layer]:
+        return _layer_views(self._spec, self.vector)
+
     def layers(self) -> list[Layer]:
         return self._layers
+
+    @property
+    def encoder(self) -> list[Layer]:
+        return self._layers[: len(self._spec.encoder)]
+
+    @property
+    def projection(self) -> list[Layer]:
+        return self._layers[len(self._spec.encoder) : self._spec.representation_layers]
+
+    @property
+    def classifier(self) -> list[Layer]:
+        return self._layers[self._spec.representation_layers :]
 
     @property
     def num_params(self) -> int:
@@ -219,22 +237,29 @@ def _atleast_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError("x must be a feature vector or a (batch, input_dim) matrix")
 
 
+def _dense_cached(layers, h, inputs: list, pres: list, rectify_last: bool) -> np.ndarray:
+    """Run ``h`` through ``layers``, appending each layer's input and
+    pre-activation to ``inputs`` and ``pres``; a rectifier follows every layer
+    but the last, and the last too with ``rectify_last``.  Layers of a stack
+    of S models map a shared (n, fan_in) batch to (S, n, fan_out)."""
+    for i, (w, b) in enumerate(layers):
+        inputs.append(h)
+        pre = h @ w.mT
+        pre += b[..., None, :]
+        pres.append(pre)
+        h = np.maximum(pre, 0.0) if rectify_last or i < len(layers) - 1 else pre
+    return h
+
+
 def _forward_cached(params: ModelParams, X: np.ndarray):
     """Forward pass keeping per-layer inputs and pre-activations for backprop;
     a stack of S models maps the (n, input_dim) batch to (S, n, ...) outputs."""
     layers = params.layers()
-    n_rep = len(params.encoder) + len(params.projection)
-    h = X
+    n_rep = params.spec().representation_layers
     inputs, pres = [], []
-    z = X
-    for i, (w, b) in enumerate(layers):
-        inputs.append(h)
-        pre = h @ w.mT + b[..., None, :]
-        pres.append(pre)
-        h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
-        if i == n_rep - 1:
-            z = h
-    return h, z, inputs, pres
+    z = _dense_cached(layers[:n_rep], X, inputs, pres, rectify_last=True)
+    logits = _dense_cached(layers[n_rep:], z, inputs, pres, rectify_last=False)
+    return logits, z, inputs, pres
 
 
 def _backward_cached(
@@ -249,9 +274,10 @@ def _backward_cached(
     ``dz_extra`` is added where the representation leaves the projection block,
     which is how a loss term that reads ``z`` directly joins the chain.  The
     gradient comes back in the model's own layout, written through its views.
+    The gradient in the input is never formed: nothing reads it.
     """
     layers = params.layers()
-    n_rep = len(params.encoder) + len(params.projection)
+    n_rep = params.spec().representation_layers
     # every entry is written below: the layer views tile the vector
     grad = ModelParams(params.spec(), np.empty(params.num_params))
     d = dlogits
@@ -262,7 +288,8 @@ def _backward_cached(
         g = grad.layers()[i]
         np.matmul(dpre.T, inputs[i], out=g.weight)
         dpre.sum(axis=0, out=g.bias)
-        d = dpre @ layers[i].weight
+        if i:
+            d = dpre @ layers[i].weight
     return grad
 
 
@@ -275,10 +302,20 @@ def forward_representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class logits for a feature vector or a batch of rows."""
+    """Class logits for a feature vector or a batch of rows.
+
+    Nothing is kept for a backward pass, so each layer's output is
+    rectified in place; the values are those of :func:`_forward_cached`.
+    """
     X, single = _atleast_batch(x)
-    logits, _, _, _ = _forward_cached(params, X)
-    return logits[0] if single else logits
+    layers = params.layers()
+    h = X
+    for i, (w, b) in enumerate(layers):
+        h = h @ w.mT
+        h += b[..., None, :]
+        if i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h[0] if single else h
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

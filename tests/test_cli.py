@@ -68,6 +68,13 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["resolved_config"]["cutoff_interval"] is None
 
+    def test_non_finite_float_is_a_clean_error_that_writes_nothing(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--out", str(tmp_path / "r"), "--dataset-class-separation", "inf"])
+        assert err.value.code == 2
+        assert "dataset_class_separation: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_invalid_config_is_a_clean_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "--out", str(tmp_path / "r"), "--num-nodes", "0"])
@@ -197,6 +204,16 @@ class TestSynthDataCommand:
               "--test-fraction", "0"])
         assert (tmp_path / "train.csv").exists()
         assert not (tmp_path / "test.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--noise-scale", "--class-separation"])
+    def test_non_finite_float_is_a_clean_error_that_writes_nothing(self, tmp_path, capsys, flag):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as err:
+            main(["synth-data", "--out", str(out), "--num-classes", "2",
+                  "--input-dim", "2", "--samples-per-class", "5", flag, "nan"])
+        assert err.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_dims_are_a_clean_error(self, tmp_path):
         with pytest.raises(SystemExit):

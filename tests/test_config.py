@@ -1,11 +1,14 @@
 """Config loading, validation, coercion and variant resolution."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
 
 from pmfl.config import ExperimentConfig, load_config, save_config
+from pmfl.harness import run_experiment
 from pmfl.rng import derive_seed, stream
 
 
@@ -74,6 +77,21 @@ class TestValidation:
     def test_field_rejections(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_every_float_field_must_be_finite(self, value):
+        floats = [f.name for f in dataclasses.fields(ExperimentConfig)
+                  if isinstance(f.default, float)]
+        assert "dataset_class_separation" in floats
+        for name in floats:
+            with pytest.raises(ValueError, match=f"{name}: must be finite"):
+                ExperimentConfig(**{name: value}).validate()
+
+    def test_infinite_class_separation_writes_nothing(self, tmp_path):
+        # it used to pass validation and fail writing manifest.json
+        with pytest.raises(ValueError, match="dataset_class_separation"):
+            run_experiment(ExperimentConfig(dataset_class_separation=math.inf), tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
 
 class TestResolution:

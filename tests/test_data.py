@@ -29,6 +29,12 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             DatasetSpec(noise_scale=-0.1)
 
+    @pytest.mark.parametrize("name", ["test_fraction", "noise_scale", "class_separation"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_floats_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DatasetSpec(**{name: value})
+
     def test_dim_must_fit_classes(self):
         with pytest.raises(ValueError, match="input_dim"):
             synth_dataset(DatasetSpec(num_classes=10, input_dim=4))

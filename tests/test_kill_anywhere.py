@@ -142,10 +142,12 @@ def _killed_run(cfg, out_dir, phase, nth):
     run_experiment(cfg, out_dir)
 
 
-# (phase, call index; negative counts from the end of the uninterrupted run)
+# (phase, call index; negative counts from the end of the uninterrupted run);
+# a kill inside the weights.csv write leaves its temporary file behind
 @pytest.mark.parametrize(
     "phase, nth",
-    [("update_weights", 2), ("aggregate", 4), ("local_train", -1), ("evaluate", -1)],
+    [("update_weights", 2), ("aggregate", 4), ("local_train", -1), ("evaluate", -1),
+     ("weights.csv", 0)],
 )
 def test_sigkill_at_a_phase_boundary_resumes_from_the_last_checkpoint(
     phase, nth, tmp_path, reference

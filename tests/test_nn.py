@@ -11,6 +11,7 @@ from pmfl.nn import (
     Layer,
     Minibatch,
     ModelSpec,
+    _forward_cached,
     cross_entropy,
     cross_entropy_and_grad,
     flatten,
@@ -147,7 +148,7 @@ class TestFlatLayout:
         "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy]
     )
     def test_clones_keep_layers_on_their_own_vector(self, clone):
-        params = fixture_params()
+        params = fixture_params()  # has built its views, which a clone must not carry
         dup = clone(params)
         assert dup.spec() == params.spec()
         np.testing.assert_array_equal(dup.vector, params.vector)
@@ -206,6 +207,13 @@ class TestForward:
             np.testing.assert_allclose(
                 reps[i], forward_representation(params, X[i]), rtol=1e-13, atol=0.0
             )
+
+    def test_logits_equal_the_cached_pass_bit_for_bit(self):
+        spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
+        params = init_params(spec, np.random.default_rng(8))
+        X = np.random.default_rng(9).standard_normal((3750, 32))
+        logits, _, _, _ = _forward_cached(params, X)
+        np.testing.assert_array_equal(forward_logits(params, X), logits)
 
     def test_representation_is_rectified(self):
         params = fixture_params()

@@ -78,25 +78,92 @@ class TestStackedForward:
             np.testing.assert_array_equal(single[s], forward_representation(m, X[0]))
 
 
+def _assert_matches_the_looped_kernel(*args):
+    loss, grad = combined_loss_and_grad(*args)
+    want_loss, want_grad = looped_loss_and_grad(*args)
+    assert loss == want_loss
+    np.testing.assert_array_equal(grad.vector, want_grad.vector)
+
+
+def _batch(rng, rows: int) -> Minibatch:
+    return Minibatch(rng.standard_normal((rows, SPEC.input_dim)), rng.integers(0, 4, size=rows))
+
+
+def _assert_window_matches(capacity: int, with_reference: bool, rows: int) -> None:
+    """A full window of perturbed models, one evicted, against the loop."""
+    rng = np.random.default_rng((capacity, with_reference))
+    params = init_params(SPEC, rng)
+    buf = LocalBuffer(capacity)
+    for _ in range(capacity + 2):  # fill, then evict
+        buf.push(perturbed(params, rng, 0.3))
+    batch = _batch(rng, rows)
+    reference = perturbed(params, rng, 0.1) if with_reference else None
+    _assert_matches_the_looped_kernel(
+        params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference
+    )
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("with_reference", [True, False])
     @pytest.mark.parametrize("capacity", [1, 4, 12])
     def test_matches_the_looped_kernel_bit_for_bit(self, capacity, with_reference):
-        rng = np.random.default_rng((capacity, with_reference))
-        params = init_params(SPEC, rng)
-        buf = LocalBuffer(capacity)
-        for _ in range(capacity + 2):  # fill, then evict
-            buf.push(perturbed(params, rng, 0.3))
-        batch = Minibatch(
-            rng.standard_normal((32, SPEC.input_dim)), rng.integers(0, 4, size=32)
-        )
-        reference = perturbed(params, rng, 0.1) if with_reference else None
-        args = (params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference)
+        _assert_window_matches(capacity, with_reference, rows=32)
 
-        loss, grad = combined_loss_and_grad(*args)
-        want_loss, want_grad = looped_loss_and_grad(*args)
-        assert loss == want_loss
-        np.testing.assert_array_equal(grad.vector, want_grad.vector)
+    @pytest.mark.parametrize("rows", [5, 1])
+    def test_short_tail_batch(self, rows):
+        _assert_window_matches(4, True, rows)
+
+    def test_window_holding_the_global_model_and_the_reference(self):
+        rng = np.random.default_rng(5)
+        params = init_params(SPEC, rng)
+        global_params = perturbed(params, rng, 0.2)
+        reference = perturbed(params, rng, 0.1)
+        buf = LocalBuffer(4)
+        for model in (reference, perturbed(params, rng, 0.3), global_params, params):
+            buf.push(model)
+        _assert_matches_the_looped_kernel(
+            params, _batch(rng, 32), global_params, buf, 0.5, 0.7, reference
+        )
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_representations_with_zero_norm(self, with_reference):
+        rng = np.random.default_rng(6)
+        params = init_params(SPEC, rng)  # zero biases: a zero row maps to z = 0
+        batch = _batch(rng, 16)
+        batch.features[:3] = 0.0
+        dead = perturbed(params, rng, 0.3)
+        dead.projection[-1].weight[:] = 0.0
+        dead.projection[-1].bias[:] = -1.0  # every representation rectified away
+        buf = LocalBuffer(3)
+        for model in (perturbed(params, rng, 0.3), dead, perturbed(params, rng, 0.3)):
+            buf.push(model)
+        reference = dead if with_reference else None
+        _assert_matches_the_looped_kernel(
+            params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference
+        )
+
+    def test_no_representation_layers(self):
+        # the representation is the input itself, the same for every model
+        spec = ModelSpec(input_dim=5, encoder=(), projection=(), classifier=(4,))
+        rng = np.random.default_rng(8)
+        params = init_params(spec, rng)
+        buf = LocalBuffer(2)
+        for _ in range(3):
+            buf.push(perturbed(params, rng, 0.3))
+        _assert_matches_the_looped_kernel(
+            params, _batch(rng, 8), perturbed(params, rng, 0.2), buf, 0.5, 0.7,
+            perturbed(params, rng, 0.1),
+        )
+
+    def test_zero_contrastive_weight(self):
+        rng = np.random.default_rng(7)
+        params = init_params(SPEC, rng)
+        buf = LocalBuffer(2)
+        buf.push(perturbed(params, rng, 0.3))
+        _assert_matches_the_looped_kernel(
+            params, _batch(rng, 32), perturbed(params, rng, 0.2), buf, 0.5, 0.0,
+            perturbed(params, rng, 0.1),
+        )
 
 
 class TestOldCheckpoints:
