@@ -7,6 +7,12 @@ buffers and the metric rows recorded so far.  Reruns of the same config are
 byte-identical, a resumed run finishes with the same bytes as an
 uninterrupted one, and a sweep writes the same bytes with any worker count.
 
+A round trains only the nodes that attend it.  Their updates fill the rows
+of one (K_t, P) array, which goes through the update deviation and the
+aggregation together with the participants' node ids; the absent nodes send
+nothing.  Every evaluation of a run writes into the same buffers
+(:class:`~pmfl.metrics.EvalBuffers`), sized for the largest evaluation set.
+
 After every round the loop keeps a snapshot of the state
 (:func:`_state_arrays`).  A checkpoint writes that snapshot every
 ``checkpoint_every`` rounds, and on any failure (Ctrl-C, SIGTERM and a
@@ -17,10 +23,10 @@ window as one array ``buffers`` cut apart by ``buffer_lengths``, and
 ``row_weights``, every recorded round's node weights as one (rounds, nodes)
 array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
 round.  Each is replaced whole, and a pair whose row counts disagree (a run
-stopped between the two replaces) is refused on resume.  Every file is
-written to a temporary file first and then renamed over its target; a run
-starts by deleting the temporary files of its own outputs that a killed run
-left behind.
+stopped between the two replaces) is refused on resume, as is a checkpoint
+file that cannot be read.  Every file is written to a temporary file first
+and then renamed over its target; a run starts by deleting the temporary
+files of its own outputs that a killed run left behind.
 
 Output files per run:
 
@@ -45,6 +51,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,12 +62,20 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
-from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
+from .client import LocalTrainConfig, NodeState, local_train
+from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
 from .config import ExperimentConfig
 from .contrastive import LocalBuffer
 from .data import LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
-from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
+from .metrics import (
+    EvalBuffers,
+    RoundMetrics,
+    evaluate,
+    node_cdf,
+    top5_mean,
+    update_deviation,
+)
 from .nn import ModelSpec, flatten, init_params, unflatten
 from .participation import ParticipationSchedule, export_trace_csv
 from .rng import stream
@@ -129,6 +144,7 @@ class Environment:
     nodes: list[NodeState]
     spec: ModelSpec
     local_cfg: LocalTrainConfig
+    eval_buffers: EvalBuffers  # sized for the train set, the test set and every shard
 
 
 def build_environment(cfg: ExperimentConfig) -> Environment:
@@ -197,6 +213,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         nodes=nodes,
         spec=spec,
         local_cfg=local_cfg,
+        eval_buffers=EvalBuffers(spec, max(train.num_samples, test.num_samples)),
     )
 
 
@@ -218,18 +235,19 @@ class RunResult:
 def _aggregate_for_variant(
     variant: str,
     state: AggregatorState,
-    updates: dict[int, np.ndarray],
-    indicators: np.ndarray,
+    updates: np.ndarray,
+    participants: np.ndarray,
     mode: str,
 ):
     if variant in ("pmfl", "wo_mct", "wo_hgm"):
-        return aggregate(state, updates, mode=mode)
+        return aggregate(state, updates, participants, mode=mode)
     if variant == "wo_awc":
         return aggregate(
-            state, updates, mode=mode, weights_override=np.ones(state.num_nodes)
+            state, updates, participants, mode=mode,
+            weights_override=np.ones(state.num_nodes),
         )
     if variant in ("uniform_average", "cached_update"):
-        return baseline_aggregate(variant, state, updates, indicators)
+        return baseline_aggregate(variant, state, updates, participants)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -376,18 +394,46 @@ def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> N
     _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": _rows_to_jsonable(rows)})
 
 
+@contextmanager
+def _reading(path: Path):
+    """Whatever a damaged ``path`` raises while it is read, as a ValueError
+    that names the file."""
+    try:
+        yield
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is damaged: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_checkpoint(
     out_dir: Path, env: Environment, state: AggregatorState
 ) -> list[RoundMetrics]:
-    """Put a checkpoint's state into ``state`` and the nodes; return its rows."""
+    """Put a checkpoint's state into ``state`` and the nodes; return its rows.
+
+    A checkpoint file that cannot be read raises a ValueError naming it, and
+    nothing is changed.
+    """
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
-    data = np.load(path)
-    next_round = int(data["next_round"])
-    row_weights = data["row_weights"] if "row_weights" in data else None
-    with open(out_dir / CHECKPOINT_ROWS_FILE) as fh:
-        raw = json.load(fh)["rows"]
+    with _reading(path):
+        # every read of a saved array is a fresh copy
+        with np.load(path) as npz:
+            data = {name: npz[name] for name in npz.files}
+        next_round = int(data["next_round"])
+        global_flat, history = data["global_flat"], data["history"]
+        row_weights = data.get("row_weights")
+        if "buffers" in data:
+            ends = np.cumsum(data["buffer_lengths"])[:-1]
+            windows = np.split(data["buffers"], ends)
+        else:  # written before the windows were one array
+            windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
+    rows_path = out_dir / CHECKPOINT_ROWS_FILE
+    with _reading(rows_path):
+        with open(rows_path) as fh:
+            raw = json.load(fh)["rows"]
+        if not isinstance(raw, list):
+            raise TypeError(f"rows is a {type(raw).__name__}, not a list")
+        rows = _rows_from_jsonable(raw, row_weights)
     # one round, one row; the files are replaced one after the other, so a
     # run stopped in between leaves a pair that disagrees
     if len(raw) != next_round or (
@@ -398,62 +444,51 @@ def _load_checkpoint(
             f"{CHECKPOINT_FILE} (next_round {next_round}{weights_note}) and "
             f"{CHECKPOINT_ROWS_FILE} ({len(raw)} rows) in {out_dir} disagree"
         )
-    if "buffers" in data:
-        ends = np.cumsum(data["buffer_lengths"])[:-1]
-        windows = np.split(data["buffers"], ends)
-    else:  # written before the windows were one array
-        windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
 
     state.round_idx = next_round
-    state.global_model = unflatten(env.spec, data["global_flat"])
-    state.history.rows = data["history"]
+    state.global_model = unflatten(env.spec, global_flat)
+    state.history.rows = history
     for node, window in zip(env.nodes, windows):
         node.buffer.rows = window
-    # every read of a saved array is a fresh copy
     for name in _SERVER_ARRAYS:
         if name in data:
             setattr(state, name, data[name])
-    return _rows_from_jsonable(raw, row_weights)
+    return rows
 
 
 def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetrics:
     """Local training, weight update, aggregation and evaluation of round ``t``."""
     cfg = env.cfg
     indicators = env.trace[t].astype(np.int64)
-    participants = [int(k) for k in np.flatnonzero(indicators == 1)]
+    participants = np.flatnonzero(indicators == 1)
 
-    updates: dict[int, np.ndarray] = {}
-    for k in participants:
-        updates[k] = local_train(env.nodes[k], state.global_model, env.local_cfg, t)
-    num_params = env.spec.num_params
-    for k in range(cfg.num_nodes):
-        if k not in updates:
-            updates[k] = nonparticipant_update(num_params)
+    # row i is the update of node participants[i]; absent nodes send nothing
+    updates = np.empty((participants.size, env.spec.num_params))
+    for i, k in enumerate(participants):
+        updates[i] = local_train(env.nodes[k], state.global_model, env.local_cfg, t)
 
     update_weights(state, indicators)
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
-    deviation = (
-        update_deviation([updates[k] for k in participants]) if participants else None
-    )
+    deviation = update_deviation(updates) if participants.size else None
 
     new_global = _aggregate_for_variant(
-        cfg.variant, state, updates, indicators, cfg.aggregation_mode
+        cfg.variant, state, updates, participants, cfg.aggregation_mode
     )
 
     row = RoundMetrics(
         round_idx=t,
-        num_participants=len(participants),
+        num_participants=int(participants.size),
         psi=psi,
         deviation=deviation,
         weights=state.weights.copy(),  # aggregation reads the weights, never writes
     )
     if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
         row.train_accuracy, row.train_loss = evaluate(
-            new_global, env.train.features, env.train.labels
+            new_global, env.train.features, env.train.labels, env.eval_buffers
         )
         if env.test.num_samples:
             row.test_accuracy, row.test_loss = evaluate(
-                new_global, env.test.features, env.test.labels
+                new_global, env.test.features, env.test.labels, env.eval_buffers
             )
     return row
 
@@ -497,7 +532,10 @@ def _write_results(
     cfg = env.cfg
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     _write_weights_csv(out_dir / "weights.csv", rows, cfg.num_nodes)
-    per_node = [evaluate(state.global_model, n.features, n.labels) for n in env.nodes]
+    per_node = [
+        evaluate(state.global_model, n.features, n.labels, env.eval_buffers)
+        for n in env.nodes
+    ]
     acc_cdf = node_cdf([a for a, _ in per_node])
     loss_cdf = node_cdf([l for _, l in per_node])
     _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)

@@ -126,18 +126,29 @@ def update_weights(state: AggregatorState, indicators: np.ndarray) -> None:
     state.rounds_waiting[event] = 0
 
 
-def _stack_updates(state: AggregatorState, updates: dict[int, np.ndarray]) -> np.ndarray:
-    """Updates as a (num_nodes, dim) matrix in node-id order."""
-    if sorted(updates) != list(range(state.num_nodes)):
-        raise ValueError("updates must contain every node id exactly once")
-    dim = state.num_params
-    rows = []
-    for k in range(state.num_nodes):
-        u = np.asarray(updates[k], dtype=np.float64)
-        if u.shape != (dim,):
-            raise ValueError(f"update for node {k} has shape {u.shape}, want ({dim},)")
-        rows.append(u)
-    return np.stack(rows)
+def _check_updates(
+    state: AggregatorState, updates: np.ndarray, participants: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``updates`` as a (K_t, P) float64 array whose row i is the update of
+    node ``participants[i]``, and the participants as sorted node ids."""
+    part = np.asarray(participants)
+    if part.ndim != 1 or (part.size and part.dtype.kind not in "iu"):
+        raise ValueError("participants must be a 1-D array of node ids")
+    part = part.astype(np.intp, copy=False)  # an empty list reads as float
+    if part.size and (
+        part[0] < 0 or part[-1] >= state.num_nodes or (np.diff(part) <= 0).any()
+    ):
+        raise ValueError(
+            f"participants must be distinct node ids in [0, {state.num_nodes}), "
+            "sorted ascending"
+        )
+    u = np.asarray(updates, dtype=np.float64)
+    if u.shape != (part.size, state.num_params):
+        raise ValueError(
+            f"updates have shape {u.shape}, want ({part.size}, {state.num_params}): "
+            "one row per participant"
+        )
+    return u, part
 
 
 def _advance(state: AggregatorState, new_flat: np.ndarray) -> ModelParams:
@@ -164,23 +175,26 @@ def _smooth(state: AggregatorState, candidate: np.ndarray) -> np.ndarray:
 
 def aggregate(
     state: AggregatorState,
-    updates: dict[int, np.ndarray],
+    updates: np.ndarray,
+    participants: np.ndarray,
     mode: str = "corrected",
     weights_override: np.ndarray | None = None,
 ) -> ModelParams:
     """One full aggregation round; returns (and installs) the next global model.
 
     ``weights_override`` replaces the adaptive weights (the all-ones vector
-    gives the no-reweighting ablation).  Non-participants must appear in
-    ``updates`` with zero vectors; they contribute nothing.
+    gives the no-reweighting ablation).  Row i of the (K_t, P) ``updates``
+    is the update of node ``participants[i]``; the nodes that sat the round
+    out send nothing and add nothing, so a round without participants only
+    smooths the current model.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
-    u = _stack_updates(state, updates)
+    u, part = _check_updates(state, updates, participants)
     w = state.weights if weights_override is None else np.asarray(weights_override)
     if w.shape != (state.num_nodes,):
         raise ValueError("weights must have one entry per node")
-    weighted = w @ u
+    weighted = w[part] @ u
     base = flatten(state.global_model)
     if mode == "corrected":
         candidate = base + (state.global_lr / state.num_nodes) * weighted
@@ -192,36 +206,32 @@ def aggregate(
 def baseline_aggregate(
     kind: str,
     state: AggregatorState,
-    updates: dict[int, np.ndarray],
-    indicators: np.ndarray,
+    updates: np.ndarray,
+    participants: np.ndarray,
 ) -> ModelParams:
     """Reference aggregators the full scheme is compared against.
 
+    ``updates`` and ``participants`` are as in :func:`aggregate`.
     ``uniform_average``: mean of the participants' updates, no reweighting, no
-    smoothing.  ``cached_update``: every node's most recent update (zero until
-    it first participates) averaged over all nodes each round.
+    smoothing.  ``cached_update`` (MIFA): every node's most recent update
+    (zero until it first participates) averaged over all nodes each round.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    a = np.asarray(indicators)
-    if a.shape != (state.num_nodes,):
-        raise ValueError(f"indicators must have shape ({state.num_nodes},)")
-    u = _stack_updates(state, updates)
+    u, part = _check_updates(state, updates, participants)
     base = flatten(state.global_model)
 
     if kind == "uniform_average":
-        part = np.flatnonzero(a == 1)
         if part.size == 0:
             return _advance(state, base)
-        weighted = np.ones(part.size) @ u[part]
+        weighted = np.ones(part.size) @ u
         candidate = base + (state.global_lr / part.size) * weighted
         return _advance(state, candidate)
 
     # cached_update
     if state.cached_updates is None:
         state.cached_updates = np.zeros((state.num_nodes, state.num_params))
-    part = np.flatnonzero(a == 1)
-    state.cached_updates[part] = u[part]
+    state.cached_updates[part] = u
     weighted = np.ones(state.num_nodes) @ state.cached_updates
     candidate = base + (state.global_lr / state.num_nodes) * weighted
     return _advance(state, candidate)

@@ -24,6 +24,7 @@ from pmfl.nn import (
     log_softmax,
     unflatten,
 )
+from pmfl.server import _advance, _smooth
 
 
 def scalar_forward(params: ModelParams, x) -> tuple[list[float], list[float]]:
@@ -97,6 +98,42 @@ def expected_weight(trace, cutoff) -> float:
     """Mean interval length; 1.0 (the initial weight) when no event closed."""
     lengths = interval_lengths(trace, cutoff)
     return sum(lengths) / len(lengths) if lengths else 1.0
+
+
+def padded_aggregate(
+    state,
+    updates: np.ndarray,
+    participants: np.ndarray,
+    variant: str = "corrected",
+    weights_override: np.ndarray | None = None,
+) -> ModelParams:
+    """One aggregation round as the package computed it before rounds carried
+    only the participants: every absent node gets a zero row, and the K rows
+    go through the weighted sum.  ``variant`` is an aggregation mode or a
+    baseline kind; ``state`` advances as under the package's functions.
+    """
+    part = np.asarray(participants, dtype=np.int64)
+    u = np.zeros((state.num_nodes, state.num_params))
+    u[part] = updates
+    base = flatten(state.global_model)
+    if variant == "uniform_average":
+        if part.size == 0:
+            return _advance(state, base)
+        weighted = np.ones(part.size) @ u[part]
+        return _advance(state, base + (state.global_lr / part.size) * weighted)
+    if variant == "cached_update":
+        if state.cached_updates is None:
+            state.cached_updates = np.zeros((state.num_nodes, state.num_params))
+        state.cached_updates[part] = u[part]
+        weighted = np.ones(state.num_nodes) @ state.cached_updates
+        return _advance(state, base + (state.global_lr / state.num_nodes) * weighted)
+    w = state.weights if weights_override is None else np.asarray(weights_override)
+    weighted = w @ u
+    if variant == "corrected":
+        candidate = base + (state.global_lr / state.num_nodes) * weighted
+    else:
+        candidate = base - state.global_lr * weighted
+    return _advance(state, _smooth(state, candidate))
 
 
 def perturbed(params: ModelParams, rng: np.random.Generator, scale: float) -> ModelParams:

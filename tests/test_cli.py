@@ -161,6 +161,50 @@ class TestRunCommand:
         assert CHECKPOINT_FILE in err and CHECKPOINT_ROWS_FILE in err
 
 
+    @staticmethod
+    def _truncate(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+    @staticmethod
+    def _drop_global_model(path):
+        arrays = dict(np.load(path))
+        del arrays["global_flat"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @pytest.mark.parametrize("damage, name", [
+        ("_truncate", CHECKPOINT_FILE),
+        ("_drop_global_model", CHECKPOINT_FILE),
+        ("_truncate", CHECKPOINT_ROWS_FILE),
+    ])
+    def test_resume_of_a_damaged_checkpoint_is_a_clean_error(
+        self, tmp_path, monkeypatch, capsys, damage, name
+    ):
+        real = harness.update_weights
+
+        def update_weights(state, indicators):
+            if state.round_idx == 4:
+                raise KeyboardInterrupt
+            return real(state, indicators)
+
+        monkeypatch.setattr(harness, "update_weights", update_weights)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+        monkeypatch.undo()
+        getattr(self, damage)(tmp_path / name)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+
+        assert main(["run", "--out", str(tmp_path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pmfl run: error: ValueError: ")
+        assert str(tmp_path / name) in err
+        # the damaged checkpoint stays as it was, and nothing else is written
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestSweepCommand:
     def test_vary_over_seeds(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path), "--vary", "seed=1,2"]

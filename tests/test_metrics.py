@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pmfl.metrics import evaluate, node_cdf, top5_mean, update_deviation
-from pmfl.nn import ModelSpec, unflatten
+from pmfl import ExperimentConfig
+from pmfl.harness import build_environment
+from pmfl.metrics import EvalBuffers, evaluate, node_cdf, top5_mean, update_deviation
+from pmfl.nn import ModelSpec, cross_entropy, forward_logits, init_params, unflatten
+from pmfl.rng import stream
 
 
 class TestUpdateDeviation:
@@ -58,6 +62,76 @@ class TestUpdateDeviation:
             for u in ups
         )
         assert update_deviation(ups) == pytest.approx(want, rel=1e-12)
+
+    def test_takes_the_participants_array_as_is(self):
+        rng = np.random.default_rng(45)
+        rows = rng.standard_normal((7, 30))
+        assert update_deviation(rows) == update_deviation(list(rows))
+        with pytest.raises(ValueError):
+            update_deviation(np.zeros((0, 30)))
+        with pytest.raises(ValueError):
+            update_deviation(np.zeros(30))
+
+
+@pytest.fixture(scope="module")
+def desk_env():
+    """The default config's data, shards and model spec."""
+    return build_environment(ExperimentConfig().resolved())
+
+
+class TestEvaluateBuffers:
+    """One set of buffers serves every evaluation of a run and leaves the
+    results bit for bit as the allocating arithmetic gives them."""
+
+    def _sets(self, env):
+        train, test = env.train, env.test
+        shards = [env.nodes[k] for k in (3, 0, 17)]
+        sets = [
+            (train.features, train.labels),
+            *[(n.features, n.labels) for n in shards],
+            (test.features, test.labels),
+        ]
+        # mixed order, each set several times
+        return [sets[i] for i in (0, 1, 4, 0, 2, 4, 3, 0, 1, 4, 2)]
+
+    def test_matches_forward_logits_and_cross_entropy_bit_for_bit(self, desk_env):
+        env = desk_env
+        buffers = EvalBuffers(env.spec, max(env.train.num_samples, env.test.num_samples))
+        for call, (X, y) in enumerate(self._sets(env)):
+            params = init_params(env.spec, stream(70, "model", call % 3))
+            logits = forward_logits(params, X)
+            want = (float((np.argmax(logits, axis=1) == y).mean()), cross_entropy(logits, y))
+            got = evaluate(params, X, y, buffers)
+            assert got == want, f"call {call} on {len(y)} rows"
+            assert [type(v) for v in got] == [float, float]
+            assert evaluate(params, X, y) == want  # with buffers of its own
+
+    def test_a_set_larger_than_the_buffers_is_refused(self, desk_env):
+        env = desk_env
+        params = init_params(env.spec, stream(71, "model"))
+        buffers = EvalBuffers(env.spec, env.test.num_samples)
+        with pytest.raises(ValueError):
+            evaluate(params, env.train.features, env.train.labels, buffers)
+
+    def test_a_warm_train_set_evaluation_allocates_almost_nothing(self, desk_env):
+        env = desk_env
+        X, y = env.train.features, env.train.labels
+        buffers = EvalBuffers(env.spec, env.train.num_samples)
+        evaluate(init_params(env.spec, stream(72, "model", 0)), X, y, buffers)
+
+        def peak_bytes(**kw):
+            # a fresh model, as every round brings one
+            params = init_params(env.spec, stream(72, "model", 1))
+            tracemalloc.start()
+            try:
+                evaluate(params, X, y, **kw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # numpy reports its data buffers to tracemalloc, so the fresh arrays show
+        assert peak_bytes() > 1 << 20
+        assert peak_bytes(buffers=buffers) < 64 * 1024
 
 
 class TestEvaluate:

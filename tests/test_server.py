@@ -13,7 +13,7 @@ from pmfl.server import (
     update_weights,
 )
 
-from oracles import expected_weight, interval_lengths
+from oracles import expected_weight, interval_lengths, padded_aggregate
 
 TINY = ModelSpec(input_dim=2, encoder=(), projection=(), classifier=(2,))
 DIM = TINY.num_params  # 6
@@ -36,8 +36,17 @@ def run_trace(state: AggregatorState, trace: np.ndarray) -> None:
         update_weights(state, row)
 
 
-def zero_updates(num_nodes) -> dict[int, np.ndarray]:
-    return {k: np.zeros(DIM) for k in range(num_nodes)}
+def zero_updates(num_nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Zero updates from every node, as (updates, participants)."""
+    return np.zeros((num_nodes, DIM)), np.arange(num_nodes)
+
+
+def everyone(*rows) -> tuple[np.ndarray, np.ndarray]:
+    """One row per node, every node attending, as (updates, participants)."""
+    return np.stack(rows), np.arange(len(rows))
+
+
+NOBODY = (np.zeros((0, DIM)), np.array([], dtype=np.int64))
 
 
 class TestHistoryCoefficient:
@@ -138,7 +147,7 @@ class TestAggregate:
         state.weights[:] = [2.0, 3.0]
         u0 = np.full(DIM, 1.0)
         u1 = np.full(DIM, -2.0)
-        new = aggregate(state, {0: u0, 1: u1}, mode="corrected")
+        new = aggregate(state, *everyone(u0, u1), mode="corrected")
         want = np.arange(DIM) + 0.5 * (2.0 * u0 + 3.0 * u1)
         np.testing.assert_array_equal(flatten(new), want)
         assert state.round_idx == 1
@@ -149,7 +158,7 @@ class TestAggregate:
         state.weights[:] = [1.0, 4.0]
         u0 = np.full(DIM, 3.0)
         u1 = np.full(DIM, 1.0)
-        new = aggregate(state, {0: u0, 1: u1}, mode="literal")
+        new = aggregate(state, *everyone(u0, u1), mode="literal")
         np.testing.assert_array_equal(
             flatten(new), np.arange(DIM) - 0.5 * (3.0 + 4.0)
         )
@@ -157,30 +166,30 @@ class TestAggregate:
     def test_weights_override_replaces_adaptive_weights(self):
         state = make_state(2, base=np.zeros(DIM), history_size=0)
         state.weights[:] = [7.0, 9.0]  # must be ignored
-        u = {0: np.ones(DIM), 1: np.ones(DIM)}
-        new = aggregate(state, u, weights_override=np.ones(2))
+        new = aggregate(state, *everyone(np.ones(DIM), np.ones(DIM)),
+                        weights_override=np.ones(2))
         np.testing.assert_array_equal(flatten(new), 1.0)
 
     def test_smoothing_closed_forms(self):
         horizon = 5
         state = make_state(1, horizon=horizon, base=np.zeros(DIM), history_size=3)
         # round 0: no history yet, candidate adopted unmixed
-        g1 = flatten(aggregate(state, {0: np.full(DIM, 1.0)}))
+        g1 = flatten(aggregate(state, *everyone(np.full(DIM, 1.0))))
         np.testing.assert_array_equal(g1, 1.0)
         # round 1: psi = 0.5 - 1/8; history mean is the zero model
         psi1 = history_coefficient(1, horizon)
-        g2 = flatten(aggregate(state, {0: np.full(DIM, 1.0)}))
+        g2 = flatten(aggregate(state, *everyone(np.full(DIM, 1.0))))
         np.testing.assert_allclose(g2, (1.0 - psi1) * (g1 + 1.0), rtol=1e-15)
         # round 2: history holds both older globals
         psi2 = history_coefficient(2, horizon)
-        g3 = flatten(aggregate(state, {0: np.full(DIM, 1.0)}))
+        g3 = flatten(aggregate(state, *everyone(np.full(DIM, 1.0))))
         want = (1.0 - psi2) * (g2 + 1.0) + psi2 * (0.0 + g1) / 2.0
         np.testing.assert_allclose(g3, want, rtol=1e-15)
 
     def test_history_never_exceeds_size_minus_one(self):
         state = make_state(1, horizon=20, history_size=3)
         for _ in range(8):
-            aggregate(state, {0: np.ones(DIM)})
+            aggregate(state, *everyone(np.ones(DIM)))
         assert len(state.history) == 2
 
     def test_zero_updates_are_a_fixed_point(self):
@@ -188,11 +197,11 @@ class TestAggregate:
         # exact without smoothing; within an ulp with it ((1-psi)v + psi*v rounds)
         state = make_state(2, horizon=8, base=base, history_size=0)
         for _ in range(8):
-            np.testing.assert_array_equal(flatten(aggregate(state, zero_updates(2))), base)
+            np.testing.assert_array_equal(flatten(aggregate(state, *zero_updates(2))), base)
         smoothed = make_state(2, horizon=8, base=base, history_size=3)
         for _ in range(8):
             np.testing.assert_allclose(
-                flatten(aggregate(smoothed, zero_updates(2))), base,
+                flatten(aggregate(smoothed, *zero_updates(2))), base,
                 rtol=1e-14, atol=1e-15,
             )
 
@@ -200,29 +209,149 @@ class TestAggregate:
         for hs in (0, 1):
             state = make_state(1, horizon=4, base=np.zeros(DIM), history_size=hs)
             for _ in range(3):
-                new = aggregate(state, {0: np.full(DIM, 2.0)})
+                new = aggregate(state, *everyone(np.full(DIM, 2.0)))
             np.testing.assert_array_equal(flatten(new), 6.0)
             assert len(state.history) == 0
 
-    def test_update_dict_order_is_irrelevant(self):
-        ua = {0: np.full(DIM, 1.0), 1: np.full(DIM, 2.0), 2: np.full(DIM, 3.0)}
-        ub = {2: np.full(DIM, 3.0), 0: np.full(DIM, 1.0), 1: np.full(DIM, 2.0)}
-        sa = make_state(3, history_size=0)
-        sb = make_state(3, history_size=0)
-        np.testing.assert_array_equal(
-            flatten(aggregate(sa, ua)), flatten(aggregate(sb, ub))
-        )
+    def test_rows_follow_the_participant_ids(self):
+        # row i carries the weight of node participants[i]
+        rows = np.stack([np.full(DIM, 1.0), np.full(DIM, 2.0)])
+        for part, want in (([0, 2], 1.0 * 1 + 3.0 * 2), ([1, 2], 2.0 * 1 + 3.0 * 2)):
+            state = make_state(3, history_size=0)
+            state.weights[:] = [1.0, 2.0, 3.0]
+            new = aggregate(state, rows, np.array(part))
+            np.testing.assert_array_equal(flatten(new), (1.0 / 3.0) * want)
 
     def test_validation(self):
         state = make_state(2)
         with pytest.raises(ValueError):
-            aggregate(state, {0: np.zeros(DIM)})  # node 1 missing
+            aggregate(state, np.zeros((1, DIM)), np.arange(2))  # node 1's row missing
         with pytest.raises(ValueError):
-            aggregate(state, {0: np.zeros(DIM), 1: np.zeros(3)})
+            aggregate(state, np.zeros((2, 3)), np.arange(2))
         with pytest.raises(ValueError):
-            aggregate(state, zero_updates(2), mode="averaged")
+            aggregate(state, *zero_updates(2), mode="averaged")
         with pytest.raises(ValueError):
-            aggregate(state, zero_updates(2), weights_override=np.ones(3))
+            aggregate(state, *zero_updates(2), weights_override=np.ones(3))
+
+
+def random_round(rng, num_nodes, dim, share):
+    """(updates, participants) of a round where each node attends with ``share``."""
+    part = np.flatnonzero(rng.random(num_nodes) < share)
+    return rng.standard_normal((part.size, dim)), part
+
+
+class TestParticipantsOnly:
+    """Rounds carry only the participants' rows; the zero-padded weighted sum
+    of :func:`oracles.padded_aggregate` is the reference."""
+
+    SPEC = ModelSpec(input_dim=40, encoder=(30,), projection=(), classifier=(10,))
+
+    def _pair(self, num_nodes, rng, **kw):
+        base = rng.standard_normal(self.SPEC.num_params)
+        return [
+            AggregatorState(
+                num_nodes=num_nodes,
+                global_model=unflatten(self.SPEC, base),
+                horizon=30,
+                **kw,
+            )
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("variant", ["corrected", "literal", "unit_weights"])
+    def test_partial_rounds_match_zero_padding(self, variant):
+        rng = np.random.default_rng(60)
+        for num_nodes in (4, 37, 250):
+            ours, padded = self._pair(num_nodes, rng, history_size=3, global_lr=0.7)
+            mode = "corrected" if variant == "unit_weights" else variant
+            override = np.ones(num_nodes) if variant == "unit_weights" else None
+            for _ in range(12):
+                share = rng.uniform(0.02, 0.5)
+                updates, part = random_round(rng, num_nodes, self.SPEC.num_params, share)
+                indicators = np.zeros(num_nodes, dtype=np.int64)
+                indicators[part] = 1
+                for state in (ours, padded):
+                    update_weights(state, indicators)
+                got = aggregate(ours, updates, part, mode=mode, weights_override=override)
+                want = padded_aggregate(padded, updates, part, mode, override)
+                # entries that cancel to near zero get the model's scale as a floor
+                scale = np.abs(flatten(want)).max()
+                np.testing.assert_allclose(
+                    flatten(got), flatten(want), rtol=1e-12, atol=1e-12 * scale
+                )
+                # the next round starts from the padded result
+                ours.global_model = want.copy()
+                ours.history.rows = padded.history.rows
+
+    @pytest.mark.parametrize("mode", ["corrected", "literal"])
+    def test_full_attendance_matches_zero_padding_bit_for_bit(self, mode):
+        rng = np.random.default_rng(61)
+        for num_nodes in (1, 5, 40):
+            ours, padded = self._pair(num_nodes, rng, history_size=3)
+            for _ in range(6):
+                ind = np.ones(num_nodes, dtype=np.int64)
+                update_weights(ours, ind)
+                update_weights(padded, ind)
+                updates = rng.standard_normal((num_nodes, self.SPEC.num_params))
+                part = np.arange(num_nodes)
+                got = aggregate(ours, updates, part, mode=mode)
+                want = padded_aggregate(padded, updates, part, mode)
+                np.testing.assert_array_equal(flatten(got), flatten(want))
+
+    @pytest.mark.parametrize("kind", ["uniform_average", "cached_update"])
+    def test_baselines_match_zero_padding_bit_for_bit(self, kind):
+        rng = np.random.default_rng(62)
+        for num_nodes in (3, 37, 250):
+            ours, padded = self._pair(num_nodes, rng, history_size=0)
+            for _ in range(10):
+                updates, part = random_round(
+                    rng, num_nodes, self.SPEC.num_params, rng.uniform(0.0, 0.6)
+                )
+                got = baseline_aggregate(kind, ours, updates, part)
+                want = padded_aggregate(padded, updates, part, kind)
+                np.testing.assert_array_equal(flatten(got), flatten(want))
+            if kind == "cached_update":
+                np.testing.assert_array_equal(ours.cached_updates, padded.cached_updates)
+
+    @pytest.mark.parametrize("override", [None, np.ones(3)])
+    def test_empty_round_only_smooths(self, override):
+        horizon = 6
+        state = make_state(3, horizon=horizon, base=np.zeros(DIM), history_size=3)
+        for _ in range(2):
+            aggregate(state, *everyone(*np.full((3, DIM), 1.0)))
+        current = flatten(state.global_model).copy()
+        older = state.history.rows.copy()
+        psi = history_coefficient(2, horizon)
+        new = aggregate(state, *NOBODY, weights_override=override)
+        want = (1.0 - psi) * current + psi * older.mean(axis=0)
+        np.testing.assert_array_equal(flatten(new), want)
+        assert state.round_idx == 3
+        # without smoothing the model stays exactly where it was
+        still = make_state(3, base=np.arange(DIM, dtype=float), history_size=0)
+        np.testing.assert_array_equal(flatten(aggregate(still, *NOBODY)), np.arange(DIM))
+
+    @pytest.mark.parametrize("call", [
+        lambda state, u, p: aggregate(state, u, p),
+        lambda state, u, p: baseline_aggregate("uniform_average", state, u, p),
+        lambda state, u, p: baseline_aggregate("cached_update", state, u, p),
+    ])
+    @pytest.mark.parametrize("updates, participants, problem", [
+        (np.zeros((2, DIM)), [0, 1, 2], "row count"),
+        (np.zeros((3, DIM)), [0, 1], "row count"),
+        (np.zeros((2, DIM - 1)), [0, 1], "width"),
+        (np.zeros(DIM), [0], "a vector, not rows"),
+        (np.zeros((2, DIM)), [1, 1], "duplicated"),
+        (np.zeros((2, DIM)), [2, 0], "unsorted"),
+        (np.zeros((1, DIM)), [4], "out of range"),
+        (np.zeros((1, DIM)), [-1], "negative"),
+        (np.zeros((1, DIM)), [0.0], "not integer ids"),
+        (np.zeros((1, DIM)), [[0]], "not 1-D"),
+    ])
+    def test_validation(self, call, updates, participants, problem):
+        state = make_state(4)
+        with pytest.raises(ValueError):
+            call(state, updates, np.array(participants))
+        assert state.round_idx == 0, problem
 
 
 class TestStateValidation:
@@ -246,18 +375,14 @@ class TestStateValidation:
 class TestBaselines:
     def test_uniform_average_over_participants_only(self):
         state = make_state(3, base=np.zeros(DIM), history_size=0)
-        updates = {0: np.full(DIM, 3.0), 1: np.full(DIM, 5.0), 2: np.full(DIM, 100.0)}
-        new = baseline_aggregate(
-            "uniform_average", state, updates, np.array([1, 1, 0])
-        )
+        updates = np.stack([np.full(DIM, 3.0), np.full(DIM, 5.0)])
+        new = baseline_aggregate("uniform_average", state, updates, np.array([0, 1]))
         np.testing.assert_array_equal(flatten(new), 4.0)
 
     def test_uniform_average_no_participants_keeps_model(self):
         base = np.arange(DIM, dtype=float)
         state = make_state(2, base=base, history_size=0)
-        new = baseline_aggregate(
-            "uniform_average", state, zero_updates(2), np.array([0, 0])
-        )
+        new = baseline_aggregate("uniform_average", state, *NOBODY)
         np.testing.assert_array_equal(flatten(new), base)
         assert state.round_idx == 1
 
@@ -265,23 +390,17 @@ class TestBaselines:
         state = make_state(3, base=np.zeros(DIM), history_size=0)
         u0 = np.full(DIM, 3.0)
         u1 = np.full(DIM, -6.0)
-        g1 = baseline_aggregate(
-            "cached_update", state,
-            {0: u0, 1: np.zeros(DIM), 2: np.zeros(DIM)}, np.array([1, 0, 0]),
-        )
+        g1 = baseline_aggregate("cached_update", state, u0[None], np.array([0]))
         np.testing.assert_array_equal(flatten(g1), 1.0)  # 3/3
-        g2 = baseline_aggregate(
-            "cached_update", state,
-            {0: np.zeros(DIM), 1: u1, 2: np.zeros(DIM)}, np.array([0, 1, 0]),
-        )
+        g2 = baseline_aggregate("cached_update", state, u1[None], np.array([1]))
         # cache now holds u0 (stale) and u1: (3 - 6)/3 = -1 on top of 1
         np.testing.assert_array_equal(flatten(g2), 0.0)
         np.testing.assert_array_equal(state.cached_updates[2], 0.0)
 
     def test_cached_update_refreshes_on_reparticipation(self):
         state = make_state(1, base=np.zeros(DIM), history_size=0)
-        baseline_aggregate("cached_update", state, {0: np.full(DIM, 2.0)}, np.array([1]))
-        baseline_aggregate("cached_update", state, {0: np.full(DIM, 8.0)}, np.array([1]))
+        baseline_aggregate("cached_update", state, *everyone(np.full(DIM, 2.0)))
+        baseline_aggregate("cached_update", state, *everyone(np.full(DIM, 8.0)))
         np.testing.assert_array_equal(state.cached_updates[0], 8.0)
 
     def test_cached_equals_uniform_under_full_participation(self):
@@ -289,9 +408,9 @@ class TestBaselines:
         sa = make_state(3, base=np.zeros(DIM), history_size=0)
         sb = make_state(3, base=np.zeros(DIM), history_size=0)
         for _ in range(5):
-            updates = {k: rng.standard_normal(DIM) for k in range(3)}
-            ga = baseline_aggregate("cached_update", sa, updates, np.ones(3, dtype=int))
-            gb = baseline_aggregate("uniform_average", sb, updates, np.ones(3, dtype=int))
+            updates = everyone(*rng.standard_normal((3, DIM)))
+            ga = baseline_aggregate("cached_update", sa, *updates)
+            gb = baseline_aggregate("uniform_average", sb, *updates)
             np.testing.assert_array_equal(flatten(ga), flatten(gb))
 
     def test_corrected_with_unit_weights_equals_uniform_when_all_attend(self):
@@ -300,16 +419,16 @@ class TestBaselines:
         sb = make_state(3, base=np.zeros(DIM), history_size=0, cutoff=None)
         for _ in range(6):
             ind = np.ones(3, dtype=int)
-            updates = {k: rng.standard_normal(DIM) for k in range(3)}
+            updates = everyone(*rng.standard_normal((3, DIM)))
             update_weights(sa, ind)
             update_weights(sb, ind)
-            ga = aggregate(sa, updates, mode="corrected")
-            gb = baseline_aggregate("uniform_average", sb, updates, ind)
+            ga = aggregate(sa, *updates, mode="corrected")
+            gb = baseline_aggregate("uniform_average", sb, *updates)
             np.testing.assert_array_equal(flatten(ga), flatten(gb))
 
     def test_validation(self):
         state = make_state(2)
         with pytest.raises(ValueError):
-            baseline_aggregate("median", state, zero_updates(2), np.array([1, 1]))
+            baseline_aggregate("median", state, *zero_updates(2))
         with pytest.raises(ValueError):
-            baseline_aggregate("uniform_average", state, zero_updates(2), np.array([1]))
+            baseline_aggregate("uniform_average", state, np.zeros((2, DIM)), np.array([1]))
