@@ -8,6 +8,15 @@ participation patterns and a CLI harness round out the package.
 """
 __version__ = "0.1.0"
 
+import os
+
+# BLAS reads its thread count when numpy is first imported, so this comes
+# before any submodule imports numpy.  The matrices here are small: more
+# threads only burn CPU.  A count the user set stays.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+
 from .config import ExperimentConfig, load_config, save_config
 from .contrastive import LocalBuffer, combined_loss_and_grad, cosine_similarity
 from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update

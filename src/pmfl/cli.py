@@ -10,7 +10,7 @@ from pathlib import Path
 from .atomic import write_json
 from .config import ExperimentConfig, _coerce, load_config
 from .data import DatasetSpec, export_csv, synth_dataset
-from .harness import resume_run, run_experiment, run_sweep
+from .harness import _reading, resume_run, run_experiment, run_sweep
 
 _TUPLE_FIELDS = ("encoder_dims", "projection_dims", "classifier_hidden_dims")
 
@@ -185,24 +185,29 @@ def _cmd_inspect(parser, args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         parser.error(f"{run_dir} has no manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    summary = {}
     summary_path = run_dir / "summary.json"
-    if summary_path.exists():
-        with open(summary_path) as fh:
-            summary = json.load(fh)
+    try:
+        manifest = _read_json(manifest_path)
+        summary = _read_json(summary_path) if summary_path.exists() else {}
+        if not args.json:
+            with _reading(manifest_path):
+                cfg = manifest["resolved_config"]
+                header = [
+                    f"run directory : {run_dir}",
+                    f"package       : {manifest['package']} {manifest['version']}",
+                    f"variant       : {cfg['variant']} (mode {cfg['aggregation_mode']})",
+                    f"population    : {cfg['num_nodes']} nodes, {cfg['rounds']} rounds, "
+                    f"pattern {cfg['pattern']}",
+                    f"model         : {manifest['num_params']} parameters",
+                ]
+    except ValueError as exc:  # a damaged or incomplete file, named in the message
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps({"manifest": manifest, "summary": summary},
                          indent=2, sort_keys=True, allow_nan=False))
         return 0
-    cfg = manifest["resolved_config"]
-    print(f"run directory : {run_dir}")
-    print(f"package       : {manifest['package']} {manifest['version']}")
-    print(f"variant       : {cfg['variant']} (mode {cfg['aggregation_mode']})")
-    print(f"population    : {cfg['num_nodes']} nodes, {cfg['rounds']} rounds, "
-          f"pattern {cfg['pattern']}")
-    print(f"model         : {manifest['num_params']} parameters")
+    print("\n".join(header))
     if summary:
         print("summary:")
         for key in sorted(summary):
@@ -210,6 +215,11 @@ def _cmd_inspect(parser, args) -> int:
     else:
         print("summary       : (run incomplete, no summary.json)")
     return 0
+
+
+def _read_json(path: Path):
+    with open(path) as fh, _reading(path):
+        return json.load(fh)
 
 
 def main(argv=None) -> int:

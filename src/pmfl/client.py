@@ -11,6 +11,10 @@ the node attends.
 The partition threshold reference is frozen at round start (the newest buffer
 entry from before this round), so mid-round snapshots do not move the goalposts
 within the round.
+
+The steps run in a :class:`~pmfl.contrastive.TrainBuffers`: the node's window
+is staged into it once per participation, snapshotted and stepped in place,
+and copied back out once at the end.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import LocalBuffer, combined_loss_and_grad
+from .contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
 from .nn import Minibatch, ModelParams, param_delta, sgd_step
 from .rng import stream
 
@@ -99,8 +103,14 @@ def local_train(
     global_params: ModelParams,
     cfg: LocalTrainConfig,
     round_idx: int,
+    buffers: TrainBuffers | None = None,
 ) -> np.ndarray:
     """Run the node's local iterations and return its flat update vector.
+
+    The steps run in ``buffers``, which must match the node's window
+    capacity and hold ``cfg.batch_size`` rows; fresh ones are made without
+    it.  The node's window is staged into them once and copied out once, as
+    a new read-only array: the array it replaces is never written.
 
     An empty shard is skipped with a logged error and contributes a zero
     update, the same as sitting the round out.
@@ -108,26 +118,38 @@ def local_train(
     if node.num_samples == 0:
         log.error("node %d has an empty shard, skipping round %d", node.node_id, round_idx)
         return np.zeros(global_params.num_params)
+    if buffers is None:
+        buffers = TrainBuffers(global_params.spec(), node.buffer.capacity, cfg.batch_size)
+    elif buffers.capacity != node.buffer.capacity or buffers.batch_size < cfg.batch_size:
+        raise ValueError(
+            f"buffers for a window of {buffers.capacity} and {buffers.batch_size} rows "
+            f"cannot train a window of {node.buffer.capacity} on batches of {cfg.batch_size}"
+        )
 
     rng = node.round_rng(round_idx)
     batches = _epoch_batches(
         rng, node.num_samples, cfg.batch_size, cfg.local_iterations
     )
     mu_reference = node.buffer.newest()
-    w = global_params  # sgd_step returns fresh parameters; this is never written
+    buffers.stage(global_params, global_params, node.buffer, mu_reference)
+    w = buffers.current  # starts as a copy of the global model, stepped in place
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = combined_loss_and_grad(
             w,
             batch,
             global_params,
-            node.buffer,
+            buffers.window,
             temperature=cfg.temperature,
             contrastive_weight=cfg.contrastive_weight,
             mu_reference=mu_reference,
+            buffers=buffers,
         )
-        node.buffer.push(w)  # the buffer holds models older than the current one
-        w = sgd_step(w, grad, cfg.local_lr)
+        buffers.push()  # the window holds models older than the current one
+        sgd_step(w, grad, cfg.local_lr, out=w)
+    if cfg.local_iterations and node.buffer.capacity:
+        node.buffer.spec = w.spec()  # a buffer made without one learns it, as on a push
+        node.buffer.rows = buffers.window.copy()
     return param_delta(w, global_params)
 
 

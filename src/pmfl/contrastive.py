@@ -149,20 +149,129 @@ class LocalBuffer:
         return (ModelParams(self.spec, row) for row in self.rows)
 
 
+class TrainBuffers:
+    """Every array a local step writes, reused from one step to the next.
+
+    :attr:`stack` holds ``capacity + 3`` models as rows: the current model,
+    the threshold reference, the global model, then the window oldest first.
+    A step forwards a prefix of it, so the rows are never restacked.
+    :meth:`stage` fills it at the start of a participation, :meth:`push`
+    moves the current model into the window in place, and SGD writes the
+    current row.  The layer pre-activations and outputs have room for
+    ``batch_size`` rows of every model; a shorter batch or a lower stack
+    uses the leading part of each array, so every view is C-contiguous like
+    a fresh array and the reductions over it keep their bits.  One instance
+    serves every participation of a run: nothing is carried from one
+    :meth:`stage` to the next.
+    """
+
+    def __init__(self, spec: ModelSpec, capacity: int, batch_size: int):
+        if capacity < 0 or batch_size < 1:
+            raise ValueError("buffers need capacity >= 0 and batch_size >= 1")
+        self.spec = spec
+        self.capacity = capacity
+        self.batch_size = batch_size
+        self.stack = np.empty((capacity + 3, spec.num_params))
+        self.length = 0  # of the window
+        self.current = ModelParams(spec, self.stack[0])
+        self.grad = ModelParams(spec, np.empty(spec.num_params))
+        n_rep = spec.representation_layers
+        self._flat = [
+            (np.empty(size), np.empty(size))
+            for size in (
+                (capacity + 3 if i < n_rep else 1) * batch_size * fan_out
+                for i, (_, fan_out, _) in enumerate(spec.layer_offsets)
+            )
+        ]
+        self._models: dict[int, ModelParams] = {}
+        self._acts: dict[tuple, list] = {}
+
+    def stage(
+        self,
+        params: ModelParams,
+        global_params: ModelParams,
+        window,
+        mu_reference: ModelParams | None,
+    ) -> None:
+        """Copy in the current model, the reference (the global model when
+        there is none), the global model and ``window``, a
+        :class:`LocalBuffer` or its rows."""
+        rows = getattr(window, "rows", window)
+        if len(rows) > self.capacity:
+            raise ValueError(f"{len(rows)} window rows exceed the capacity {self.capacity}")
+        self.stack[0] = params.vector
+        self.stack[1] = (global_params if mu_reference is None else mu_reference).vector
+        self.stack[2] = global_params.vector
+        self.length = len(rows)
+        if self.length:
+            self.stack[3 : 3 + self.length] = rows
+
+    @property
+    def window(self) -> np.ndarray:
+        """The window's rows, oldest first; a view that :meth:`push` writes."""
+        return self.stack[3 : 3 + self.length]
+
+    def push(self) -> None:
+        """The current model joins the window as its newest row; at capacity
+        the oldest row leaves.  Capacity 0 keeps no window."""
+        if not self.capacity:
+            return
+        if self.length == self.capacity:
+            # row by row: one overlapping copy would allocate a temporary
+            for i in range(3, 2 + self.length):
+                self.stack[i] = self.stack[i + 1]
+        else:
+            self.length += 1
+        self.stack[2 + self.length] = self.stack[0]
+
+    def models(self, height: int) -> ModelParams:
+        """The first ``height`` rows of :attr:`stack` as one stack of models,
+        whose layer views are built once."""
+        stack = self._models.get(height)
+        if stack is None:
+            stack = self._models[height] = ModelParams(self.spec, self.stack[:height])
+        return stack
+
+    def activations(self, height: int | None, n: int) -> list:
+        """A (pre-activation, output) pair per layer for ``n`` rows: (height,
+        n, width) in the representation layers, or (n, width) with height
+        None, and (n, width) in the classifier."""
+        acts = self._acts.get((height, n))
+        if acts is None:
+            if n > self.batch_size:
+                raise ValueError(f"buffers hold {self.batch_size} rows, the batch has {n}")
+            n_rep = self.spec.representation_layers
+            acts = []
+            for i, ((_, width, _), flats) in enumerate(zip(self.spec.layer_offsets, self._flat)):
+                shape = (n, width) if height is None or i >= n_rep else (height, n, width)
+                size = int(np.prod(shape))
+                acts.append(tuple(flat[:size].reshape(shape) for flat in flats))
+            self._acts[(height, n)] = acts
+        return acts
+
+
 def combined_loss_and_grad(
     params: ModelParams,
     batch: Minibatch,
     global_params: ModelParams,
-    buffer: LocalBuffer,
+    buffer,
     temperature: float,
     contrastive_weight: float,
     mu_reference: ModelParams | None = None,
+    buffers: TrainBuffers | None = None,
 ) -> tuple[float, ModelParams]:
     """Cross-entropy plus weighted contrastive term, with its full gradient.
 
-    ``mu_reference`` is the model whose representation anchors the per-sample
-    threshold (callers freeze the buffer head from before the round started);
-    ``None`` falls back to the global model, making the threshold exactly 1.
+    ``buffer`` is the window of past models, a :class:`LocalBuffer` or its
+    (len, P) rows.  ``mu_reference`` is the model whose representation
+    anchors the per-sample threshold (callers freeze the buffer head from
+    before the round started); ``None`` falls back to the global model,
+    making the threshold exactly 1.
+
+    ``buffers`` must hold these arguments, staged by
+    :meth:`TrainBuffers.stage` and pushed since, with ``params`` its
+    current model; without it they are staged into fresh buffers.  The
+    gradient returned lives in the buffers, so the next call overwrites it.
 
     With ``contrastive_weight`` 0 this is bit-identical to plain cross-entropy
     training: the contrastive machinery is skipped outright.
@@ -171,22 +280,28 @@ def combined_loss_and_grad(
         raise ValueError("contrastive_weight must be >= 0")
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    if contrastive_weight == 0.0:
-        return cross_entropy_and_grad(params, batch)
-
     X = batch.features
     n = X.shape[0]
+    if buffers is None:
+        buffers = TrainBuffers(params.spec(), len(buffer), n)
+        buffers.stage(params, global_params, buffer, mu_reference)
+    elif params.vector is not buffers.current.vector or len(buffer) != buffers.length:
+        raise ValueError("buffers hold another model or window than the arguments")
+    params = buffers.current
+    if contrastive_weight == 0.0:
+        return cross_entropy_and_grad(params, batch, buffers.activations(None, n), buffers.grad)
+
     # one stacked pass through the representation layers: the current model,
-    # [the threshold reference,] the global model, snapshots oldest first
-    refs = [params.vector]
-    if len(buffer):
-        if mu_reference is not None:
-            refs.append(mu_reference.vector)
-        refs += [global_params.vector, buffer.rows]
-    stack = ModelParams(params.spec(), np.vstack(refs))
+    # the threshold reference (a second global row when there is none), the
+    # global model, snapshots oldest first
+    buffered = buffers.length
+    stack = buffers.models(buffered + 3 if buffered else 1)
+    acts = buffers.activations(len(stack.vector), n)
     n_rep = params.spec().representation_layers
     inputs, pres = [], []
-    reps = _dense_cached(stack.layers()[:n_rep], X, inputs, pres, rectify_last=True)
+    reps = _dense_cached(
+        stack.layers()[:n_rep], X, inputs, pres, rectify_last=True, acts=acts[:n_rep]
+    )
     if not n_rep:  # the representation is the input itself
         reps = np.broadcast_to(X, (len(stack.vector), *X.shape))
     # only the current model goes on through the classifier; the first layer's
@@ -194,19 +309,21 @@ def combined_loss_and_grad(
     inputs = inputs[:1] + [h[0] for h in inputs[1:]]
     pres = [p[0] for p in pres]
     z = reps[0]
-    logits = _dense_cached(params.classifier, z, inputs, pres, rectify_last=False)
+    logits = _dense_cached(
+        params.classifier, z, inputs, pres, rectify_last=False, acts=acts[n_rep:]
+    )
     lp = log_softmax(logits)
     ce = float(-lp[np.arange(n), batch.labels].mean())
     dlogits = np.exp(lp)
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
 
-    if len(buffer) == 0:
-        return ce, _backward_cached(params, inputs, pres, dlogits)
+    if not buffered:
+        return ce, _backward_cached(params, inputs, pres, dlogits, grad=buffers.grad)
 
     norms = np.linalg.norm(reps, axis=-1)  # (models, n), each used for mu and sims
-    others = reps[-(len(buffer) + 1) :]  # (1 + buffered, n, dim), global first
-    nz, no = norms[0], norms[-(len(buffer) + 1) :]
+    others = reps[2:]  # (1 + buffered, n, dim), global first
+    nz, no = norms[0], norms[2:]
     if mu_reference is None:
         mu = np.ones(n)
     else:
@@ -234,4 +351,6 @@ def combined_loss_and_grad(
     dz = (coeff[..., None] * _dcos_rows(z, others, sims, nz, no)).sum(axis=0)
     dz *= contrastive_weight / n
 
-    return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)
+    return loss, _backward_cached(
+        params, inputs, pres, dlogits, dz_extra=dz, grad=buffers.grad
+    )

@@ -11,7 +11,9 @@ A round trains only the nodes that attend it.  Their updates fill the rows
 of one (K_t, P) array, which goes through the update deviation and the
 aggregation together with the participants' node ids; the absent nodes send
 nothing.  Every evaluation of a run writes into the same buffers
-(:class:`~pmfl.metrics.EvalBuffers`), sized for the largest evaluation set.
+(:class:`~pmfl.metrics.EvalBuffers`), sized for the largest evaluation set,
+and every participation's local steps run in one set of training buffers
+(:class:`~pmfl.contrastive.TrainBuffers`), restaged for each participation.
 
 After every round the loop keeps a snapshot of the state
 (:func:`_state_arrays`).  A checkpoint writes that snapshot every
@@ -59,13 +61,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
 from .client import LocalTrainConfig, NodeState, local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
 from .config import ExperimentConfig
-from .contrastive import LocalBuffer
+from .contrastive import LocalBuffer, TrainBuffers
 from .data import LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
 from .metrics import (
@@ -145,6 +147,7 @@ class Environment:
     spec: ModelSpec
     local_cfg: LocalTrainConfig
     eval_buffers: EvalBuffers  # sized for the train set, the test set and every shard
+    train_buffers: TrainBuffers  # every participation's local steps run in these
 
 
 def build_environment(cfg: ExperimentConfig) -> Environment:
@@ -214,6 +217,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         spec=spec,
         local_cfg=local_cfg,
         eval_buffers=EvalBuffers(spec, max(train.num_samples, test.num_samples)),
+        train_buffers=TrainBuffers(spec, cfg.local_buffer_size, cfg.batch_size),
     )
 
 
@@ -465,7 +469,9 @@ def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetric
     # row i is the update of node participants[i]; absent nodes send nothing
     updates = np.empty((participants.size, env.spec.num_params))
     for i, k in enumerate(participants):
-        updates[i] = local_train(env.nodes[k], state.global_model, env.local_cfg, t)
+        updates[i] = local_train(
+            env.nodes[k], state.global_model, env.local_cfg, t, env.train_buffers
+        )
 
     update_weights(state, indicators)
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
@@ -646,9 +652,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
 def resume_run(out_dir) -> RunResult:
     """Continue an interrupted run from its checkpoint."""
     out_dir = Path(out_dir)
-    with open(out_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    cfg = ExperimentConfig.from_dict(manifest["requested_config"])
+    path = out_dir / "manifest.json"
+    with open(path) as fh, _reading(path):
+        cfg = ExperimentConfig.from_dict(json.load(fh)["requested_config"])
     return run_experiment(cfg, out_dir, resume=True)
 
 
@@ -670,9 +676,6 @@ def _run_cell(args) -> dict:
         log.exception("sweep cell %s failed", cell_dir.name)
         row.update(status="error", error=f"{type(exc).__name__}: {exc}")
     return row
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @contextmanager

@@ -12,6 +12,9 @@ aggregation, snapshots) is one vector operation.  Layout: encoder, projection,
 classifier; within a layer the weight (row-major) comes before the bias.
 A ``(S, P)`` array of such vectors is a stack of S models: its layer views
 carry the leading axis, and one forward pass evaluates every model in it.
+The training passes can write their activations, the gradient and the SGD
+step into arrays the caller owns, so a training loop reuses one set of them
+(:class:`pmfl.contrastive.TrainBuffers`).
 
 All arithmetic is float64.  Rectifier activations follow every layer except the
 final classifier layer, whose raw outputs are the logits.
@@ -237,28 +240,37 @@ def _atleast_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError("x must be a feature vector or a (batch, input_dim) matrix")
 
 
-def _dense_cached(layers, h, inputs: list, pres: list, rectify_last: bool) -> np.ndarray:
+def _dense_cached(
+    layers, h, inputs: list, pres: list, rectify_last: bool, acts=None
+) -> np.ndarray:
     """Run ``h`` through ``layers``, appending each layer's input and
     pre-activation to ``inputs`` and ``pres``; a rectifier follows every layer
     but the last, and the last too with ``rectify_last``.  Layers of a stack
-    of S models map a shared (n, fan_in) batch to (S, n, fan_out)."""
+    of S models map a shared (n, fan_in) batch to (S, n, fan_out).
+
+    ``acts`` holds a (pre-activation, output) pair of C-contiguous arrays
+    per layer to write into; fresh arrays are allocated without it.
+    """
     for i, (w, b) in enumerate(layers):
+        pre_out, h_out = (None, None) if acts is None else acts[i]
         inputs.append(h)
-        pre = h @ w.mT
+        pre = np.matmul(h, w.mT, out=pre_out)
         pre += b[..., None, :]
         pres.append(pre)
-        h = np.maximum(pre, 0.0) if rectify_last or i < len(layers) - 1 else pre
+        h = np.maximum(pre, 0.0, out=h_out) if rectify_last or i < len(layers) - 1 else pre
     return h
 
 
-def _forward_cached(params: ModelParams, X: np.ndarray):
+def _forward_cached(params: ModelParams, X: np.ndarray, acts=None):
     """Forward pass keeping per-layer inputs and pre-activations for backprop;
-    a stack of S models maps the (n, input_dim) batch to (S, n, ...) outputs."""
+    a stack of S models maps the (n, input_dim) batch to (S, n, ...) outputs.
+    ``acts`` is as in :func:`_dense_cached`, one pair per layer of the model."""
     layers = params.layers()
     n_rep = params.spec().representation_layers
+    rep_acts, head_acts = (None, None) if acts is None else (acts[:n_rep], acts[n_rep:])
     inputs, pres = [], []
-    z = _dense_cached(layers[:n_rep], X, inputs, pres, rectify_last=True)
-    logits = _dense_cached(layers[n_rep:], z, inputs, pres, rectify_last=False)
+    z = _dense_cached(layers[:n_rep], X, inputs, pres, rectify_last=True, acts=rep_acts)
+    logits = _dense_cached(layers[n_rep:], z, inputs, pres, rectify_last=False, acts=head_acts)
     return logits, z, inputs, pres
 
 
@@ -268,18 +280,21 @@ def _backward_cached(
     pres: list[np.ndarray],
     dlogits: np.ndarray,
     dz_extra: np.ndarray | None = None,
+    grad: ModelParams | None = None,
 ) -> ModelParams:
     """Backprop from logit gradients (plus an optional representation gradient).
 
     ``dz_extra`` is added where the representation leaves the projection block,
     which is how a loss term that reads ``z`` directly joins the chain.  The
-    gradient comes back in the model's own layout, written through its views.
-    The gradient in the input is never formed: nothing reads it.
+    gradient comes back in the model's own layout, written through its views,
+    into ``grad`` when given and into fresh parameters otherwise.  The
+    gradient in the input is never formed: nothing reads it.
     """
     layers = params.layers()
     n_rep = params.spec().representation_layers
     # every entry is written below: the layer views tile the vector
-    grad = ModelParams(params.spec(), np.empty(params.num_params))
+    if grad is None:
+        grad = ModelParams(params.spec(), np.empty(params.num_params))
     d = dlogits
     for i in range(len(layers) - 1, -1, -1):
         if dz_extra is not None and i == n_rep - 1:
@@ -341,10 +356,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cross_entropy_and_grad(
-    params: ModelParams, batch: Minibatch
+    params: ModelParams,
+    batch: Minibatch,
+    acts: list | None = None,
+    grad: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
-    """Mean cross-entropy over the batch and its gradient in all three blocks."""
-    logits, _, inputs, pres = _forward_cached(params, batch.features)
+    """Mean cross-entropy over the batch and its gradient in all three blocks.
+
+    The layer activations go into ``acts`` (see :func:`_dense_cached`) and
+    the gradient into ``grad`` where they are given.
+    """
+    logits, _, inputs, pres = _forward_cached(params, batch.features, acts)
     _check_labels(batch.labels, logits.shape[-1])
     n = batch.labels.shape[0]
     lp = log_softmax(logits)
@@ -352,12 +374,18 @@ def cross_entropy_and_grad(
     dlogits = np.exp(lp)
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
-    return loss, _backward_cached(params, inputs, pres, dlogits)
+    return loss, _backward_cached(params, inputs, pres, dlogits, grad=grad)
 
 
-def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
-    """One descent step ``p - lr * g``; returns fresh parameters."""
-    return ModelParams(params.spec(), params.vector - lr * grad.vector)
+def sgd_step(
+    params: ModelParams, grad: ModelParams, lr: float, out: ModelParams | None = None
+) -> ModelParams:
+    """One descent step ``p - lr * g``, written into ``out`` (which may be
+    ``params`` itself) or, without it, into fresh parameters."""
+    if out is None:
+        out = ModelParams(params.spec(), np.empty_like(params.vector))
+    np.subtract(params.vector, lr * grad.vector, out=out.vector)
+    return out
 
 
 def param_delta(after: ModelParams, before: ModelParams) -> np.ndarray:

@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from pmfl.client import LocalTrainConfig, NodeState, _epoch_batches
 from pmfl.contrastive import LocalBuffer, cosine_similarity
 from pmfl.nn import (
     Minibatch,
@@ -22,6 +23,8 @@ from pmfl.nn import (
     flatten,
     forward_representation,
     log_softmax,
+    param_delta,
+    sgd_step,
     unflatten,
 )
 from pmfl.server import _advance, _smooth
@@ -282,3 +285,28 @@ def looped_loss_and_grad(
     dz *= contrastive_weight / n
 
     return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)
+
+
+def looped_local_train(
+    node: NodeState, global_params: ModelParams, cfg: LocalTrainConfig, round_idx: int
+) -> np.ndarray:
+    """``local_train`` as the package ran it before the steps shared one set
+    of buffers: :func:`looped_loss_and_grad` on the node's own window, a
+    ``LocalBuffer.push`` after every step and a fresh model from every SGD
+    step.  The node's window moves on as under ``local_train``."""
+    if node.num_samples == 0:
+        return np.zeros(global_params.num_params)
+    batches = _epoch_batches(
+        node.round_rng(round_idx), node.num_samples, cfg.batch_size, cfg.local_iterations
+    )
+    mu_reference = node.buffer.newest()
+    w = global_params
+    for batch_idx in batches:
+        batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
+        _, grad = looped_loss_and_grad(
+            w, batch, global_params, node.buffer, cfg.temperature,
+            cfg.contrastive_weight, mu_reference,
+        )
+        node.buffer.push(w)
+        w = sgd_step(w, grad, cfg.local_lr)
+    return param_delta(w, global_params)

@@ -204,6 +204,38 @@ class TestRunCommand:
         # the damaged checkpoint stays as it was, and nothing else is written
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("damage", ["_truncate", "_drop_requested_config"])
+    def test_resume_with_a_damaged_manifest_is_a_clean_error(
+        self, tmp_path, monkeypatch, capsys, damage
+    ):
+        real = harness.update_weights
+
+        def update_weights(state, indicators):
+            if state.round_idx == 4:
+                raise KeyboardInterrupt
+            return real(state, indicators)
+
+        monkeypatch.setattr(harness, "update_weights", update_weights)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+        monkeypatch.undo()
+        getattr(self, damage)(tmp_path / "manifest.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+
+        assert main(["run", "--out", str(tmp_path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pmfl run: error: ValueError: ")
+        assert str(tmp_path / "manifest.json") in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @staticmethod
+    def _drop_requested_config(path):
+        manifest = json.loads(path.read_text())
+        del manifest["requested_config"]
+        path.write_text(json.dumps(manifest))
+
 
 class TestSweepCommand:
     def test_vary_over_seeds(self, tmp_path, capsys):
@@ -286,6 +318,34 @@ class TestInspectCommand:
     def test_missing_run_dir(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["inspect", "--run", str(tmp_path / "nope")])
+
+    @pytest.mark.parametrize("name, damage, report", [
+        ("manifest.json", "truncate", "text"),
+        ("manifest.json", "truncate", "json"),
+        ("summary.json", "truncate", "text"),
+        ("manifest.json", "drop_resolved_config", "text"),
+    ])
+    def test_damaged_run_dir_is_a_clean_error(self, tmp_path, capsys, name, damage, report):
+        run_experiment(tiny_config(), tmp_path)
+        path = tmp_path / name
+        if damage == "truncate":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            manifest = json.loads(path.read_text())
+            del manifest["resolved_config"]
+            path.write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+
+        assert main(["inspect", "--run", str(tmp_path)]
+                    + (["--json"] if report == "json" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("pmfl inspect: error: ")
+        assert str(path) in captured.err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestParser:

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pmfl.client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
-from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
+from pmfl.contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
 from pmfl.nn import (
     Minibatch,
     ModelSpec,
@@ -19,7 +20,7 @@ from pmfl.nn import (
 )
 from pmfl.rng import stream
 
-from oracles import perturbed
+from oracles import looped_local_train, perturbed
 
 SPEC = ModelSpec(input_dim=3, encoder=(5,), projection=(4,), classifier=(3,))
 
@@ -224,6 +225,93 @@ class TestLocalTrain:
         before = flatten(w0).copy()
         local_train(node, w0, LocalTrainConfig(local_iterations=4, batch_size=4), 0)
         np.testing.assert_array_equal(flatten(w0), before)
+
+
+def _twin(node: NodeState) -> NodeState:
+    """The same node with its own copy of the window."""
+    buffer = LocalBuffer(node.buffer.capacity, SPEC)
+    buffer.rows = node.buffer.rows.copy()
+    return NodeState(node.node_id, node.features, node.labels, buffer, node.root_seed)
+
+
+class TestStagedLoop:
+    """``local_train`` in shared buffers against the loop that stacked,
+    pushed and stepped into fresh arrays every step."""
+
+    @pytest.mark.parametrize("contrastive_weight", [0.6, 0.0])
+    @pytest.mark.parametrize("batch_size", [7, 11])
+    @pytest.mark.parametrize("capacity", [0, 1, 4, 12])
+    def test_matches_the_looped_loop_bit_for_bit(self, capacity, batch_size, contrastive_weight):
+        rng = np.random.default_rng((capacity, batch_size))
+        cfg = LocalTrainConfig(
+            local_iterations=6, local_lr=0.1, batch_size=batch_size,
+            contrastive_weight=contrastive_weight,
+        )
+        nodes = []
+        # windows empty, partly full and full at the start; shards with short tails
+        for k, (n, prefill) in enumerate([(9, 0), (13, capacity // 2), (20, capacity)]):
+            node = make_node(10 + k, n=n, node_id=k)
+            node.buffer = LocalBuffer(capacity, SPEC)
+            for _ in range(prefill):
+                node.buffer.push(perturbed(make_global(k), rng, 0.3))
+            nodes.append(node)
+        twins = [_twin(node) for node in nodes]
+        buffers = TrainBuffers(SPEC, capacity, batch_size)  # one set for every node
+        for t in range(2):
+            global_params = perturbed(make_global(20), rng, 0.1)
+            for node, twin in zip(nodes, twins):
+                before = node.buffer.rows
+                kept = before.copy()
+                delta = local_train(node, global_params, cfg, t, buffers)
+                want = looped_local_train(twin, global_params, cfg, t)
+                np.testing.assert_array_equal(delta, want)
+                np.testing.assert_array_equal(node.buffer.rows, twin.buffer.rows)
+                np.testing.assert_array_equal(before, kept)
+                assert not node.buffer.rows.flags.writeable
+                assert not np.shares_memory(node.buffer.rows, buffers.stack)
+
+    def test_buffers_must_fit_the_window_and_the_batch(self):
+        node = make_node(0, capacity=4)
+        cfg = LocalTrainConfig(local_iterations=2, batch_size=4)
+        for buffers in (TrainBuffers(SPEC, 3, 4), TrainBuffers(SPEC, 4, 3)):
+            with pytest.raises(ValueError):
+                local_train(node, make_global(), cfg, 0, buffers)
+
+    def test_kernel_refuses_buffers_staged_for_other_arguments(self):
+        w, g = make_global(1), make_global(2)
+        node = make_node(0, capacity=2)
+        node.buffer.push(g)
+        buffers = TrainBuffers(SPEC, 2, 8)
+        buffers.stage(w, g, node.buffer, None)
+        batch = Minibatch(node.features[:8], node.labels[:8])
+        kwargs = dict(temperature=0.5, contrastive_weight=0.5, buffers=buffers)
+        with pytest.raises(ValueError):
+            combined_loss_and_grad(w, batch, g, node.buffer, **kwargs)  # not the staged row
+        with pytest.raises(ValueError):
+            combined_loss_and_grad(buffers.current, batch, g, np.empty((0, 1)), **kwargs)
+        combined_loss_and_grad(buffers.current, batch, g, buffers.window, **kwargs)
+
+    def test_a_warm_participation_allocates_little(self):
+        # the desk config's shapes: a full window of 5, batches of 32, 5 steps
+        spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
+        rng = np.random.default_rng(3)
+        global_params = init_params(spec, rng)
+        node = NodeState(0, rng.standard_normal((100, 32)), rng.integers(0, 10, 100),
+                         LocalBuffer(5, spec), 7)
+        for _ in range(5):
+            node.buffer.push(perturbed(global_params, rng, 0.1))
+        cfg = LocalTrainConfig(local_iterations=5, batch_size=32)
+        buffers = TrainBuffers(spec, 5, 32)
+        tracemalloc.start()
+        try:
+            local_train(node, global_params, cfg, 0, buffers)  # warm-up
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            update = local_train(node, global_params, cfg, 1, buffers)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < node.buffer.rows.nbytes + update.nbytes + 64 * 1024
 
 
 class TestNonparticipant:

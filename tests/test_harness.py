@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -314,12 +316,12 @@ class TestCheckpointing:
         real = harness.local_train
         seen = []
 
-        def wrapper(node, global_params, cfg, t):
+        def wrapper(node, global_params, cfg, t, *args):
             if t == round_idx:
                 seen.append(node.node_id)
                 if len(seen) == participant:
                     raise exc
-            return real(node, global_params, cfg, t)
+            return real(node, global_params, cfg, t, *args)
 
         monkeypatch.setattr(harness, "local_train", wrapper)
 
@@ -372,10 +374,10 @@ class TestCheckpointing:
         cfg = tiny_config(local_iterations=3, local_buffer_size=4)
         real = harness.local_train
 
-        def wrapper(node, global_params, cfg, t):
+        def wrapper(node, global_params, cfg, t, *args):
             if t == 3:
                 os.kill(os.getpid(), signal.SIGTERM)
-            return real(node, global_params, cfg, t)
+            return real(node, global_params, cfg, t, *args)
 
         monkeypatch.setattr(harness, "local_train", wrapper)
         before = signal.getsignal(signal.SIGTERM)
@@ -640,6 +642,24 @@ class TestDivergence:
 
 def _blas_env() -> dict:
     return {name: os.environ.get(name) for name in harness.BLAS_THREAD_VARS}
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+    def test_importing_pmfl_pins_one_blas_thread_unless_set(self, preset):
+        env = {k: v for k, v in os.environ.items() if k not in harness.BLAS_THREAD_VARS}
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import json, os, pmfl; "
+            "print(json.dumps({n: os.environ.get(n) for n in pmfl.BLAS_THREAD_VARS}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env={**env, **preset},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        want = dict.fromkeys(harness.BLAS_THREAD_VARS, "1") | preset
+        assert json.loads(out) == want
 
 
 class TestSweep:
