@@ -146,8 +146,9 @@ def _cmd_sweep(parser, args) -> int:
     for row in rows:
         cells = ", ".join(f"{k}={row[k]}" for k in sorted(grid))
         if row["status"] == "ok":
+            top5 = row["top5_test_accuracy"]
             print(f"  [{row['cell']:03d}] {cells}: "
-                  f"top5_test={row['top5_test_accuracy']:.4f}")
+                  f"top5_test={'n/a' if top5 is None else f'{top5:.4f}'}")
         else:
             print(f"  [{row['cell']:03d}] {cells}: ERROR {row['error']}")
     return 1 if failures else 0

@@ -12,6 +12,11 @@ The threshold for a sample is the similarity between the newest buffered
 model's representation and the global one.  With an empty buffer the global
 model itself is the reference, so ``mu`` is 1 and only the global term stays
 positive.
+
+A local step runs in a :class:`TrainBuffers`: the stack of models it
+forwards, shifted in place, and a :class:`pmfl.nn.Workspace` that takes every
+array the step writes, from the stacked pass through the norms, cosines and
+coefficients of the contrastive term to its gradient ``dz`` and the model's.
 """
 from __future__ import annotations
 
@@ -24,10 +29,11 @@ from .nn import (
     Minibatch,
     ModelParams,
     ModelSpec,
-    _backward_cached,
-    _dense_cached,
+    Workspace,
+    _backward,
+    _cross_entropy_head,
     cross_entropy_and_grad,
-    log_softmax,
+    dense,
 )
 from .nn import forward_representation  # noqa: F401  (perfbench/layers.py wraps it here)
 
@@ -57,41 +63,25 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _cos_rows(a: np.ndarray, b: np.ndarray, na=None, nb=None) -> np.ndarray:
+def _cos_rows(a, b, na=None, nb=None, out=None, mask=None) -> np.ndarray:
     """Cosine similarity along the last axis, with the same conventions as above.
 
     Leading axes broadcast; ``na`` and ``nb`` are the row norms of ``a`` and
-    ``b`` when the caller already has them.
-    """
+    ``b`` when the caller has them, ``out`` takes the cosines and the boolean
+    ``mask`` the elementwise comparison of ``a`` and ``b``."""
     na = np.linalg.norm(a, axis=-1) if na is None else na
     nb = np.linalg.norm(b, axis=-1) if nb is None else nb
+    sims = np.einsum("...j,...j->...", a, b, out=out)
     denom = na * nb
     bad = denom == 0.0
-    dots = np.einsum("...j,...j->...", a, b)
-    equal = (a == b).all(axis=-1)
+    np.copyto(denom, 1.0, where=bad)
+    sims /= denom
+    np.copyto(sims, 1.0, where=np.equal(a, b, out=mask).all(axis=-1))
     if bad.any():
         # dead rectifier rows are routine mid-training, so keep this quiet
         log.debug("cosine similarity with zero-norm rows, returning 0 there")
-        sims = np.where(bad, 0.0, dots / np.where(bad, 1.0, denom))
-        equal &= ~bad
-    else:
-        sims = dots / denom
-    return np.where(equal, 1.0, sims) if equal.any() else sims
-
-
-def _dcos_rows(
-    z: np.ndarray, other: np.ndarray, sims: np.ndarray, nz: np.ndarray, no: np.ndarray
-) -> np.ndarray:
-    """Gradient of cos(z_i, other_i) in z_i along the last axis; zero where a
-    norm is zero.  ``nz`` and ``no`` are the row norms; leading axes broadcast."""
-    ok = (nz > 0.0) & (no > 0.0)
-    all_ok = ok.all()
-    if not all_ok:
-        nz, no = np.where(ok, nz, 1.0), np.where(ok, no, 1.0)
-    grad = other / (nz * no)[..., None] - sims[..., None] * z / (nz**2)[..., None]
-    if not all_ok:
-        grad[~ok] = 0.0
-    return grad
+        np.copyto(sims, 0.0, where=bad)
+    return sims
 
 
 class LocalBuffer:
@@ -150,41 +140,28 @@ class LocalBuffer:
 
 
 class TrainBuffers:
-    """Every array a local step writes, reused from one step to the next.
+    """The model stack a participation's local steps read and the workspace
+    they write, reused from one step to the next.
 
     :attr:`stack` holds ``capacity + 3`` models as rows: the current model,
     the threshold reference, the global model, then the window oldest first.
     A step forwards a prefix of it, so the rows are never restacked.
     :meth:`stage` fills it at the start of a participation, :meth:`push`
     moves the current model into the window in place, and SGD writes the
-    current row.  The layer pre-activations and outputs have room for
-    ``batch_size`` rows of every model; a shorter batch or a lower stack
-    uses the leading part of each array, so every view is C-contiguous like
-    a fresh array and the reductions over it keep their bits.  One instance
-    serves every participation of a run: nothing is carried from one
-    :meth:`stage` to the next.
+    current row.  :attr:`workspace` has room for the whole stack on
+    ``batch_size`` rows.  One instance serves every participation of a run:
+    nothing is carried from one :meth:`stage` to the next.
     """
 
     def __init__(self, spec: ModelSpec, capacity: int, batch_size: int):
         if capacity < 0 or batch_size < 1:
             raise ValueError("buffers need capacity >= 0 and batch_size >= 1")
-        self.spec = spec
-        self.capacity = capacity
-        self.batch_size = batch_size
+        self.spec, self.capacity, self.batch_size = spec, capacity, batch_size
         self.stack = np.empty((capacity + 3, spec.num_params))
         self.length = 0  # of the window
         self.current = ModelParams(spec, self.stack[0])
-        self.grad = ModelParams(spec, np.empty(spec.num_params))
-        n_rep = spec.representation_layers
-        self._flat = [
-            (np.empty(size), np.empty(size))
-            for size in (
-                (capacity + 3 if i < n_rep else 1) * batch_size * fan_out
-                for i, (_, fan_out, _) in enumerate(spec.layer_offsets)
-            )
-        ]
+        self.workspace = Workspace(spec, capacity + 3, batch_size)
         self._models: dict[int, ModelParams] = {}
-        self._acts: dict[tuple, list] = {}
 
     def stage(
         self,
@@ -232,23 +209,6 @@ class TrainBuffers:
             stack = self._models[height] = ModelParams(self.spec, self.stack[:height])
         return stack
 
-    def activations(self, height: int | None, n: int) -> list:
-        """A (pre-activation, output) pair per layer for ``n`` rows: (height,
-        n, width) in the representation layers, or (n, width) with height
-        None, and (n, width) in the classifier."""
-        acts = self._acts.get((height, n))
-        if acts is None:
-            if n > self.batch_size:
-                raise ValueError(f"buffers hold {self.batch_size} rows, the batch has {n}")
-            n_rep = self.spec.representation_layers
-            acts = []
-            for i, ((_, width, _), flats) in enumerate(zip(self.spec.layer_offsets, self._flat)):
-                shape = (n, width) if height is None or i >= n_rep else (height, n, width)
-                size = int(np.prod(shape))
-                acts.append(tuple(flat[:size].reshape(shape) for flat in flats))
-            self._acts[(height, n)] = acts
-        return acts
-
 
 def combined_loss_and_grad(
     params: ModelParams,
@@ -271,7 +231,8 @@ def combined_loss_and_grad(
     ``buffers`` must hold these arguments, staged by
     :meth:`TrainBuffers.stage` and pushed since, with ``params`` its
     current model; without it they are staged into fresh buffers.  The
-    gradient returned lives in the buffers, so the next call overwrites it.
+    gradient returned lives in the buffers' workspace, so the next call
+    overwrites it.
 
     With ``contrastive_weight`` 0 this is bit-identical to plain cross-entropy
     training: the contrastive machinery is skipped outright.
@@ -287,49 +248,47 @@ def combined_loss_and_grad(
         buffers.stage(params, global_params, buffer, mu_reference)
     elif params.vector is not buffers.current.vector or len(buffer) != buffers.length:
         raise ValueError("buffers hold another model or window than the arguments")
-    params = buffers.current
+    params, ws = buffers.current, buffers.workspace
     if contrastive_weight == 0.0:
-        return cross_entropy_and_grad(params, batch, buffers.activations(None, n), buffers.grad)
+        return cross_entropy_and_grad(params, batch, ws)
 
     # one stacked pass through the representation layers: the current model,
     # the threshold reference (a second global row when there is none), the
     # global model, snapshots oldest first
     buffered = buffers.length
     stack = buffers.models(buffered + 3 if buffered else 1)
-    acts = buffers.activations(len(stack.vector), n)
+    height = len(stack.vector)
     n_rep = params.spec().representation_layers
-    inputs, pres = [], []
-    reps = _dense_cached(
-        stack.layers()[:n_rep], X, inputs, pres, rectify_last=True, acts=acts[:n_rep]
-    )
+    pres, outs = ws.activations(n, height)
+    reps = dense(stack.layers()[:n_rep], X, ws, (pres, outs), rectify_last=True)
     if not n_rep:  # the representation is the input itself
-        reps = np.broadcast_to(X, (len(stack.vector), *X.shape))
-    # only the current model goes on through the classifier; the first layer's
-    # input is the shared batch, the later ones carry the stack axis
-    inputs = inputs[:1] + [h[0] for h in inputs[1:]]
-    pres = [p[0] for p in pres]
+        reps = np.broadcast_to(X, (height, *X.shape))
+    # only the current model goes on through the classifier, and only its
+    # arrays go into the backward pass
     z = reps[0]
-    logits = _dense_cached(
-        params.classifier, z, inputs, pres, rectify_last=False, acts=acts[n_rep:]
-    )
-    lp = log_softmax(logits)
-    ce = float(-lp[np.arange(n), batch.labels].mean())
-    dlogits = np.exp(lp)
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-
+    logits = dense(params.classifier, z, ws, (pres[n_rep:], outs[n_rep:]))
+    ce = _cross_entropy_head(logits, batch.labels, ws)
+    pres = [p[0] for p in pres[:n_rep]] + pres[n_rep:]
+    outs = [h[0] for h in outs[:n_rep]] + outs[n_rep:]
     if not buffered:
-        return ce, _backward_cached(params, inputs, pres, dlogits, grad=buffers.grad)
+        return ce, _backward(params, X, pres, outs, logits, ws)
 
-    norms = np.linalg.norm(reps, axis=-1)  # (models, n), each used for mu and sims
+    # np.linalg.norm's arithmetic, into the workspace: (models, n), each used
+    # for mu and the cosines
+    dim = reps.shape[-1]
+    norms = ws.view("norms", height, n)
+    np.add.reduce(np.multiply(reps, reps, out=ws.view(0, *reps.shape)), axis=-1, out=norms)
+    np.sqrt(norms, out=norms)
     others = reps[2:]  # (1 + buffered, n, dim), global first
     nz, no = norms[0], norms[2:]
     if mu_reference is None:
         mu = np.ones(n)
     else:
-        mu = _cos_rows(reps[1], reps[2], norms[1], norms[2])
-
-    sims = _cos_rows(z, others, nz, no)
+        mu = _cos_rows(reps[1], reps[2], norms[1], norms[2], mask=ws.view("mask", n, dim))
+    shape = others.shape
+    spread_z = ws.spread(z, shape, 2)  # z against each of the others
+    sims = ws.view("sims", *shape[:2])
+    _cos_rows(spread_z, others, nz, no, out=sims, mask=ws.view("mask", *shape))
     # snapshot sums run along contiguous (n, buffered) rows: numpy's pairwise
     # summation makes the bits depend on that layout
     s_glob, s_hist = sims[0], np.ascontiguousarray(sims[1:].T)
@@ -341,16 +300,30 @@ def combined_loss_and_grad(
     pos = e_glob + np.where(pos_mask, e_hist, 0.0).sum(axis=1)
     neg = np.where(pos_mask, 0.0, e_hist).sum(axis=1)
     l_con = np.log1p(neg / pos)
-    loss = ce + contrastive_weight * float(l_con.mean())
+    loss = ce + contrastive_weight * float(np.add.reduce(l_con) / n)  # l_con.mean()
 
     dpos = -neg / (pos * (pos + neg))
     dneg = 1.0 / (pos + neg)
-    hist_coeff = np.where(pos_mask, dpos[:, None], dneg[:, None]) * e_hist / tau
-    coeff = np.vstack([dpos * e_glob / tau, hist_coeff.T])  # (1 + buffered, n)
+    coeff = ws.view("coeff", *shape[:2])  # (1 + buffered, n)
+    np.divide(dpos * e_glob, tau, out=coeff[0])
+    np.divide(np.where(pos_mask, dpos[:, None], dneg[:, None]) * e_hist, tau, out=coeff[1:].T)
+
+    # the gradient of each cosine in z, other / (|z| |other|) - sim z / |z|^2,
+    # with every per-row factor spread to full shape first; it is zero where
+    # either norm is zero, and a unit norm there keeps the arithmetic finite
+    dead = norms == 0.0
+    np.copyto(norms, 1.0, where=dead)
+    grad = ws.view(0, *shape)
+    np.divide(others, ws.spread((nz * no)[..., None], shape, 1), out=grad)
+    term = ws.spread(sims[..., None], shape, 1)
+    np.multiply(term, spread_z, out=term)
+    np.divide(term, ws.spread((nz * nz)[:, None], shape, 2), out=term)
+    np.subtract(grad, term, out=grad)
+    if dead.any():
+        np.copyto(grad, 0.0, where=(dead[0] | dead[2:])[..., None])
+    np.multiply(ws.spread(coeff[..., None], shape, 1), grad, out=grad)
     # summing over the leading axis adds the terms one by one, global first
-    dz = (coeff[..., None] * _dcos_rows(z, others, sims, nz, no)).sum(axis=0)
+    dz = np.add.reduce(grad, axis=0, out=ws.view("dz", n, dim))
     dz *= contrastive_weight / n
 
-    return loss, _backward_cached(
-        params, inputs, pres, dlogits, dz_extra=dz, grad=buffers.grad
-    )
+    return loss, _backward(params, X, pres, outs, logits, ws, dz)

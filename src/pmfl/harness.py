@@ -10,9 +10,9 @@ uninterrupted one, and a sweep writes the same bytes with any worker count.
 A round trains only the nodes that attend it.  Their updates fill the rows
 of one (K_t, P) array, which goes through the update deviation and the
 aggregation together with the participants' node ids; the absent nodes send
-nothing.  Every evaluation of a run writes into the same buffers
-(:class:`~pmfl.metrics.EvalBuffers`), sized for the largest evaluation set,
-and every participation's local steps run in one set of training buffers
+nothing.  Every evaluation of a run writes into one workspace
+(:class:`~pmfl.nn.Workspace`), sized for the largest evaluation set, and
+every participation's local steps run in one set of training buffers
 (:class:`~pmfl.contrastive.TrainBuffers`), restaged for each participation.
 
 After every round the loop keeps a snapshot of the state
@@ -70,15 +70,8 @@ from .config import ExperimentConfig
 from .contrastive import LocalBuffer, TrainBuffers
 from .data import LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
-from .metrics import (
-    EvalBuffers,
-    RoundMetrics,
-    evaluate,
-    node_cdf,
-    top5_mean,
-    update_deviation,
-)
-from .nn import ModelSpec, flatten, init_params, unflatten
+from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
+from .nn import ModelSpec, Workspace, flatten, init_params, unflatten
 from .participation import ParticipationSchedule, export_trace_csv
 from .rng import stream
 from .server import (
@@ -146,7 +139,7 @@ class Environment:
     nodes: list[NodeState]
     spec: ModelSpec
     local_cfg: LocalTrainConfig
-    eval_buffers: EvalBuffers  # sized for the train set, the test set and every shard
+    eval_workspace: Workspace  # sized for the train set, the test set and every shard
     train_buffers: TrainBuffers  # every participation's local steps run in these
 
 
@@ -216,7 +209,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         nodes=nodes,
         spec=spec,
         local_cfg=local_cfg,
-        eval_buffers=EvalBuffers(spec, max(train.num_samples, test.num_samples)),
+        eval_workspace=Workspace(spec, 1, max(train.num_samples, test.num_samples)),
         train_buffers=TrainBuffers(spec, cfg.local_buffer_size, cfg.batch_size),
     )
 
@@ -489,12 +482,15 @@ def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetric
         weights=state.weights.copy(),  # aggregation reads the weights, never writes
     )
     if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
+        # one call, so one matmul per layer, over each whole set: gemm's bits
+        # for a row depend on how many rows share the call, so a set is never
+        # split into chunks nor joined to the other
         row.train_accuracy, row.train_loss = evaluate(
-            new_global, env.train.features, env.train.labels, env.eval_buffers
+            new_global, env.train.features, env.train.labels, env.eval_workspace
         )
         if env.test.num_samples:
             row.test_accuracy, row.test_loss = evaluate(
-                new_global, env.test.features, env.test.labels, env.eval_buffers
+                new_global, env.test.features, env.test.labels, env.eval_workspace
             )
     return row
 
@@ -503,6 +499,8 @@ def _summarize(
     cfg: ExperimentConfig, rows: list[RoundMetrics], trace: np.ndarray, num_params: int
 ) -> dict:
     evaluated = [r for r in rows if r.train_accuracy is not None]
+    train_acc = [r.train_accuracy for r in evaluated]
+    test_acc = [r.test_accuracy for r in evaluated if r.test_accuracy is not None]
     last = evaluated[-1] if evaluated else None
     quarter_start = (3 * cfg.rounds) // 4
     tail_devs = [
@@ -517,12 +515,9 @@ def _summarize(
         "final_train_loss": None if last is None else last.train_loss,
         "final_test_accuracy": None if last is None else last.test_accuracy,
         "final_test_loss": None if last is None else last.test_loss,
-        "top5_train_accuracy": (
-            top5_mean([r.train_accuracy for r in evaluated]) if evaluated else None
-        ),
-        "top5_test_accuracy": (
-            top5_mean([r.test_accuracy for r in evaluated]) if evaluated else None
-        ),
+        "top5_train_accuracy": top5_mean(train_acc) if train_acc else None,
+        # a run without a test set has no test accuracy to rank
+        "top5_test_accuracy": top5_mean(test_acc) if test_acc else None,
         "mean_deviation_last_quarter": (
             float(np.mean(tail_devs)) if tail_devs else None
         ),
@@ -539,7 +534,7 @@ def _write_results(
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     _write_weights_csv(out_dir / "weights.csv", rows, cfg.num_nodes)
     per_node = [
-        evaluate(state.global_model, n.features, n.labels, env.eval_buffers)
+        evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
         for n in env.nodes
     ]
     acc_cdf = node_cdf([a for a, _ in per_node])

@@ -12,15 +12,19 @@ aggregation, snapshots) is one vector operation.  Layout: encoder, projection,
 classifier; within a layer the weight (row-major) comes before the bias.
 A ``(S, P)`` array of such vectors is a stack of S models: its layer views
 carry the leading axis, and one forward pass evaluates every model in it.
-The training passes can write their activations, the gradient and the SGD
-step into arrays the caller owns, so a training loop reuses one set of them
-(:class:`pmfl.contrastive.TrainBuffers`).
+
+One dense routine, :func:`dense`, runs every forward pass: training,
+evaluation (:func:`pmfl.metrics.evaluate`) and the public
+:func:`forward_logits` and :func:`forward_representation`.  It writes into
+a :class:`Workspace`, which also holds the backward pass's arrays and the
+gradient, so a training loop or a run's evaluations reuse one set of arrays.
 
 All arithmetic is float64.  Rectifier activations follow every layer except the
 final classifier layer, whose raw outputs are the logits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -240,97 +244,150 @@ def _atleast_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError("x must be a feature vector or a (batch, input_dim) matrix")
 
 
-def _dense_cached(
-    layers, h, inputs: list, pres: list, rectify_last: bool, acts=None
-) -> np.ndarray:
-    """Run ``h`` through ``layers``, appending each layer's input and
-    pre-activation to ``inputs`` and ``pres``; a rectifier follows every layer
-    but the last, and the last too with ``rectify_last``.  Layers of a stack
-    of S models map a shared (n, fan_in) batch to (S, n, fan_out).
+def _leading(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading part of a flat array as a C-contiguous array of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
 
-    ``acts`` holds a (pre-activation, output) pair of C-contiguous arrays
-    per layer to write into; fresh arrays are allocated without it.
+
+class Workspace:
+    """Every array a forward or backward pass writes, reused from call to call.
+
+    Sized for a stack of up to ``height`` models on up to ``rows`` rows: a
+    (pre-activation, output) pair per layer, the scratch arrays of
+    :meth:`view` and the model gradient :attr:`grad`.  A pass on fewer rows
+    or models uses the leading part of each array, so every view is
+    C-contiguous like a fresh array and reductions over it keep their bits.
+    A broadcasting ufunc allocates numpy's iteration buffer (up to 64 KiB)
+    on every call, so rows and columns are spread to full shape first.
+    """
+
+    def __init__(self, spec: ModelSpec, height: int, rows: int):
+        if height < 1 or rows < 0:
+            raise ValueError("a workspace needs height >= 1 and rows >= 0")
+        self.spec, self.height, self.rows = spec, height, rows
+        size = height * rows * max(spec.input_dim, *(w for _, w, _ in spec.layer_offsets))
+        per_row = ("norms", "sims", "coeff", "row_max", "row_sum", "picked")
+        self._sizes = {  # (size, dtype) of each scratch array, made on first use
+            **dict.fromkeys((0, 1, 2), (size,)),
+            "mask": (size, bool),
+            **dict.fromkeys(per_row, (height * rows,)),
+            **dict.fromkeys(("pred", "index"), (rows, np.intp)),
+            "dz": (rows * spec.representation_dim,),
+        }
+        self._scratch: dict = {}
+        self.row_starts = np.arange(rows) * spec.num_classes  # in the flat logits
+        self.grad = ModelParams(spec, np.empty(spec.num_params))
+        self._views: dict[tuple, object] = {}
+
+    @cached_property
+    def _pairs(self) -> list:  # built on first use: passes that keep nothing need none
+        size = self.height * self.rows
+        return [(np.empty(size * w), np.empty(size * w)) for _, w, _ in self.spec.layer_offsets]
+
+    def activations(self, n: int, height: int | None = None) -> tuple[list, list]:
+        """The per-layer pre-activation and output arrays of a pass on ``n``
+        rows that keeps them for a backward pass, as two lists.  They are
+        (n, width), except that with ``height`` the representation layers
+        are (height, n, width), for a stack of models."""
+        key = ("pairs", n, height)
+        views = self._views.get(key)
+        if views is None:
+            if n > self.rows or (height or 1) > self.height:
+                raise ValueError(f"workspace holds {self.height} models on {self.rows} "
+                                 f"rows, the pass needs {height or 1} on {n}")
+            n_rep = self.spec.representation_layers
+            shapes = [(n, w) if height is None or i >= n_rep else (height, n, w)
+                      for i, (_, w, _) in enumerate(self.spec.layer_offsets)]
+            views = self._views[key] = tuple(
+                [_leading(flats[k], shape) for flats, shape in zip(self._pairs, shapes)]
+                for k in (0, 1)
+            )
+        return views
+
+    def view(self, name, *shape: int) -> np.ndarray:
+        """Scratch array ``name`` as an array of ``shape``: operand 0, 1 or 2
+        or the boolean ``"mask"``, each the whole stack at the widest layer;
+        one value per model and row (``"norms"``, ``"sims"``, ``"coeff"``,
+        ``"row_max"``, ``"row_sum"``, ``"picked"``); an index per row
+        (``"pred"``, ``"index"``); or ``"dz"``, a representation per row."""
+        key = (name, shape)
+        view = self._views.get(key)
+        if view is None:
+            if name not in self._scratch:
+                self._scratch[name] = np.empty(*self._sizes[name])
+            view = self._views[key] = _leading(self._scratch[name], shape)
+        return view
+
+    def spread(self, values: np.ndarray, shape: tuple, k: int = 0) -> np.ndarray:
+        """``values`` broadcast to ``shape``, copied into scratch operand ``k``."""
+        out = self.view(k, *shape)
+        np.copyto(out, values)
+        return out
+
+
+def dense(layers, h: np.ndarray, ws: Workspace, acts=None, rectify_last=False) -> np.ndarray:
+    """Run ``h`` through ``layers`` and return the last output; a rectifier
+    follows every layer but the last, and the last too with ``rectify_last``.
+    The layers of a stack of S models map a shared (n, fan_in) batch to
+    (S, n, fan_out).  ``acts``, the two lists of :meth:`Workspace.activations`,
+    keeps each layer's pre-activation and output for a backward pass; without
+    it the layers write into scratch operands 1 and 2 in turn and rectify in
+    place.  Each bias is spread into operand 0 and added without a broadcast.
     """
     for i, (w, b) in enumerate(layers):
-        pre_out, h_out = (None, None) if acts is None else acts[i]
-        inputs.append(h)
-        pre = np.matmul(h, w.mT, out=pre_out)
-        pre += b[..., None, :]
-        pres.append(pre)
-        h = np.maximum(pre, 0.0, out=h_out) if rectify_last or i < len(layers) - 1 else pre
+        if acts is None:
+            pre = out = ws.view(1 + i % 2, *w.shape[:-2], h.shape[-2], w.shape[-2])
+        else:
+            pre, out = acts[0][i], acts[1][i]
+        np.matmul(h, w.mT, out=pre)
+        np.add(pre, ws.spread(b[..., None, :], pre.shape), out=pre)
+        h = np.maximum(pre, 0.0, out=out) if rectify_last or i < len(layers) - 1 else pre
     return h
 
 
-def _forward_cached(params: ModelParams, X: np.ndarray, acts=None):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop;
-    a stack of S models maps the (n, input_dim) batch to (S, n, ...) outputs.
-    ``acts`` is as in :func:`_dense_cached`, one pair per layer of the model."""
+def _backward(params: ModelParams, X, pres, outs, dlogits, ws: Workspace, dz=None) -> ModelParams:
+    """Backprop from logit gradients into ``ws.grad``, overwriting the
+    pre-activations; ``pres`` and ``outs`` are one model's arrays from
+    :func:`dense` on the batch ``X``.  ``dz``, the gradient of a loss term
+    that reads ``z`` directly, joins where the representation leaves the
+    projection block.  The gradient in the input is never formed."""
     layers = params.layers()
     n_rep = params.spec().representation_layers
-    rep_acts, head_acts = (None, None) if acts is None else (acts[:n_rep], acts[n_rep:])
-    inputs, pres = [], []
-    z = _dense_cached(layers[:n_rep], X, inputs, pres, rectify_last=True, acts=rep_acts)
-    logits = _dense_cached(layers[n_rep:], z, inputs, pres, rectify_last=False, acts=head_acts)
-    return logits, z, inputs, pres
-
-
-def _backward_cached(
-    params: ModelParams,
-    inputs: list[np.ndarray],
-    pres: list[np.ndarray],
-    dlogits: np.ndarray,
-    dz_extra: np.ndarray | None = None,
-    grad: ModelParams | None = None,
-) -> ModelParams:
-    """Backprop from logit gradients (plus an optional representation gradient).
-
-    ``dz_extra`` is added where the representation leaves the projection block,
-    which is how a loss term that reads ``z`` directly joins the chain.  The
-    gradient comes back in the model's own layout, written through its views,
-    into ``grad`` when given and into fresh parameters otherwise.  The
-    gradient in the input is never formed: nothing reads it.
-    """
-    layers = params.layers()
-    n_rep = params.spec().representation_layers
-    # every entry is written below: the layer views tile the vector
-    if grad is None:
-        grad = ModelParams(params.spec(), np.empty(params.num_params))
+    grads = ws.grad.layers()  # they tile the vector, so every entry is written
     d = dlogits
     for i in range(len(layers) - 1, -1, -1):
-        if dz_extra is not None and i == n_rep - 1:
-            d = d + dz_extra
-        dpre = d if i == len(layers) - 1 else d * (pres[i] > 0.0)
-        g = grad.layers()[i]
-        np.matmul(dpre.T, inputs[i], out=g.weight)
-        dpre.sum(axis=0, out=g.bias)
+        if dz is not None and i == n_rep - 1:
+            np.add(d, dz, out=d)
+        if i < len(layers) - 1:
+            # d * (pre > 0), with the mask as a float array in place of pre
+            np.copyto(pres[i], np.greater(pres[i], 0.0, out=ws.view("mask", *d.shape)))
+            d = np.multiply(d, pres[i], out=pres[i])
+        np.matmul(d.T, outs[i - 1] if i else X, out=grads[i].weight)
+        d.sum(axis=0, out=grads[i].bias)
         if i:
-            d = dpre @ layers[i].weight
-    return grad
+            fan_in = layers[i].weight.shape[1]
+            d = np.matmul(d, layers[i].weight, out=ws.view(0, len(d), fan_in))
+    return ws.grad
+
+
+def _forward(params: ModelParams, x: np.ndarray, depth: int, rectify_last: bool) -> np.ndarray:
+    """The first ``depth`` layers on a feature vector or a batch, in a fresh
+    workspace; a stack of S models adds a leading axis of S."""
+    X, single = _atleast_batch(x)
+    ws = Workspace(params.spec(), len(params.vector) if params.vector.ndim == 2 else 1, len(X))
+    h = dense(params.layers()[:depth], X, ws, rectify_last=rectify_last)
+    return h[..., 0, :] if single else h
 
 
 def forward_representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Representation z = projection(encoder(x)); accepts a vector or a batch.
     A stack of S models adds a leading axis of S to the result."""
-    X, single = _atleast_batch(x)
-    _, z, _, _ = _forward_cached(params, X)
-    return z[..., 0, :] if single else z
+    return _forward(params, x, params.spec().representation_layers, rectify_last=True)
 
 
 def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class logits for a feature vector or a batch of rows.
-
-    Nothing is kept for a backward pass, so each layer's output is
-    rectified in place; the values are those of :func:`_forward_cached`.
-    """
-    X, single = _atleast_batch(x)
-    layers = params.layers()
-    h = X
-    for i, (w, b) in enumerate(layers):
-        h = h @ w.mT
-        h += b[..., None, :]
-        if i < len(layers) - 1:
-            np.maximum(h, 0.0, out=h)
-    return h[0] if single else h
+    """Class logits for a feature vector or a batch of rows."""
+    return _forward(params, x, len(params.layers()), rectify_last=False)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -355,26 +412,51 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-lp[np.arange(labels.shape[0]), labels].mean())
 
 
+def _nll(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of ``labels`` under softmax(``logits``),
+    :func:`cross_entropy` bit for bit, and the labels' flat indices; the
+    (n, classes) ``logits`` become :func:`log_softmax` of themselves in
+    place.  The ufunc reductions and ``add.reduce(x) / n`` are the arithmetic
+    of ``max``, ``sum`` and ``mean`` in fewer Python calls.
+    """
+    n, classes = logits.shape
+    _check_labels(labels, classes)
+    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True, out=ws.view("row_max", n, 1))
+    shifted = np.subtract(logits, ws.spread(row_max, logits.shape), out=logits)
+    exp = np.exp(shifted, out=ws.view(0, n, classes))  # once the spread row_max is read
+    row_sum = np.add.reduce(exp, axis=-1, keepdims=True, out=ws.view("row_sum", n, 1))
+    np.log(row_sum, out=row_sum)
+    log_probs = np.subtract(shifted, ws.spread(row_sum, logits.shape), out=shifted)
+    index = np.add(ws.row_starts[:n], labels, out=ws.view("index", n))
+    # the labels were checked, and a mode other than "raise" writes ``out`` unbuffered
+    picked = np.take(log_probs.reshape(-1), index, out=ws.view("picked", n), mode="clip")
+    return float(-(np.add.reduce(picked) / n)), index
+
+
+def _cross_entropy_head(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> float:
+    """Mean cross-entropy of ``labels``; the logits become its gradient in place."""
+    loss, index = _nll(logits, labels, ws)
+    np.exp(logits, out=logits)
+    logits.reshape(-1)[index] -= 1.0
+    logits /= len(labels)
+    return loss
+
+
 def cross_entropy_and_grad(
-    params: ModelParams,
-    batch: Minibatch,
-    acts: list | None = None,
-    grad: ModelParams | None = None,
+    params: ModelParams, batch: Minibatch, workspace: Workspace | None = None
 ) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient in all three blocks.
 
-    The layer activations go into ``acts`` (see :func:`_dense_cached`) and
-    the gradient into ``grad`` where they are given.
+    The pass runs in ``workspace`` (a fresh one without it), and the
+    gradient returned is its :attr:`Workspace.grad`, which the next call
+    overwrites.
     """
-    logits, _, inputs, pres = _forward_cached(params, batch.features, acts)
-    _check_labels(batch.labels, logits.shape[-1])
     n = batch.labels.shape[0]
-    lp = log_softmax(logits)
-    loss = float(-lp[np.arange(n), batch.labels].mean())
-    dlogits = np.exp(lp)
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-    return loss, _backward_cached(params, inputs, pres, dlogits, grad=grad)
+    ws = Workspace(params.spec(), 1, n) if workspace is None else workspace
+    acts = ws.activations(n)
+    logits = dense(params.layers(), batch.features, ws, acts)
+    loss = _cross_entropy_head(logits, batch.labels, ws)
+    return loss, _backward(params, batch.features, *acts, logits, ws)
 
 
 def sgd_step(

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmfl.contrastive import LocalBuffer, _cos_rows
-from pmfl.nn import Minibatch, ModelParams, ModelSpec, _forward_cached, init_params
-from pmfl.nn import forward_representation
+from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
 
-from oracles import perturbed
+from oracles import cached_forward, perturbed
 
 PREACT_MARGIN = 1e-3
 ZNORM_MARGIN = 0.1
@@ -35,7 +34,7 @@ class GradCase:
 
 
 def _margins_ok(case: GradCase, with_contrastive: bool) -> bool:
-    _, z, _, pres = _forward_cached(case.params, case.batch.features)
+    _, z, _, pres = cached_forward(case.params, case.batch.features)
     if min(np.abs(p).min() for p in pres) < PREACT_MARGIN:
         return False
     if np.linalg.norm(z, axis=1).min() < ZNORM_MARGIN:

@@ -17,8 +17,6 @@ from pmfl.contrastive import LocalBuffer, cosine_similarity
 from pmfl.nn import (
     Minibatch,
     ModelParams,
-    _backward_cached,
-    _forward_cached,
     cross_entropy_and_grad,
     flatten,
     forward_representation,
@@ -139,6 +137,17 @@ def padded_aggregate(
     return _advance(state, _smooth(state, candidate))
 
 
+def looped_update_deviation(updates) -> float:
+    """``update_deviation`` as the package computed it before its cosines came
+    from one row-wise pass: one :func:`cosine_similarity` per participant,
+    summed in a Python loop."""
+    stack = np.asarray(updates, dtype=np.float64)
+    mean = stack.mean(axis=0)
+    if not mean.any():
+        return 0.0
+    return float(sum(1.0 - cosine_similarity(u, mean) for u in stack))
+
+
 def perturbed(params: ModelParams, rng: np.random.Generator, scale: float) -> ModelParams:
     """A nearby model: params plus gaussian noise of the given scale."""
     flat = flatten(params)
@@ -208,6 +217,50 @@ def compute_mu(buffer: LocalBuffer, global_params: ModelParams, x: np.ndarray) -
     )
 
 
+def cached_forward(params: ModelParams, X: np.ndarray):
+    """(logits, z, layer inputs, pre-activations) of one model on a batch, as
+    the package computed them before its passes wrote into a workspace:
+    fresh arrays and a broadcasting bias add."""
+    layers = params.layers()
+    n_rep = params.spec().representation_layers
+    inputs, pres = [], []
+    h = z = X
+    for i, (w, b) in enumerate(layers):
+        inputs.append(h)
+        pre = np.matmul(h, w.mT)
+        pre += b[..., None, :]
+        pres.append(pre)
+        h = np.maximum(pre, 0.0) if i < len(layers) - 1 else pre
+        if i == n_rep - 1:
+            z = h
+    return h, z, inputs, pres
+
+
+def cached_backward(
+    params: ModelParams,
+    inputs: list[np.ndarray],
+    pres: list[np.ndarray],
+    dlogits: np.ndarray,
+    dz_extra: np.ndarray | None = None,
+) -> ModelParams:
+    """The gradient from :func:`cached_forward`'s arrays, into fresh arrays;
+    ``dz_extra`` joins where the representation leaves the projection block."""
+    layers = params.layers()
+    n_rep = params.spec().representation_layers
+    grad = ModelParams(params.spec(), np.empty(params.num_params))
+    d = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        if dz_extra is not None and i == n_rep - 1:
+            d = d + dz_extra
+        dpre = d if i == len(layers) - 1 else d * (pres[i] > 0.0)
+        g = grad.layers()[i]
+        np.matmul(dpre.T, inputs[i], out=g.weight)
+        dpre.sum(axis=0, out=g.bias)
+        if i:
+            d = dpre @ layers[i].weight
+    return grad
+
+
 def _looped_cos_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -247,7 +300,7 @@ def looped_loss_and_grad(
 
     X = batch.features
     n = X.shape[0]
-    logits, z, inputs, pres = _forward_cached(params, X)
+    logits, z, inputs, pres = cached_forward(params, X)
     lp = log_softmax(logits)
     ce = float(-lp[np.arange(n), batch.labels].mean())
     dlogits = np.exp(lp)
@@ -255,7 +308,7 @@ def looped_loss_and_grad(
     dlogits /= n
 
     if len(buffer) == 0:
-        return ce, _backward_cached(params, inputs, pres, dlogits)
+        return ce, cached_backward(params, inputs, pres, dlogits)
 
     z_glob = forward_representation(global_params, X)
     hist = [forward_representation(m, X) for m in buffer]
@@ -284,7 +337,7 @@ def looped_loss_and_grad(
         dz += coeff[:, None] * _looped_dcos_rows(z, h, s_hist[:, j])
     dz *= contrastive_weight / n
 
-    return loss, _backward_cached(params, inputs, pres, dlogits, dz_extra=dz)
+    return loss, cached_backward(params, inputs, pres, dlogits, dz_extra=dz)
 
 
 def looped_local_train(

@@ -36,7 +36,9 @@ def _attributes() -> dict:
     }
 
 
-def test_trace_hooks_wrap_a_run_and_restore_every_attribute(tmp_path, monkeypatch):
+def _traced_run(cfg, out_dir, monkeypatch):
+    """Run ``cfg`` under the hooks; returns (layers module, tracer, and the
+    attributes before, during and after)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
@@ -47,10 +49,19 @@ def test_trace_hooks_wrap_a_run_and_restore_every_attribute(tmp_path, monkeypatc
     try:
         during = _attributes()
         with tracer.span(layers.ROOT):
-            harness.run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+            harness.run_experiment(cfg, out_dir)
     finally:
         tracer.restore()
-    after = _attributes()
+    return layers, tracer, before, during, _attributes()
+
+
+def _calls(tracer, name: str) -> int:
+    return sum(tracer.names[i] == name for i in tracer.name_ids)
+
+
+def test_trace_hooks_wrap_a_run_and_restore_every_attribute(tmp_path, monkeypatch):
+    cfg = tiny_config(checkpoint_every=2)
+    layers, tracer, before, during, after = _traced_run(cfg, tmp_path, monkeypatch)
 
     wrapped = [key for key in before if during[key] is not before[key]]
     assert wrapped
@@ -64,3 +75,17 @@ def test_trace_hooks_wrap_a_run_and_restore_every_attribute(tmp_path, monkeypatc
     assert metrics["client.local_train.calls"] > 0
     assert metrics["contrastive.loss_and_grad.calls"] > 0
     assert metrics["harness.checkpoint.calls"] == 2
+    # one kernel call per local step: every participation runs them all
+    steps = harness.build_environment(cfg.resolved()).trace.sum() * cfg.local_iterations
+    assert metrics["contrastive.loss_and_grad.calls"] == steps
+
+
+def test_a_run_without_the_contrastive_term_still_passes_every_hook(tmp_path, monkeypatch):
+    cfg = tiny_config(variant="wo_mct")
+    layers, tracer, *_ = _traced_run(cfg, tmp_path, monkeypatch)
+
+    metrics = layers.per_layer_metrics(tracer.arrays(), tracer.counts, tmp_path)
+    assert metrics["nn.ce_and_grad.calls"] > 0
+    assert metrics["metrics.evaluate.calls"] > 0
+    assert _calls(tracer, "client.sgd_step") > 0
+    assert _calls(tracer, "client.param_delta") > 0

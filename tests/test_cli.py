@@ -42,6 +42,17 @@ TINY_FLAGS = [
 
 
 class TestRunCommand:
+    def test_run_without_a_test_set_finishes_with_null_test_fields(self, tmp_path, capsys):
+        rc = main(["run", "--out", str(tmp_path)] + TINY_FLAGS
+                  + ["--dataset-test-fraction", "0"])
+        assert rc == 0
+        assert "final_test_accuracy: None" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["final_test_accuracy"] is None
+        assert summary["top5_test_accuracy"] is None
+        assert summary["top5_train_accuracy"] is not None
+        assert not (tmp_path / CHECKPOINT_FILE).exists()
+
     def test_flags_reproduce_a_direct_run(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path / "cli")] + TINY_FLAGS)
         assert rc == 0
@@ -247,6 +258,14 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_summary.csv").exists()
         assert (tmp_path / "cell_000__seed=1").is_dir()
         assert (tmp_path / "cell_001__seed=2").is_dir()
+
+    def test_cells_without_a_test_set_finish(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path), "--vary", "seed=1,2"]
+                  + TINY_FLAGS + ["--dataset-test-fraction", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "sweep complete: 2 cells, 0 failed" in out
+        assert out.count("top5_test=n/a") == 2
 
     def test_failed_cell_flips_exit_code(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path),

@@ -313,6 +313,36 @@ class TestStagedLoop:
             tracemalloc.stop()
         assert peak < node.buffer.rows.nbytes + update.nbytes + 64 * 1024
 
+    @pytest.mark.parametrize("contrastive_weight, limit", [(0.5, 32 * 1024), (0.0, 16 * 1024)])
+    def test_a_warm_step_allocates_little(self, contrastive_weight, limit):
+        # one step of the desk config's shapes: a full window of 5 on 32 rows
+        spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
+        rng = np.random.default_rng(4)
+        global_params = init_params(spec, rng)
+        window = LocalBuffer(5, spec)
+        for _ in range(5):
+            window.push(perturbed(global_params, rng, 0.1))
+        reference = window.newest()
+        batch = Minibatch(rng.standard_normal((32, 32)), rng.integers(0, 10, 32))
+        buffers = TrainBuffers(spec, 5, 32)
+        buffers.stage(perturbed(global_params, rng, 0.05), global_params, window, reference)
+
+        def step():
+            combined_loss_and_grad(
+                buffers.current, batch, global_params, buffers.window, temperature=0.5,
+                contrastive_weight=contrastive_weight, mu_reference=reference, buffers=buffers,
+            )
+
+        step()  # warm-up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
 
 class TestNonparticipant:
     def test_zero_vector(self):

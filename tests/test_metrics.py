@@ -9,9 +9,11 @@ import pytest
 
 from pmfl import ExperimentConfig
 from pmfl.harness import build_environment
-from pmfl.metrics import EvalBuffers, evaluate, node_cdf, top5_mean, update_deviation
-from pmfl.nn import ModelSpec, cross_entropy, forward_logits, init_params, unflatten
+from pmfl.metrics import evaluate, node_cdf, top5_mean, update_deviation
+from pmfl.nn import ModelSpec, Workspace, cross_entropy, forward_logits, init_params, unflatten
 from pmfl.rng import stream
+
+from oracles import looped_update_deviation
 
 
 class TestUpdateDeviation:
@@ -63,6 +65,24 @@ class TestUpdateDeviation:
         )
         assert update_deviation(ups) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 19])
+    def test_matches_the_looped_reference(self, k):
+        # rows of the desk model's width; from 8 rows on the sums go pairwise
+        rng = np.random.default_rng((46, k))
+        common = rng.standard_normal(2810)
+        rows = common + rng.uniform(0.2, 3.0, (k, 1)) * rng.standard_normal((k, 2810))
+        want = looped_update_deviation(rows)
+        assert update_deviation(rows) == pytest.approx(want, rel=1e-12)
+
+    def test_zero_mean_matches_the_looped_reference_and_warns(self, caplog):
+        rng = np.random.default_rng(47)
+        u, v = rng.standard_normal((2, 2810))
+        rows = np.stack([u, -u, v, -v])
+        assert not rows.mean(axis=0).any()
+        with caplog.at_level(logging.WARNING, logger="pmfl.metrics"):
+            assert update_deviation(rows) == looped_update_deviation(rows) == 0.0
+        assert any("zero vector" in r.message for r in caplog.records)
+
     def test_takes_the_participants_array_as_is(self):
         rng = np.random.default_rng(45)
         rows = rng.standard_normal((7, 30))
@@ -80,8 +100,8 @@ def desk_env():
 
 
 class TestEvaluateBuffers:
-    """One set of buffers serves every evaluation of a run and leaves the
-    results bit for bit as the allocating arithmetic gives them."""
+    """One workspace serves every evaluation of a run and leaves the results
+    bit for bit as the allocating arithmetic gives them."""
 
     def _sets(self, env):
         train, test = env.train, env.test
@@ -96,7 +116,7 @@ class TestEvaluateBuffers:
 
     def test_matches_forward_logits_and_cross_entropy_bit_for_bit(self, desk_env):
         env = desk_env
-        buffers = EvalBuffers(env.spec, max(env.train.num_samples, env.test.num_samples))
+        buffers = Workspace(env.spec, 1, max(env.train.num_samples, env.test.num_samples))
         for call, (X, y) in enumerate(self._sets(env)):
             params = init_params(env.spec, stream(70, "model", call % 3))
             logits = forward_logits(params, X)
@@ -104,19 +124,19 @@ class TestEvaluateBuffers:
             got = evaluate(params, X, y, buffers)
             assert got == want, f"call {call} on {len(y)} rows"
             assert [type(v) for v in got] == [float, float]
-            assert evaluate(params, X, y) == want  # with buffers of its own
+            assert evaluate(params, X, y) == want  # with a workspace of its own
 
     def test_a_set_larger_than_the_buffers_is_refused(self, desk_env):
         env = desk_env
         params = init_params(env.spec, stream(71, "model"))
-        buffers = EvalBuffers(env.spec, env.test.num_samples)
+        buffers = Workspace(env.spec, 1, env.test.num_samples)
         with pytest.raises(ValueError):
             evaluate(params, env.train.features, env.train.labels, buffers)
 
     def test_a_warm_train_set_evaluation_allocates_almost_nothing(self, desk_env):
         env = desk_env
         X, y = env.train.features, env.train.labels
-        buffers = EvalBuffers(env.spec, env.train.num_samples)
+        buffers = Workspace(env.spec, 1, env.train.num_samples)
         evaluate(init_params(env.spec, stream(72, "model", 0)), X, y, buffers)
 
         def peak_bytes(**kw):
@@ -131,7 +151,7 @@ class TestEvaluateBuffers:
 
         # numpy reports its data buffers to tracemalloc, so the fresh arrays show
         assert peak_bytes() > 1 << 20
-        assert peak_bytes(buffers=buffers) < 64 * 1024
+        assert peak_bytes(workspace=buffers) < 64 * 1024
 
 
 class TestEvaluate:

@@ -11,7 +11,6 @@ from pmfl.nn import (
     Layer,
     Minibatch,
     ModelSpec,
-    _forward_cached,
     cross_entropy,
     cross_entropy_and_grad,
     flatten,
@@ -27,7 +26,13 @@ from pmfl.nn import (
 from pmfl.rng import stream
 
 from fixtures import gradcheck_case
-from oracles import fd_gradient, max_rel_err, scalar_cross_entropy, scalar_forward
+from oracles import (
+    cached_forward,
+    fd_gradient,
+    max_rel_err,
+    scalar_cross_entropy,
+    scalar_forward,
+)
 
 
 def small_spec() -> ModelSpec:
@@ -212,7 +217,7 @@ class TestForward:
         spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
         params = init_params(spec, np.random.default_rng(8))
         X = np.random.default_rng(9).standard_normal((3750, 32))
-        logits, _, _, _ = _forward_cached(params, X)
+        logits, _, _, _ = cached_forward(params, X)
         np.testing.assert_array_equal(forward_logits(params, X), logits)
 
     def test_representation_is_rectified(self):
