@@ -49,7 +49,6 @@ from .server import (
     AggregatorState,
     DivergenceError,
     aggregate,
-    baseline_aggregate,
     history_coefficient,
     update_weights,
 )

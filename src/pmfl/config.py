@@ -17,16 +17,8 @@ from dataclasses import dataclass, field
 
 from .atomic import write_json
 from .participation import PATTERNS
-from .server import AGGREGATION_MODES
+from .server import AGGREGATION_MODES, VARIANTS
 
-VARIANTS = (
-    "pmfl",
-    "wo_mct",
-    "wo_awc",
-    "wo_hgm",
-    "uniform_average",
-    "cached_update",
-)
 FREQUENCY_MODES = ("dirichlet", "uniform")
 
 
@@ -99,7 +91,7 @@ class ExperimentConfig:
             )
         check(self.num_nodes >= 1, "num_nodes", "must be >= 1")
         check(self.rounds >= 0, "rounds", "must be >= 0")
-        check(self.variant in VARIANTS, "variant", f"must be one of {VARIANTS}")
+        check(self.variant in VARIANTS, "variant", f"must be one of {tuple(VARIANTS)}")
         check(
             self.aggregation_mode in AGGREGATION_MODES,
             "aggregation_mode",
@@ -163,15 +155,16 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Effective config after the variant's forced settings.
 
-        The contrastive machinery is part of the full scheme only; ablation
-        and baseline variants that drop it force the corresponding knobs off
-        so that one variant label always means one behaviour.
+        A variant without the contrastive term or without history smoothing
+        (see :data:`pmfl.server.VARIANTS`) forces the corresponding knobs
+        off, so that one variant label always means one behaviour.
         """
         out = dataclasses.replace(self)
-        if self.variant in ("wo_mct", "uniform_average", "cached_update"):
+        row = VARIANTS[self.variant]
+        if not row.contrastive:
             out.contrastive_weight = 0.0
             out.local_buffer_size = 0
-        if self.variant in ("wo_hgm", "uniform_average", "cached_update"):
+        if not row.history:
             out.global_buffer_size = 0
         return out
 

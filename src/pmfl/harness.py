@@ -50,7 +50,6 @@ import itertools
 import json
 import logging
 import multiprocessing
-import os
 import signal
 import threading
 import zipfile
@@ -61,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__
+from . import __version__
 from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
 from .client import LocalTrainConfig, NodeState, local_train
@@ -77,7 +76,6 @@ from .rng import stream
 from .server import (
     AggregatorState,
     aggregate,
-    baseline_aggregate,
     history_coefficient,
     update_weights,
 )
@@ -229,25 +227,6 @@ class RunResult:
         return self.summary.get("top5_test_accuracy")
 
 
-def _aggregate_for_variant(
-    variant: str,
-    state: AggregatorState,
-    updates: np.ndarray,
-    participants: np.ndarray,
-    mode: str,
-):
-    if variant in ("pmfl", "wo_mct", "wo_hgm"):
-        return aggregate(state, updates, participants, mode=mode)
-    if variant == "wo_awc":
-        return aggregate(
-            state, updates, participants, mode=mode,
-            weights_override=np.ones(state.num_nodes),
-        )
-    if variant in ("uniform_average", "cached_update"):
-        return baseline_aggregate(variant, state, updates, participants)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -368,7 +347,7 @@ def _state_arrays(env: Environment, state: AggregatorState) -> dict:
     }
     for name in _SERVER_ARRAYS:
         value = getattr(state, name)
-        if value is not None:  # cached_updates, before a cached_update round
+        if value is not None:  # cached_updates, before the cached rule's first round
             arrays[name] = value.copy()
     return arrays
 
@@ -470,9 +449,7 @@ def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetric
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
     deviation = update_deviation(updates) if participants.size else None
 
-    new_global = _aggregate_for_variant(
-        cfg.variant, state, updates, participants, cfg.aggregation_mode
-    )
+    new_global = aggregate(state, updates, participants, cfg.variant, cfg.aggregation_mode)
 
     row = RoundMetrics(
         round_idx=t,
@@ -673,19 +650,6 @@ def _run_cell(args) -> dict:
     return row
 
 
-@contextmanager
-def _one_blas_thread():
-    """Processes started inside get one BLAS thread each where the caller set
-    no count: parallel cells would only oversubscribe the cores with more."""
-    added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
-    os.environ.update(dict.fromkeys(added, "1"))
-    try:
-        yield
-    finally:
-        for name in added:
-            os.environ.pop(name, None)
-
-
 def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
     """Cartesian grid of runs; cells fail independently.
 
@@ -708,11 +672,10 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
         label = "__".join(f"{k}={overrides[k]}" for k in keys)
         cell_dir = out_dir / f"cell_{index:03d}__{label}".replace("/", "_")
         cells.append((base, overrides, index, cell_dir))
-    # spawn, not fork: this process may already run BLAS threads
+    # spawn, not fork: this process may already run BLAS threads.  The cells
+    # inherit the one-thread BLAS pin that ``import pmfl`` set.
     spawn = multiprocessing.get_context("spawn")
-    with _one_blas_thread(), ProcessPoolExecutor(
-        max_workers=base.workers, mp_context=spawn
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=base.workers, mp_context=spawn) as pool:
         rows = list(pool.map(_run_cell, cells))
 
     fieldnames = ["cell", *keys, "status", "final_test_accuracy",

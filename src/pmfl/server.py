@@ -7,7 +7,15 @@ weights, which undoes the bias of uneven attendance.  The weighted update sum
 moves the global model, and the result is blended with the last few global
 models under a coefficient that decays linearly from 1/2 to 0 across the run.
 
-Two update-application modes exist.  ``corrected`` adds the weighted sum
+Every variant of the comparison is one row of :data:`VARIANTS`: whether
+local training keeps the contrastive term, whether the server smooths with
+past globals, whether it uses the interval weights, and its update rule.
+:meth:`~pmfl.config.ExperimentConfig.resolved` reads the first two columns,
+:func:`aggregate` the last two.  ``weighted`` sums the participants' updates
+under the node weights, ``mean`` averages them, and ``cached`` (MIFA)
+averages every node's most recent update over all nodes.
+
+The weighted rule has two modes.  ``corrected`` adds the weighted sum
 scaled by 1/K, which makes the scheme reduce exactly to plain averaging when
 everyone attends with weight one.  ``literal`` subtracts the raw weighted sum,
 reproducing the published recursion verbatim for fidelity experiments; with
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +36,25 @@ from .nn import ModelParams, flatten, unflatten
 log = logging.getLogger(__name__)
 
 AGGREGATION_MODES = ("corrected", "literal")
-BASELINE_KINDS = ("uniform_average", "cached_update")
+
+
+class Variant(NamedTuple):
+    """What one variant of the comparison means: a row of :data:`VARIANTS`."""
+
+    contrastive: bool  # local training keeps the model-contrastive term
+    history: bool  # the server smooths with past global models
+    adaptive_weights: bool  # interval weights; all ones otherwise
+    rule: str  # "weighted", "mean" or "cached"
+
+
+VARIANTS = {
+    "pmfl": Variant(True, True, True, "weighted"),
+    "wo_mct": Variant(False, True, True, "weighted"),
+    "wo_awc": Variant(True, True, False, "weighted"),
+    "wo_hgm": Variant(True, False, True, "weighted"),
+    "uniform_average": Variant(False, False, False, "mean"),
+    "cached_update": Variant(False, False, False, "cached"),
+}
 
 
 class DivergenceError(ValueError):
@@ -177,61 +204,39 @@ def aggregate(
     state: AggregatorState,
     updates: np.ndarray,
     participants: np.ndarray,
+    variant: str = "pmfl",
     mode: str = "corrected",
-    weights_override: np.ndarray | None = None,
 ) -> ModelParams:
     """One full aggregation round; returns (and installs) the next global model.
 
-    ``weights_override`` replaces the adaptive weights (the all-ones vector
-    gives the no-reweighting ablation).  Row i of the (K_t, P) ``updates``
-    is the update of node ``participants[i]``; the nodes that sat the round
-    out send nothing and add nothing, so a round without participants only
-    smooths the current model.
+    Row i of the (K_t, P) ``updates`` is the update of node
+    ``participants[i]``; the nodes that sat the round out send nothing.  The
+    variant's rule and weights (see :data:`VARIANTS`) turn the rows into a
+    candidate model, and ``mode`` applies to the ``weighted`` rule only.  The
+    candidate is smoothed with the state's past globals; a state built from
+    the resolved config of a variant without history keeps none.  A round
+    without participants leaves the weighted and mean candidates at the
+    current model.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
+    row = VARIANTS[variant]
     u, part = _check_updates(state, updates, participants)
-    w = state.weights if weights_override is None else np.asarray(weights_override)
-    if w.shape != (state.num_nodes,):
-        raise ValueError("weights must have one entry per node")
-    weighted = w[part] @ u
+    if row.rule == "cached":
+        if state.cached_updates is None:
+            state.cached_updates = np.zeros((state.num_nodes, state.num_params))
+        state.cached_updates[part] = u
+        u = state.cached_updates
+    w = state.weights[part] if row.adaptive_weights else np.ones(len(u))
+    weighted = w @ u
     base = flatten(state.global_model)
-    if mode == "corrected":
-        candidate = base + (state.global_lr / state.num_nodes) * weighted
-    else:
+    if row.rule == "weighted" and mode == "literal":
         candidate = base - state.global_lr * weighted
+    elif row.rule == "mean" and part.size == 0:
+        candidate = base
+    else:
+        count = part.size if row.rule == "mean" else state.num_nodes
+        candidate = base + (state.global_lr / count) * weighted
     return _advance(state, _smooth(state, candidate))
-
-
-def baseline_aggregate(
-    kind: str,
-    state: AggregatorState,
-    updates: np.ndarray,
-    participants: np.ndarray,
-) -> ModelParams:
-    """Reference aggregators the full scheme is compared against.
-
-    ``updates`` and ``participants`` are as in :func:`aggregate`.
-    ``uniform_average``: mean of the participants' updates, no reweighting, no
-    smoothing.  ``cached_update`` (MIFA): every node's most recent update
-    (zero until it first participates) averaged over all nodes each round.
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    u, part = _check_updates(state, updates, participants)
-    base = flatten(state.global_model)
-
-    if kind == "uniform_average":
-        if part.size == 0:
-            return _advance(state, base)
-        weighted = np.ones(part.size) @ u
-        candidate = base + (state.global_lr / part.size) * weighted
-        return _advance(state, candidate)
-
-    # cached_update
-    if state.cached_updates is None:
-        state.cached_updates = np.zeros((state.num_nodes, state.num_params))
-    state.cached_updates[part] = u
-    weighted = np.ones(state.num_nodes) @ state.cached_updates
-    candidate = base + (state.global_lr / state.num_nodes) * weighted
-    return _advance(state, candidate)

@@ -105,13 +105,14 @@ def padded_aggregate(
     state,
     updates: np.ndarray,
     participants: np.ndarray,
-    variant: str = "corrected",
-    weights_override: np.ndarray | None = None,
+    variant: str = "pmfl",
+    mode: str = "corrected",
 ) -> ModelParams:
     """One aggregation round as the package computed it before rounds carried
     only the participants: every absent node gets a zero row, and the K rows
-    go through the weighted sum.  ``variant`` is an aggregation mode or a
-    baseline kind; ``state`` advances as under the package's functions.
+    go through the weighted sum.  Each variant's rule is spelled out here
+    apart from the package's table; ``state`` advances as under the package's
+    functions.
     """
     part = np.asarray(participants, dtype=np.int64)
     u = np.zeros((state.num_nodes, state.num_params))
@@ -128,9 +129,9 @@ def padded_aggregate(
         state.cached_updates[part] = u[part]
         weighted = np.ones(state.num_nodes) @ state.cached_updates
         return _advance(state, base + (state.global_lr / state.num_nodes) * weighted)
-    w = state.weights if weights_override is None else np.asarray(weights_override)
+    w = np.ones(state.num_nodes) if variant == "wo_awc" else state.weights
     weighted = w @ u
-    if variant == "corrected":
+    if mode == "corrected":
         candidate = base + (state.global_lr / state.num_nodes) * weighted
     else:
         candidate = base - state.global_lr * weighted

@@ -9,6 +9,8 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import pytest
+
 from pmfl import client, contrastive, data, harness, nn, participation, server
 
 from test_harness import tiny_config
@@ -89,3 +91,12 @@ def test_a_run_without_the_contrastive_term_still_passes_every_hook(tmp_path, mo
     assert metrics["metrics.evaluate.calls"] > 0
     assert _calls(tracer, "client.sgd_step") > 0
     assert _calls(tracer, "client.param_delta") > 0
+
+
+@pytest.mark.parametrize("variant", ["uniform_average", "cached_update"])
+def test_baseline_rounds_pass_the_aggregation_hook(variant, tmp_path, monkeypatch):
+    cfg = tiny_config(variant=variant)
+    layers, tracer, *_ = _traced_run(cfg, tmp_path, monkeypatch)
+
+    metrics = layers.per_layer_metrics(tracer.arrays(), tracer.counts, tmp_path)
+    assert metrics["server.aggregate.calls"] == cfg.rounds

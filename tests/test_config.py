@@ -4,12 +4,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from pmfl.config import ExperimentConfig, load_config, save_config
 from pmfl.harness import run_experiment
 from pmfl.rng import derive_seed, stream
+from pmfl.server import VARIANTS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -124,6 +128,33 @@ class TestResolution:
         assert cfg.contrastive_weight == 0.0
         assert cfg.local_buffer_size == 0
         assert cfg.global_buffer_size == 0
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_resolved_forces_exactly_the_table_row(self, variant):
+        row = VARIANTS[variant]
+        want = {}
+        if not row.contrastive:
+            want.update(contrastive_weight=0.0, local_buffer_size=0)
+        if not row.history:
+            want.update(global_buffer_size=0)
+        cfg = ExperimentConfig(variant=variant)
+        given, resolved = cfg.to_dict(), cfg.resolved().to_dict()
+        assert {k: v for k, v in resolved.items() if v != given[k]} == want
+
+    def test_readme_lists_the_table_row_for_row(self):
+        section = README.read_text().split("\n## Variants\n")[1].split("\n## ")[0]
+        rows = {
+            cells[0].strip("`"): tuple(cells[1:5])
+            for line in section.splitlines()
+            if line.startswith("| `")
+            for cells in [[c.strip() for c in line.strip("|").split("|")]]
+        }
+        yes = {True: "yes", False: "no"}
+        assert rows == {
+            name: (yes[row.contrastive], yes[row.history], yes[row.adaptive_weights],
+                   f"`{row.rule}`")
+            for name, row in VARIANTS.items()
+        }
 
     def test_resolved_returns_a_copy(self):
         cfg = ExperimentConfig(variant="wo_mct")

@@ -4,19 +4,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import multiprocessing
 import os
 import shutil
 import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pmfl
 import pmfl.harness as harness
 from pmfl.atomic import atomic_open
 from pmfl.cli import main as cli_main
@@ -640,43 +639,47 @@ class TestDivergence:
             assert np.isfinite(data[name]).all(), name
 
 
-def _blas_env() -> dict:
-    return {name: os.environ.get(name) for name in harness.BLAS_THREAD_VARS}
+def _fresh_blas_env(script: str, preset: dict) -> dict:
+    """Run ``script`` in a fresh interpreter whose environment sets only the
+    BLAS counts in ``preset``; the script prints them as a JSON object."""
+    env = {k: v for k, v in os.environ.items() if k not in pmfl.BLAS_THREAD_VARS}
+    src = str(Path(pmfl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**env, **preset},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return json.loads(out)
 
 
 class TestBlasPin:
     @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
     def test_importing_pmfl_pins_one_blas_thread_unless_set(self, preset):
-        env = {k: v for k, v in os.environ.items() if k not in harness.BLAS_THREAD_VARS}
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         script = (
             "import json, os, pmfl; "
             "print(json.dumps({n: os.environ.get(n) for n in pmfl.BLAS_THREAD_VARS}))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", script], env={**env, **preset},
-            capture_output=True, text=True, check=True, timeout=60,
-        ).stdout
-        want = dict.fromkeys(harness.BLAS_THREAD_VARS, "1") | preset
-        assert json.loads(out) == want
+        want = dict.fromkeys(pmfl.BLAS_THREAD_VARS, "1") | preset
+        assert _fresh_blas_env(script, preset) == want
 
 
 class TestSweep:
-    def test_cells_start_with_one_blas_thread_unless_set(self, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        before = dict(os.environ)
-        spawn = multiprocessing.get_context("spawn")
-        with harness._one_blas_thread(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
-            seen = pool.submit(_blas_env).result()
-        assert seen == {
+    def test_cells_start_with_one_blas_thread_unless_set(self):
+        # run_sweep's spawn pool starts after ``import pmfl`` set the pin,
+        # so every cell inherits it; a count set beforehand wins
+        script = (
+            "import json, multiprocessing, os, pmfl\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "spawn = multiprocessing.get_context('spawn')\n"
+            "with ProcessPoolExecutor(1, mp_context=spawn) as pool:\n"
+            "    seen = list(pool.map(os.getenv, pmfl.BLAS_THREAD_VARS))\n"
+            "print(json.dumps(dict(zip(pmfl.BLAS_THREAD_VARS, seen))))\n"
+        )
+        assert _fresh_blas_env(script, {"OMP_NUM_THREADS": "3"}) == {
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "3",
             "MKL_NUM_THREADS": "1",
         }
-        assert dict(os.environ) == before
 
     def test_single_cell_matches_direct_run(self, tmp_path):
         base = tiny_config()

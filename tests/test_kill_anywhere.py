@@ -44,7 +44,9 @@ CASES = 25
 
 
 def _config(case: int):
-    variant = ("pmfl", "cached_update")[case % 2]
+    # the variant alternates over whole sweeps of the phases, so that each
+    # phase is stopped in runs of both variants
+    variant = ("pmfl", "cached_update")[case // len(PHASES) % 2]
     return tiny_config(checkpoint_every=1, seed=case % 5, variant=variant)
 
 

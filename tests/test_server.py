@@ -1,4 +1,4 @@
-"""Aggregation: interval weights, smoothing schedule and baselines."""
+"""Aggregation: interval weights, smoothing schedule and every variant's rule."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,9 +6,10 @@ import pytest
 
 from pmfl.nn import ModelSpec, flatten, init_params, unflatten
 from pmfl.server import (
+    AGGREGATION_MODES,
+    VARIANTS,
     AggregatorState,
     aggregate,
-    baseline_aggregate,
     history_coefficient,
     update_weights,
 )
@@ -163,11 +164,10 @@ class TestAggregate:
             flatten(new), np.arange(DIM) - 0.5 * (3.0 + 4.0)
         )
 
-    def test_weights_override_replaces_adaptive_weights(self):
+    def test_wo_awc_weighs_every_node_one(self):
         state = make_state(2, base=np.zeros(DIM), history_size=0)
         state.weights[:] = [7.0, 9.0]  # must be ignored
-        new = aggregate(state, *everyone(np.ones(DIM), np.ones(DIM)),
-                        weights_override=np.ones(2))
+        new = aggregate(state, *everyone(np.ones(DIM), np.ones(DIM)), "wo_awc")
         np.testing.assert_array_equal(flatten(new), 1.0)
 
     def test_smoothing_closed_forms(self):
@@ -228,10 +228,18 @@ class TestAggregate:
             aggregate(state, np.zeros((1, DIM)), np.arange(2))  # node 1's row missing
         with pytest.raises(ValueError):
             aggregate(state, np.zeros((2, 3)), np.arange(2))
+
+    @pytest.mark.parametrize("variant, mode", [
+        ("fedavg", "corrected"),
+        ("pmfl", "averaged"),
+        ("cached_update", "averaged"),  # checked although the rule ignores it
+    ])
+    def test_unknown_variant_or_mode_is_rejected(self, variant, mode):
+        state = make_state(2)
         with pytest.raises(ValueError):
-            aggregate(state, *zero_updates(2), mode="averaged")
-        with pytest.raises(ValueError):
-            aggregate(state, *zero_updates(2), weights_override=np.ones(3))
+            aggregate(state, *zero_updates(2), variant, mode)
+        assert state.round_idx == 0
+        assert state.cached_updates is None
 
 
 def random_round(rng, num_nodes, dim, share):
@@ -258,13 +266,13 @@ class TestParticipantsOnly:
             for _ in range(2)
         ]
 
-    @pytest.mark.parametrize("variant", ["corrected", "literal", "unit_weights"])
-    def test_partial_rounds_match_zero_padding(self, variant):
+    @pytest.mark.parametrize("case", ["corrected", "literal", "unit_weights"])
+    def test_partial_rounds_match_zero_padding(self, case):
         rng = np.random.default_rng(60)
+        variant = "wo_awc" if case == "unit_weights" else "pmfl"
+        mode = "corrected" if case == "unit_weights" else case
         for num_nodes in (4, 37, 250):
             ours, padded = self._pair(num_nodes, rng, history_size=3, global_lr=0.7)
-            mode = "corrected" if variant == "unit_weights" else variant
-            override = np.ones(num_nodes) if variant == "unit_weights" else None
             for _ in range(12):
                 share = rng.uniform(0.02, 0.5)
                 updates, part = random_round(rng, num_nodes, self.SPEC.num_params, share)
@@ -272,8 +280,8 @@ class TestParticipantsOnly:
                 indicators[part] = 1
                 for state in (ours, padded):
                     update_weights(state, indicators)
-                got = aggregate(ours, updates, part, mode=mode, weights_override=override)
-                want = padded_aggregate(padded, updates, part, mode, override)
+                got = aggregate(ours, updates, part, variant, mode)
+                want = padded_aggregate(padded, updates, part, variant, mode)
                 # entries that cancel to near zero get the model's scale as a floor
                 scale = np.abs(flatten(want)).max()
                 np.testing.assert_allclose(
@@ -295,26 +303,40 @@ class TestParticipantsOnly:
                 updates = rng.standard_normal((num_nodes, self.SPEC.num_params))
                 part = np.arange(num_nodes)
                 got = aggregate(ours, updates, part, mode=mode)
-                want = padded_aggregate(padded, updates, part, mode)
+                want = padded_aggregate(padded, updates, part, mode=mode)
                 np.testing.assert_array_equal(flatten(got), flatten(want))
 
-    @pytest.mark.parametrize("kind", ["uniform_average", "cached_update"])
-    def test_baselines_match_zero_padding_bit_for_bit(self, kind):
+    @pytest.mark.parametrize("variant, mode", [
+        (variant, mode)
+        for variant, row in VARIANTS.items()
+        for mode in (AGGREGATION_MODES if row.rule == "weighted" else ("corrected",))
+    ])
+    def test_every_variant_matches_zero_padding_bit_for_bit(self, variant, mode):
+        # the padded weighted sum adds zero rows in between, which moves its
+        # bits unless everyone attends; the mean and cached rules pad nothing
         rng = np.random.default_rng(62)
+        weighted = VARIANTS[variant].rule == "weighted"
         for num_nodes in (3, 37, 250):
-            ours, padded = self._pair(num_nodes, rng, history_size=0)
+            history_size = 3 if VARIANTS[variant].history else 0
+            ours, padded = self._pair(num_nodes, rng, history_size=history_size)
+            # uneven attendance first, so that the interval weights are not all one
+            warmup = (rng.random((20, num_nodes)) < 0.3).astype(int)
+            for state in (ours, padded):
+                run_trace(state, warmup)
             for _ in range(10):
-                updates, part = random_round(
-                    rng, num_nodes, self.SPEC.num_params, rng.uniform(0.0, 0.6)
-                )
-                got = baseline_aggregate(kind, ours, updates, part)
-                want = padded_aggregate(padded, updates, part, kind)
+                share = 1.0 if weighted else rng.uniform(0.0, 0.6)
+                updates, part = random_round(rng, num_nodes, self.SPEC.num_params, share)
+                indicators = np.zeros(num_nodes, dtype=np.int64)
+                indicators[part] = 1
+                for state in (ours, padded):
+                    update_weights(state, indicators)
+                got = aggregate(ours, updates, part, variant, mode)
+                want = padded_aggregate(padded, updates, part, variant, mode)
                 np.testing.assert_array_equal(flatten(got), flatten(want))
-            if kind == "cached_update":
-                np.testing.assert_array_equal(ours.cached_updates, padded.cached_updates)
+            np.testing.assert_array_equal(ours.cached_updates, padded.cached_updates)
 
-    @pytest.mark.parametrize("override", [None, np.ones(3)])
-    def test_empty_round_only_smooths(self, override):
+    @pytest.mark.parametrize("variant", ["pmfl", "wo_awc"])
+    def test_empty_round_only_smooths(self, variant):
         horizon = 6
         state = make_state(3, horizon=horizon, base=np.zeros(DIM), history_size=3)
         for _ in range(2):
@@ -322,7 +344,7 @@ class TestParticipantsOnly:
         current = flatten(state.global_model).copy()
         older = state.history.rows.copy()
         psi = history_coefficient(2, horizon)
-        new = aggregate(state, *NOBODY, weights_override=override)
+        new = aggregate(state, *NOBODY, variant)
         want = (1.0 - psi) * current + psi * older.mean(axis=0)
         np.testing.assert_array_equal(flatten(new), want)
         assert state.round_idx == 3
@@ -332,8 +354,8 @@ class TestParticipantsOnly:
 
     @pytest.mark.parametrize("call", [
         lambda state, u, p: aggregate(state, u, p),
-        lambda state, u, p: baseline_aggregate("uniform_average", state, u, p),
-        lambda state, u, p: baseline_aggregate("cached_update", state, u, p),
+        lambda state, u, p: aggregate(state, u, p, "uniform_average"),
+        lambda state, u, p: aggregate(state, u, p, "cached_update"),
     ])
     @pytest.mark.parametrize("updates, participants, problem", [
         (np.zeros((2, DIM)), [0, 1, 2], "row count"),
@@ -376,13 +398,13 @@ class TestBaselines:
     def test_uniform_average_over_participants_only(self):
         state = make_state(3, base=np.zeros(DIM), history_size=0)
         updates = np.stack([np.full(DIM, 3.0), np.full(DIM, 5.0)])
-        new = baseline_aggregate("uniform_average", state, updates, np.array([0, 1]))
+        new = aggregate(state, updates, np.array([0, 1]), "uniform_average")
         np.testing.assert_array_equal(flatten(new), 4.0)
 
     def test_uniform_average_no_participants_keeps_model(self):
         base = np.arange(DIM, dtype=float)
         state = make_state(2, base=base, history_size=0)
-        new = baseline_aggregate("uniform_average", state, *NOBODY)
+        new = aggregate(state, *NOBODY, "uniform_average")
         np.testing.assert_array_equal(flatten(new), base)
         assert state.round_idx == 1
 
@@ -390,17 +412,17 @@ class TestBaselines:
         state = make_state(3, base=np.zeros(DIM), history_size=0)
         u0 = np.full(DIM, 3.0)
         u1 = np.full(DIM, -6.0)
-        g1 = baseline_aggregate("cached_update", state, u0[None], np.array([0]))
+        g1 = aggregate(state, u0[None], np.array([0]), "cached_update")
         np.testing.assert_array_equal(flatten(g1), 1.0)  # 3/3
-        g2 = baseline_aggregate("cached_update", state, u1[None], np.array([1]))
+        g2 = aggregate(state, u1[None], np.array([1]), "cached_update")
         # cache now holds u0 (stale) and u1: (3 - 6)/3 = -1 on top of 1
         np.testing.assert_array_equal(flatten(g2), 0.0)
         np.testing.assert_array_equal(state.cached_updates[2], 0.0)
 
     def test_cached_update_refreshes_on_reparticipation(self):
         state = make_state(1, base=np.zeros(DIM), history_size=0)
-        baseline_aggregate("cached_update", state, *everyone(np.full(DIM, 2.0)))
-        baseline_aggregate("cached_update", state, *everyone(np.full(DIM, 8.0)))
+        aggregate(state, *everyone(np.full(DIM, 2.0)), "cached_update")
+        aggregate(state, *everyone(np.full(DIM, 8.0)), "cached_update")
         np.testing.assert_array_equal(state.cached_updates[0], 8.0)
 
     def test_cached_equals_uniform_under_full_participation(self):
@@ -409,8 +431,8 @@ class TestBaselines:
         sb = make_state(3, base=np.zeros(DIM), history_size=0)
         for _ in range(5):
             updates = everyone(*rng.standard_normal((3, DIM)))
-            ga = baseline_aggregate("cached_update", sa, *updates)
-            gb = baseline_aggregate("uniform_average", sb, *updates)
+            ga = aggregate(sa, *updates, "cached_update")
+            gb = aggregate(sb, *updates, "uniform_average")
             np.testing.assert_array_equal(flatten(ga), flatten(gb))
 
     def test_corrected_with_unit_weights_equals_uniform_when_all_attend(self):
@@ -423,12 +445,12 @@ class TestBaselines:
             update_weights(sa, ind)
             update_weights(sb, ind)
             ga = aggregate(sa, *updates, mode="corrected")
-            gb = baseline_aggregate("uniform_average", sb, *updates)
+            gb = aggregate(sb, *updates, "uniform_average")
             np.testing.assert_array_equal(flatten(ga), flatten(gb))
 
     def test_validation(self):
         state = make_state(2)
         with pytest.raises(ValueError):
-            baseline_aggregate("median", state, *zero_updates(2))
+            aggregate(state, *zero_updates(2), "median")
         with pytest.raises(ValueError):
-            baseline_aggregate("uniform_average", state, np.zeros((2, DIM)), np.array([1]))
+            aggregate(state, np.zeros((2, DIM)), np.array([1]), "uniform_average")
