@@ -1,4 +1,10 @@
-"""Command-line entry points: run, sweep, synth-data, inspect."""
+"""Command-line entry points: run, sweep, synth-data, inspect.
+
+``run`` and ``sweep`` take one flag per :class:`ExperimentConfig` field and
+``synth-data`` one per :class:`DatasetSpec` field.  A flag hands its string,
+and a ``--vary`` token its text, to :func:`pmfl.config.parse_value`, the
+parser a JSON config goes through, so a value reads the same in all three.
+"""
 from __future__ import annotations
 
 import argparse
@@ -8,112 +14,54 @@ import sys
 from pathlib import Path
 
 from .atomic import write_json
-from .config import ExperimentConfig, _coerce, load_config
+from .config import ExperimentConfig, load_config, parse_fields
 from .data import DatasetSpec, export_csv, synth_dataset
 from .harness import _reading, resume_run, run_experiment, run_sweep
 
-_TUPLE_FIELDS = ("encoder_dims", "projection_dims", "classifier_hidden_dims")
+# synth-data makes a synthetic set; ``source`` names a CSV to read instead
+_SYNTH_FIELDS = [f for f in dataclasses.fields(DatasetSpec) if f.name != "source"]
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
+    """One optional flag per field; an unset flag leaves the base alone."""
+    for f in fields:
+        action = argparse.BooleanOptionalAction if f.type == "bool" else "store"
+        parser.add_argument("--" + f.name.replace("_", "-"), default=None, action=action,
+                            help=f"(default {f.default})")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One optional flag per config field; unset flags leave the base alone."""
-    for f in dataclasses.fields(ExperimentConfig):
-        name = _flag(f.name)
-        if f.name in _TUPLE_FIELDS:
-            parser.add_argument(
-                name, default=None, metavar="W1,W2,...",
-                help=f"layer widths (default {','.join(map(str, f.default))})",
-            )
-        elif f.name == "cutoff_interval":
-            parser.add_argument(
-                name, default=None, metavar="N|inf",
-                help=f"weight-update cutoff in rounds, 'inf' disables (default {f.default})",
-            )
-        elif f.default is True or f.default is False:
-            parser.add_argument(
-                name, default=None, action=argparse.BooleanOptionalAction,
-                help=f"(default {f.default})",
-            )
-        elif isinstance(f.default, int):
-            parser.add_argument(name, type=int, default=None,
-                                help=f"(default {f.default})")
-        elif isinstance(f.default, float):
-            parser.add_argument(name, type=float, default=None,
-                                help=f"(default {f.default})")
-        else:
-            parser.add_argument(name, default=None, help=f"(default {f.default})")
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    return overrides
+def _collect_overrides(args: argparse.Namespace, fields) -> dict:
+    return {f.name: v for f in fields if (v := getattr(args, f.name)) is not None}
 
 
 def _build_config(parser, args) -> ExperimentConfig:
-    overrides = _collect_overrides(args)
+    overrides = _collect_overrides(args, dataclasses.fields(ExperimentConfig))
     try:
         if args.config:
             return load_config(args.config, overrides)
-        base = ExperimentConfig().to_dict()
-        base.update(overrides)
-        return ExperimentConfig.from_dict(base)
+        return ExperimentConfig.from_dict(overrides)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 
-def _parse_vary(parser, base: ExperimentConfig, items: list[str]) -> dict:
+def _parse_vary(parser, items: list[str]) -> dict:
+    """``--vary key=v1,v2,...`` items as a grid of raw tokens for run_sweep."""
     grid = {}
     for item in items:
-        if "=" not in item:
-            parser.error(f"--vary needs key=v1,v2,... (got {item!r})")
-        key, _, raw = item.partition("=")
+        key, eq, raw = item.partition("=")
         key = key.strip()
-        if not hasattr(base, key):
-            parser.error(f"--vary: unknown config field {key!r}")
-        values = []
-        for token in raw.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                values.append(_coerce_vary(base, key, token))
-            except ValueError as exc:
-                parser.error(f"--vary {key}: {exc}")
-        if not values:
-            parser.error(f"--vary {key}: no values given")
-        grid[key] = values
+        if not eq:
+            parser.error(f"--vary needs key=v1,v2,... (got {item!r})")
+        if key in grid:
+            parser.error(f"--vary {key}: given more than once")
+        grid[key] = [token.strip() for token in raw.split(",") if token.strip()]
     return grid
-
-
-def _coerce_vary(base: ExperimentConfig, key: str, token: str):
-    if key in _TUPLE_FIELDS or key == "cutoff_interval":
-        return _coerce(key, token)
-    default = getattr(base, key)
-    if isinstance(default, bool):
-        if token.lower() in ("1", "true", "yes"):
-            return True
-        if token.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"bad boolean {token!r}")
-    if isinstance(default, int):
-        return int(token)
-    if isinstance(default, float):
-        return float(token)
-    return token
 
 
 def _cmd_run(parser, args) -> int:
     out = Path(args.out)
     if args.resume:
-        if args.config or _collect_overrides(args):
+        if args.config or _collect_overrides(args, dataclasses.fields(ExperimentConfig)):
             parser.error("--resume continues with the recorded config; "
                          "drop the other flags")
         if not (out / "manifest.json").exists():
@@ -137,10 +85,11 @@ def _cmd_run(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     base = _build_config(parser, args)
-    grid = _parse_vary(parser, base, args.vary or [])
-    if not grid:
-        parser.error("sweep needs at least one --vary key=v1,v2,...")
-    rows = run_sweep(base, grid, args.out)
+    grid = _parse_vary(parser, args.vary or [])
+    try:
+        rows = run_sweep(base, grid, args.out)
+    except ValueError as exc:  # a bad --vary name or value; no cell has started
+        parser.error(f"--vary: {exc}")
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"sweep complete: {len(rows)} cells, {len(failures)} failed -> {args.out}")
     for row in rows:
@@ -156,17 +105,7 @@ def _cmd_sweep(parser, args) -> int:
 
 def _cmd_synth_data(parser, args) -> int:
     try:
-        spec = DatasetSpec(
-            source="synthetic",
-            num_classes=args.num_classes,
-            input_dim=args.input_dim,
-            samples_per_class=args.samples_per_class,
-            test_fraction=args.test_fraction,
-            noise_scale=args.noise_scale,
-            class_separation=args.class_separation,
-            seed=args.seed,
-            standardize=args.standardize,
-        )
+        spec = DatasetSpec(**parse_fields(DatasetSpec, _collect_overrides(args, _SYNTH_FIELDS)))
         train, test = synth_dataset(spec)
     except ValueError as exc:
         parser.error(str(exc))
@@ -235,25 +174,18 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--resume", action="store_true",
                        help="continue from the checkpoint in --out")
-    _add_config_flags(p_run)
+    _add_flags(p_run, dataclasses.fields(ExperimentConfig))
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over config fields")
     p_sweep.add_argument("--config", help="flat JSON config file")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--vary", action="append", metavar="KEY=V1,V2,...",
                          help="field to vary; repeatable")
-    _add_config_flags(p_sweep)
+    _add_flags(p_sweep, dataclasses.fields(ExperimentConfig))
 
     p_synth = sub.add_parser("synth-data", help="generate a synthetic CSV dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--num-classes", type=int, default=10)
-    p_synth.add_argument("--input-dim", type=int, default=32)
-    p_synth.add_argument("--samples-per-class", type=int, default=500)
-    p_synth.add_argument("--test-fraction", type=float, default=0.25)
-    p_synth.add_argument("--noise-scale", type=float, default=1.0)
-    p_synth.add_argument("--class-separation", type=float, default=3.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--standardize", action="store_true")
+    _add_flags(p_synth, _SYNTH_FIELDS)
 
     p_inspect = sub.add_parser("inspect", help="print a run's manifest and summary")
     p_inspect.add_argument("--run", required=True, help="run directory")

@@ -1,12 +1,14 @@
 """Flat experiment configuration with strict validation.
 
 Configs load from a single-level JSON object whose keys match the dataclass
-fields one to one; unknown keys are errors, not warnings.  Hyperparameter
-defaults are the reference settings (learning rates, temperature, buffer
-sizes, cutoff, concentrations, mean frequency); the population/duration
-defaults are desk scale so a default run finishes in seconds.  The
-``full_scale()`` profile swaps in the reference population (250 nodes,
-10000 rounds).
+fields one to one; unknown keys are errors, not warnings.  Every raw value,
+from JSON, a command-line flag or a ``--vary`` token, goes through
+:func:`parse_value`, which reads it by the kind of its field's annotation.
+Hyperparameter defaults are the reference settings (learning rates,
+temperature, buffer sizes, cutoff, concentrations, mean frequency); the
+population/duration defaults are desk scale so a default run finishes in
+seconds.  The ``full_scale()`` profile swaps in the reference population
+(250 nodes, 10000 rounds).
 """
 from __future__ import annotations
 
@@ -77,7 +79,11 @@ class ExperimentConfig:
         return cls(**base)
 
     def validate(self) -> None:
-        problems = []
+        # the range checks below need the right types
+        problems = [f"{f.name}: must be {_KINDS[f.type][0]}, got {getattr(self, f.name)!r}"
+                    for f in dataclasses.fields(self) if not _is_setting(f, getattr(self, f.name))]
+        if problems:
+            raise ValueError("invalid config: " + "; ".join(problems))
 
         def check(ok: bool, name: str, why: str):
             if not ok:
@@ -89,6 +95,8 @@ class ExperimentConfig:
             check(
                 not isinstance(value, float) or math.isfinite(value), f.name, "must be finite"
             )
+            if f.type == _WIDTHS:
+                check(all(d >= 1 for d in value), f.name, "widths must be positive integers")
         check(self.num_nodes >= 1, "num_nodes", "must be >= 1")
         check(self.rounds >= 0, "rounds", "must be >= 0")
         check(self.variant in VARIANTS, "variant", f"must be one of {tuple(VARIANTS)}")
@@ -126,13 +134,6 @@ class ExperimentConfig:
         check(self.pattern in PATTERNS, "pattern", f"must be one of {PATTERNS}")
         check(0 < self.markov_p01 <= 1, "markov_p01", "must lie in (0, 1]")
         check(self.cycle_length >= 1, "cycle_length", "must be >= 1")
-        for name in ("encoder_dims", "projection_dims", "classifier_hidden_dims"):
-            dims = getattr(self, name)
-            check(
-                all(isinstance(d, int) and d >= 1 for d in dims),
-                name,
-                "widths must be positive integers",
-            )
         check(self.dataset_num_classes >= 2, "dataset_num_classes", "must be >= 2")
         check(self.dataset_input_dim >= 1, "dataset_input_dim", "must be >= 1")
         check(
@@ -169,47 +170,114 @@ class ExperimentConfig:
         return out
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for name in ("encoder_dims", "projection_dims", "classifier_hidden_dims"):
-            d[name] = list(d[name])
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        cleaned = {}
-        for key, value in values.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            cleaned[key] = _coerce(key, value)
-        cfg = cls(**cleaned)
+        cfg = cls(**parse_fields(cls, values))
         cfg.validate()
         return cfg
 
 
-def _coerce(key: str, value):
-    if key in ("encoder_dims", "projection_dims", "classifier_hidden_dims"):
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v.strip()]
-        try:
-            return tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r} must be a list of integers") from None
-    if key == "cutoff_interval":
-        if value is None:
-            return None
-        if isinstance(value, str):
-            if value.lower() in ("inf", "none", "null"):
-                return None
-            value = int(value)
-        if isinstance(value, float):
-            if math.isinf(value):
-                return None
-            if not value.is_integer():
-                raise ValueError("cutoff_interval must be an integer, 'inf' or null")
-            value = int(value)
-        return int(value)
-    return value
+def parse_fields(cls, values: dict) -> dict:
+    """Parse raw values keyed by field name into settings of dataclass ``cls``."""
+    known = {f.name: f for f in dataclasses.fields(cls)}
+    parsed = {}
+    for key, value in values.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        parsed[key] = parse_value(known[key], value)
+    return parsed
+
+
+def parse_value(f: dataclasses.Field, raw):
+    """Turn a raw value into field ``f``'s setting, by the kind of its annotation.
+
+    A string reads the same from any source; a value of the field's own type
+    is kept as given; anything else is a ``ValueError`` naming the field."""
+    what, parse = _KINDS[f.type]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{f.name}: must be {what}, got {raw!r}") from None
+
+
+def _is_setting(f: dataclasses.Field, value) -> bool:
+    """Whether ``value`` is already a setting of ``f``: one the parser keeps as it is.
+
+    Comparing reprs refuses a string where a number belongs, ``3.0`` for an
+    int and a list for a width tuple, all of which the parser would convert.
+    """
+    try:
+        return repr(parse_value(f, value)) == repr(value)
+    except ValueError:
+        return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_int(raw) -> int:
+    if isinstance(raw, str):
+        return int(raw)
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if _is_int(raw):
+        return raw
+    raise ValueError
+
+
+def _parse_float(raw):
+    if isinstance(raw, str):
+        return float(raw)
+    if _is_int(raw) or isinstance(raw, float):
+        return raw  # a JSON int stays an int, so a manifest keeps its bytes
+    raise ValueError
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(raw) -> bool:
+    if isinstance(raw, str) and raw.lower() in _BOOLS:
+        return _BOOLS[raw.lower()]
+    if isinstance(raw, bool):
+        return raw
+    raise ValueError
+
+
+def _parse_str(raw) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise ValueError
+
+
+def _parse_widths(raw) -> tuple[int, ...]:
+    if isinstance(raw, str):
+        raw = [v for v in raw.split(",") if v.strip()]
+    if isinstance(raw, (list, tuple)):
+        return tuple(_parse_int(v) for v in raw)
+    raise ValueError
+
+
+def _parse_cutoff(raw) -> int | None:
+    if raw is None or raw in (math.inf, -math.inf) or str(raw).lower() in ("inf", "none", "null"):
+        return None
+    return _parse_int(raw)
+
+
+_WIDTHS = "tuple[int, ...]"
+# field annotation -> (what a value must be, parser of a raw value)
+_KINDS = {
+    "bool": ("true/false, or a string true/false/yes/no/1/0", _parse_bool),
+    "int": ("an integer", _parse_int),
+    "float": ("a number", _parse_float),
+    "str": ("a string", _parse_str),
+    _WIDTHS: ("integer widths, as a list or 'W1,W2,...'", _parse_widths),
+    "int | None": ("an integer, 'inf' or null", _parse_cutoff),
+}
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -65,9 +65,9 @@ from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
 from .client import LocalTrainConfig, NodeState, local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_value
 from .contrastive import LocalBuffer, TrainBuffers
-from .data import LabeledDataset, load_dataset
+from .data import DatasetSpec, LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
 from .nn import ModelSpec, Workspace, flatten, init_params, unflatten
@@ -107,20 +107,11 @@ def model_spec_for(cfg: ExperimentConfig) -> ModelSpec:
     )
 
 
-def dataset_spec_for(cfg: ExperimentConfig):
-    from .data import DatasetSpec
-
-    return DatasetSpec(
-        source=cfg.dataset_source,
-        num_classes=cfg.dataset_num_classes,
-        input_dim=cfg.dataset_input_dim,
-        samples_per_class=cfg.dataset_samples_per_class,
-        test_fraction=cfg.dataset_test_fraction,
-        noise_scale=cfg.dataset_noise_scale,
-        class_separation=cfg.dataset_class_separation,
-        seed=cfg.dataset_seed,
-        standardize=cfg.dataset_standardize,
-    )
+def dataset_spec_for(cfg: ExperimentConfig) -> DatasetSpec:
+    # each ``dataset_<name>`` config field is the spec's field ``<name>``
+    return DatasetSpec(**{
+        f.name: getattr(cfg, "dataset_" + f.name) for f in dataclasses.fields(DatasetSpec)
+    })
 
 
 @dataclass
@@ -653,16 +644,23 @@ def _run_cell(args) -> dict:
 def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
     """Cartesian grid of runs; cells fail independently.
 
-    The cells run on a pool of ``base.workers`` processes.  Returns one
+    Each grid value is a setting or a raw value that
+    :func:`pmfl.config.parse_value` reads, such as a ``--vary`` token; bad
+    names and values raise ``ValueError`` before any cell starts.  The cells
+    run on a pool of ``base.workers`` processes.  Returns one
     summary row per cell, in grid order, and writes ``sweep_summary.csv``.
     """
     if not grid:
         raise ValueError("sweep needs at least one field to vary")
-    for key in grid:
-        if not hasattr(base, key):
-            raise ValueError(f"unknown sweep field {key!r}")
-        if not grid[key]:
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    parsed = {}
+    for key, values in grid.items():
+        if key not in fields:
+            raise ValueError(f"unknown config field {key!r}")
+        if not values:
             raise ValueError(f"sweep field {key!r} has no values")
+        parsed[key] = [parse_value(fields[key], v) for v in values]
+    grid = parsed
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)

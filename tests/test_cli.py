@@ -1,6 +1,7 @@
 """Command-line interface: argument handling and end-to-end smoke runs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 
 import pmfl
 import pmfl.harness as harness
+from pmfl.atomic import write_json
 from pmfl.cli import main
 from pmfl.config import save_config
+from pmfl.data import DatasetSpec, export_csv, synth_dataset
 from pmfl.harness import CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE, run_experiment
 
 from test_harness import assert_same_outputs, tiny_config
@@ -280,8 +283,89 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--out", str(tmp_path)])  # no --vary at all
 
+    @pytest.mark.parametrize("field", ["validate", "to_dict", "resolved", "full_scale"])
+    def test_vary_of_a_config_attribute_that_is_no_field(self, tmp_path, capsys, field):
+        # these passed a hasattr check, then every cell failed on an
+        # unexpected keyword argument
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--out", str(tmp_path / "s"), "--vary", f"{field}=1,2"])
+        assert err.value.code == 2
+        assert f"unknown config field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_vary_key_is_an_error(self, tmp_path, capsys):
+        # the second used to replace the first
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--out", str(tmp_path / "s"),
+                  "--vary", "seed=1", "--vary", "seed=2"] + TINY_FLAGS)
+        assert err.value.code == 2
+        assert "--vary seed: given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+class TestOneParser:
+    # field -> (spelling, setting as the manifest records it); a --vary
+    # token cannot hold a comma, so the two-width spelling rides on a flag
+    SPELLINGS = {
+        "dataset_standardize": ("no", False),
+        "rounds": ("5", 5),
+        "local_lr": ("0.05", 0.05),
+        "encoder_dims": ("16", [16]),
+        "cutoff_interval": ("inf", None),
+    }
+
+    def test_a_spelling_reads_the_same_in_json_a_flag_and_vary(self, tmp_path):
+        base = tmp_path / "base.json"
+        save_config(tiny_config(dataset_standardize=True), base)
+        spelled = tmp_path / "spelled.json"
+        spelled.write_text(json.dumps({
+            **json.loads(base.read_text()),
+            **{k: spelling for k, (spelling, _) in self.SPELLINGS.items()},
+            "projection_dims": "8,4",
+        }))
+        flags = ["--no-dataset-standardize", "--projection-dims", "8,4"] + [
+            arg for k, (spelling, _) in self.SPELLINGS.items() if k != "dataset_standardize"
+            for arg in ("--" + k.replace("_", "-"), spelling)
+        ]
+        vary = [arg for k, (spelling, _) in self.SPELLINGS.items()
+                for arg in ("--vary", f"{k}={spelling}")]
+        assert main(["run", "--config", str(spelled), "--out", str(tmp_path / "json")]) == 0
+        assert main(["run", "--config", str(base), "--out", str(tmp_path / "flag")]
+                    + flags) == 0
+        assert main(["sweep", "--config", str(base), "--out", str(tmp_path / "vary"),
+                     "--projection-dims", "8,4"] + vary) == 0
+
+        cell, = (tmp_path / "vary").glob("cell_000__*")
+        configs = [json.loads((d / "manifest.json").read_text())["requested_config"]
+                   for d in (tmp_path / "json", tmp_path / "flag", cell)]
+        assert configs[0] == configs[1] == configs[2]
+        for k, (_, value) in self.SPELLINGS.items():
+            assert configs[0][k] == value and type(configs[0][k]) is type(value)
+        assert configs[0]["projection_dims"] == [8, 4]
+
 
 class TestSynthDataCommand:
+    EVERY_FLAG = ["--num-classes", "3", "--input-dim", "4", "--samples-per-class", "10",
+                  "--test-fraction", "0.2", "--noise-scale", "0.5",
+                  "--class-separation", "2.5", "--seed", "7", "--standardize"]
+
+    @pytest.mark.parametrize("flags, spec", [
+        ([], DatasetSpec()),
+        (EVERY_FLAG, DatasetSpec(num_classes=3, input_dim=4, samples_per_class=10,
+                                 test_fraction=0.2, noise_scale=0.5, class_separation=2.5,
+                                 seed=7, standardize=True)),
+    ])
+    def test_files_match_the_library_for_the_same_spec(self, tmp_path, flags, spec):
+        assert main(["synth-data", "--out", str(tmp_path / "cli")] + flags) == 0
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        train, test = synth_dataset(spec)
+        export_csv(train, ref / "train.csv")
+        export_csv(test, ref / "test.csv")
+        write_json(ref / "dataset_meta.json", dataclasses.asdict(spec))
+        for name in ("train.csv", "test.csv", "dataset_meta.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_writes_csv_pair_and_meta(self, tmp_path, capsys):
         rc = main(["synth-data", "--out", str(tmp_path), "--num-classes", "3",
                    "--input-dim", "4", "--samples-per-class", "10",

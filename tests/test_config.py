@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pmfl.cli import main
 from pmfl.config import ExperimentConfig, load_config, save_config
 from pmfl.harness import run_experiment
 from pmfl.rng import derive_seed, stream
@@ -205,6 +206,74 @@ class TestSerialization:
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ValueError, match="JSON object"):
             load_config(path)
+
+
+# JSON values of another kind than their field's: at the parent commit each
+# crashed with a traceback, ran, or read as something else
+REFUSED_JSON = [
+    ("rounds", True),  # read as 1
+    ("variant", ["pmfl"]),  # TypeError: unhashable type
+    ("eval_every", 2.5),  # evaluated only after rounds 5 and 10
+    ("seed", 1.5),  # ran
+    ("encoder_dims", [32.5]),  # became width 32
+    ("dataset_source", 0),  # read file descriptor 0
+]
+# ... and these read as their spelling does in a flag or a --vary token
+READ_AS_SPELLED = [
+    ("rounds", 3.0, 3),  # a numpy TypeError traceback
+    ("local_lr", "0.1", 0.1),  # a TypeError traceback out of validate
+    ("dataset_standardize", "no", False),  # turned standardisation on
+]
+
+
+class TestValueKinds:
+    @pytest.mark.parametrize("field, raw", REFUSED_JSON)
+    def test_wrong_kind_in_json_is_a_clean_error_that_writes_nothing(
+        self, tmp_path, capsys, field, raw
+    ):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            ExperimentConfig.from_dict({field: raw})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: raw}))
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        lines = [line for line in stderr.splitlines() if "error" in line]
+        assert len(lines) == 1 and lines[0].startswith(f"pmfl run: error: {field}: must be ")
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("field, raw, value", READ_AS_SPELLED)
+    def test_a_json_value_reads_as_its_spelling(self, field, raw, value):
+        got = getattr(ExperimentConfig.from_dict({field: raw}), field)
+        assert type(got) is type(value) and got == value
+
+    @pytest.mark.parametrize("field, raw", REFUSED_JSON + [r[:2] for r in READ_AS_SPELLED])
+    def test_validate_refuses_a_wrong_kind_from_python(self, field, raw):
+        with pytest.raises(ValueError, match=f"invalid config: {field}: must be "):
+            ExperimentConfig(**{field: raw}).validate()
+
+    def test_int_refuses_fractions_and_bools_and_keeps_json_ints_in_floats(self):
+        assert ExperimentConfig.from_dict({"rounds": "7"}).rounds == 7
+        for raw in (7.5, False, "7.0", "seven", math.inf, None):
+            with pytest.raises(ValueError, match="rounds: must be an integer"):
+                ExperimentConfig.from_dict({"rounds": raw})
+        cfg = ExperimentConfig.from_dict({"global_lr": 1})
+        assert type(cfg.global_lr) is int
+        assert json.loads(json.dumps(cfg.to_dict()))["global_lr"] == 1
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("YES", True), ("1", True), (True, True),
+        ("false", False), ("no", False), ("0", False), (False, False),
+    ])
+    def test_bool_spellings(self, raw, value):
+        assert ExperimentConfig.from_dict({"dataset_standardize": raw}).dataset_standardize is value
+
+    @pytest.mark.parametrize("raw", ["maybe", 1, 0, None])
+    def test_bool_refuses_other_values(self, raw):
+        with pytest.raises(ValueError, match="dataset_standardize: must be true/false"):
+            ExperimentConfig.from_dict({"dataset_standardize": raw})
 
 
 class TestRngStreams:

@@ -714,7 +714,8 @@ class TestSweep:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="at least one field"):
             run_sweep(tiny_config(), {}, tmp_path)
-        with pytest.raises(ValueError, match="unknown sweep field"):
-            run_sweep(tiny_config(), {"nodez": [1]}, tmp_path)
+        for name in ("nodez", "validate"):
+            with pytest.raises(ValueError, match="unknown config field"):
+                run_sweep(tiny_config(), {name: [1]}, tmp_path)
         with pytest.raises(ValueError, match="no values"):
             run_sweep(tiny_config(), {"seed": []}, tmp_path)
