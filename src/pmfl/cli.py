@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .atomic import write_json
 from .config import ExperimentConfig, load_config, parse_fields
@@ -20,6 +21,12 @@ from .harness import _reading, resume_run, run_experiment, run_sweep
 
 # synth-data makes a synthetic set; ``source`` names a CSV to read instead
 _SYNTH_FIELDS = [f for f in dataclasses.fields(DatasetSpec) if f.name != "source"]
+
+
+def _fail(parser: argparse.ArgumentParser, message: str) -> NoReturn:
+    """Exit with status 2 and one error line: a value argparse accepted but
+    the command refuses.  argparse's own syntax errors print the usage too."""
+    parser.exit(2, f"{parser.prog}: error: {message}\n")
 
 
 def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
@@ -41,7 +48,7 @@ def _build_config(parser, args) -> ExperimentConfig:
             return load_config(args.config, overrides)
         return ExperimentConfig.from_dict(overrides)
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        _fail(parser, str(exc))
 
 
 def _parse_vary(parser, items: list[str]) -> dict:
@@ -51,9 +58,9 @@ def _parse_vary(parser, items: list[str]) -> dict:
         key, eq, raw = item.partition("=")
         key = key.strip()
         if not eq:
-            parser.error(f"--vary needs key=v1,v2,... (got {item!r})")
+            _fail(parser, f"--vary needs key=v1,v2,... (got {item!r})")
         if key in grid:
-            parser.error(f"--vary {key}: given more than once")
+            _fail(parser, f"--vary {key}: given more than once")
         grid[key] = [token.strip() for token in raw.split(",") if token.strip()]
     return grid
 
@@ -62,16 +69,16 @@ def _cmd_run(parser, args) -> int:
     out = Path(args.out)
     if args.resume:
         if args.config or _collect_overrides(args, dataclasses.fields(ExperimentConfig)):
-            parser.error("--resume continues with the recorded config; "
-                         "drop the other flags")
+            _fail(parser, "--resume continues with the recorded config; "
+                          "drop the other flags")
         if not (out / "manifest.json").exists():
-            parser.error(f"{out} has no manifest.json to resume from")
+            _fail(parser, f"{out} has no manifest.json to resume from")
     else:
         cfg = _build_config(parser, args)
     try:
         result = resume_run(out) if args.resume else run_experiment(cfg, out)
     except FileNotFoundError as exc:  # e.g. --resume of a run with no checkpoint
-        parser.error(str(exc))
+        _fail(parser, str(exc))
     except ValueError as exc:  # a diverged run, a failed partition, a bad checkpoint
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -89,7 +96,7 @@ def _cmd_sweep(parser, args) -> int:
     try:
         rows = run_sweep(base, grid, args.out)
     except ValueError as exc:  # a bad --vary name or value; no cell has started
-        parser.error(f"--vary: {exc}")
+        _fail(parser, f"--vary: {exc}")
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"sweep complete: {len(rows)} cells, {len(failures)} failed -> {args.out}")
     for row in rows:
@@ -108,7 +115,7 @@ def _cmd_synth_data(parser, args) -> int:
         spec = DatasetSpec(**parse_fields(DatasetSpec, _collect_overrides(args, _SYNTH_FIELDS)))
         train, test = synth_dataset(spec)
     except ValueError as exc:
-        parser.error(str(exc))
+        _fail(parser, str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_csv(train, out / "train.csv")
@@ -124,7 +131,7 @@ def _cmd_inspect(parser, args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
-        parser.error(f"{run_dir} has no manifest.json")
+        _fail(parser, f"{run_dir} has no manifest.json")
     summary_path = run_dir / "summary.json"
     try:
         manifest = _read_json(manifest_path)

@@ -146,7 +146,7 @@ def local_train(
             buffers=buffers,
         )
         buffers.push()  # the window holds models older than the current one
-        sgd_step(w, grad, cfg.local_lr, out=w)
+        sgd_step(w, grad, cfg.local_lr, out=w, ws=buffers.workspace)
     if cfg.local_iterations and node.buffer.capacity:
         node.buffer.spec = w.spec()  # a buffer made without one learns it, as on a push
         node.buffer.rows = buffers.window.copy()

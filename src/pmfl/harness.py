@@ -30,11 +30,16 @@ file that cannot be read.  Every file is written to a temporary file first
 and then renamed over its target; a run starts by deleting the temporary
 files of its own outputs that a killed run left behind.
 
+A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
+only code that starts one, so it imports ``multiprocessing`` and the
+executor itself, and ``import pmfl`` and a single run do without them.
+
 Output files per run:
 
 - ``metrics.csv``    one row per evaluated round (accuracy/loss on train/test)
 - ``weights.csv``    one row per round: mixing coefficient, participant count,
                      update deviation and every node's aggregation weight
+                     (each distinct weight is formatted once)
 - ``summary.json``   final and top-5 statistics (results only, no config echo)
 - ``cdf.csv``        per-node accuracy/loss CDF of the final model
 - ``partition.json`` shard sizes, class histograms, participation frequencies
@@ -49,11 +54,9 @@ import dataclasses
 import itertools
 import json
 import logging
-import multiprocessing
 import signal
 import threading
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -258,19 +261,29 @@ def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
             )
 
 
+class _WeightText(dict):
+    """The :func:`_fmt` text of a weight by its bit pattern, made on first
+    use: a run's weights take about 1,500 distinct values among its rounds ×
+    nodes cells.  Keyed by bits, so -0.0 stays apart from 0.0."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(float(np.int64(bits).view(np.float64)))
+        return text
+
+
 def _write_weights_csv(path, rows: list[RoundMetrics], num_nodes: int) -> None:
+    text = _WeightText()
+    # no field holds a comma, a quote or a line break, so each row is joined
+    # as csv.writer would write it, without its per-field quoting checks
     with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "psi", "participants", "deviation"]
-            + [f"weight_{k}" for k in range(num_nodes)]
-        )
+        fh.write(",".join(["round", "psi", "participants", "deviation"]
+                          + [f"weight_{k}" for k in range(num_nodes)]) + "\r\n")
         for r in rows:
-            weights = [] if r.weights is None else [_fmt(v) for v in r.weights]
-            writer.writerow(
-                [r.round_idx, _fmt(r.psi), r.num_participants, _fmt(r.deviation)]
-                + weights
+            weights = [] if r.weights is None else map(
+                text.__getitem__, np.asarray(r.weights, np.float64).view(np.int64).tolist()
             )
+            fh.write(",".join([str(r.round_idx), _fmt(r.psi), str(r.num_participants),
+                               _fmt(r.deviation), *weights]) + "\r\n")
 
 
 def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
@@ -670,6 +683,10 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
         label = "__".join(f"{k}={overrides[k]}" for k in keys)
         cell_dir = out_dir / f"cell_{index:03d}__{label}".replace("/", "_")
         cells.append((base, overrides, index, cell_dir))
+    # here, not at the top: see the module docstring
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # spawn, not fork: this process may already run BLAS threads.  The cells
     # inherit the one-thread BLAS pin that ``import pmfl`` set.
     spawn = multiprocessing.get_context("spawn")

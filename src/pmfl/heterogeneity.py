@@ -2,7 +2,10 @@
 
 Shards come from per-node Dirichlet class distributions: each class's samples
 are allocated across nodes proportionally to the nodes' Dirichlet rows, so a
-small concentration gives nodes dominated by a few classes.  Participation
+small concentration gives nodes dominated by a few classes.  An attempt
+records one owner node per sample; the shards are then one stable argsort of
+the owners split by shard size, and the class proportions one ``bincount``
+of (owner, label) pairs, so no step loops over the nodes.  Participation
 frequencies are then tied to those class distributions through a second
 Dirichlet draw, which makes data skew and attendance skew correlated instead
 of independent.
@@ -54,9 +57,10 @@ def dirichlet_partition(
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
 
+    nodes = np.arange(num_nodes)
     for attempt in range(max_retries):
         rows = rng.dirichlet(np.full(num_classes, alpha), size=num_nodes)  # (K, C)
-        assigned: list[list[np.ndarray]] = [[] for _ in range(num_nodes)]
+        owner = np.empty(labels.size, dtype=np.int64)  # the node each sample goes to
         for c in range(num_classes):
             idx = rng.permutation(np.flatnonzero(labels == c))
             if idx.size == 0:
@@ -68,21 +72,17 @@ def dirichlet_partition(
             # leftover from the floor goes round-robin, rotated by class so no
             # node systematically collects remainders
             short = int(idx.size - counts.sum())
-            for j in range(short):
-                counts[(c + j) % num_nodes] += 1
-            cursor = 0
-            for k in range(num_nodes):
-                assigned[k].append(idx[cursor : cursor + counts[k]])
-                cursor += counts[k]
-        shards = [
-            np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
-            for parts in assigned
-        ]
-        if min(s.size for s in shards) > 0:
-            dists = np.zeros((num_nodes, num_classes))
-            for k, shard in enumerate(shards):
-                counts_k = np.bincount(labels[shard], minlength=num_classes)
-                dists[k] = counts_k / shard.size
+            np.add.at(counts, (c + np.arange(short)) % num_nodes, 1)
+            # node k takes the next counts[k] of the permuted indices
+            owner[idx] = np.repeat(nodes, counts)[: idx.size]
+        sizes = np.bincount(owner, minlength=num_nodes)
+        if sizes.min() > 0:
+            # a stable sort keeps each node's indices ascending
+            shards = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
+            per_class = np.bincount(
+                owner * num_classes + labels, minlength=num_nodes * num_classes
+            )
+            dists = per_class.reshape(num_nodes, num_classes) / sizes[:, None]
             return shards, dists
         log.warning(
             "partition attempt %d left a node empty, redrawing", attempt + 1

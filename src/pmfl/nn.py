@@ -250,7 +250,8 @@ def _leading(flat: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Workspace:
-    """Every array a forward or backward pass writes, reused from call to call.
+    """Every array a forward or backward pass or an SGD step writes, reused
+    from call to call.
 
     Sized for a stack of up to ``height`` models on up to ``rows`` rows: a
     (pre-activation, output) pair per layer, the scratch arrays of
@@ -273,6 +274,7 @@ class Workspace:
             **dict.fromkeys(per_row, (height * rows,)),
             **dict.fromkeys(("pred", "index"), (rows, np.intp)),
             "dz": (rows * spec.representation_dim,),
+            "step": (spec.num_params,),
         }
         self._scratch: dict = {}
         self.row_starts = np.arange(rows) * spec.num_classes  # in the flat logits
@@ -309,7 +311,8 @@ class Workspace:
         or the boolean ``"mask"``, each the whole stack at the widest layer;
         one value per model and row (``"norms"``, ``"sims"``, ``"coeff"``,
         ``"row_max"``, ``"row_sum"``, ``"picked"``); an index per row
-        (``"pred"``, ``"index"``); or ``"dz"``, a representation per row."""
+        (``"pred"``, ``"index"``); ``"dz"``, a representation per row; or
+        ``"step"``, one model's worth, for :func:`sgd_step`."""
         key = (name, shape)
         view = self._views.get(key)
         if view is None:
@@ -460,13 +463,29 @@ def cross_entropy_and_grad(
 
 
 def sgd_step(
-    params: ModelParams, grad: ModelParams, lr: float, out: ModelParams | None = None
+    params: ModelParams,
+    grad: ModelParams,
+    lr: float,
+    out: ModelParams | None = None,
+    ws: Workspace | None = None,
 ) -> ModelParams:
     """One descent step ``p - lr * g``, written into ``out`` (which may be
-    ``params`` itself) or, without it, into fresh parameters."""
+    ``params`` itself) or, without it, into fresh parameters.
+
+    ``lr * g`` is formed in ``out`` when that is not ``params``; a step in
+    place forms it in ``ws``'s ``"step"`` scratch, or in a fresh array
+    without ``ws``.
+    """
     if out is None:
         out = ModelParams(params.spec(), np.empty_like(params.vector))
-    np.subtract(params.vector, lr * grad.vector, out=out.vector)
+    if not np.may_share_memory(out.vector, params.vector):
+        scaled = out.vector
+    elif ws is not None:
+        scaled = ws.view("step", params.num_params)
+    else:
+        scaled = np.empty_like(params.vector)
+    np.multiply(grad.vector, lr, out=scaled)
+    np.subtract(params.vector, scaled, out=out.vector)
     return out
 
 

@@ -5,6 +5,9 @@ two-state Markov chain whose stay/leave probabilities derive from the node's
 frequency, and a deterministic cyclic on/off window with a random offset.
 Every node draws from its own named RNG stream, so traces are reproducible
 and independent of how many nodes exist or in which order they are generated.
+:func:`export_trace_csv` checks and converts the whole (rounds, nodes) matrix
+in one pass, refusing a value that is not an integer, and formats each row
+in one operation.
 
 Note the Markov construction: with entry probability ``p01`` and exit
 probability ``(1 - p_k) * p01`` the chain's stationary participation rate is
@@ -13,7 +16,6 @@ of the generator as defined, and the tests pin it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,10 +95,19 @@ class ParticipationSchedule:
 
 
 def export_trace_csv(trace: np.ndarray, path) -> None:
-    """Write a (rounds, nodes) indicator matrix as round-per-row CSV."""
+    """Write a (rounds, nodes) indicator matrix as round-per-row CSV.
+
+    The whole matrix is converted to integers in one pass, so a value that
+    is not an integer (NaN, say) is refused with a ``ValueError`` before
+    anything is written; each row is then one format operation.
+    """
     trace = np.asarray(trace)
+    if trace.dtype.kind == "f" and not (np.isfinite(trace) & (trace == np.trunc(trace))).all():
+        raise ValueError("a participation trace holds integers only")
+    rounds, nodes = trace.shape
+    table = np.column_stack([np.arange(rounds), trace.astype(np.int64)])
+    row = ",".join(["%d"] * (nodes + 1)) + "\r\n"  # csv.writer's line end
     with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round"] + [f"node_{k}" for k in range(trace.shape[1])])
-        for t in range(trace.shape[0]):
-            writer.writerow([t] + [int(v) for v in trace[t]])
+        fh.write(",".join(["round"] + [f"node_{k}" for k in range(nodes)]) + "\r\n")
+        for values in table.tolist():
+            fh.write(row % tuple(values))

@@ -6,6 +6,7 @@ the vectorized code under test.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -364,3 +365,81 @@ def looped_local_train(
         node.buffer.push(w)
         w = sgd_step(w, grad, cfg.local_lr)
     return param_delta(w, global_params)
+
+
+def looped_dirichlet_partition(
+    labels: np.ndarray,
+    num_classes: int,
+    num_nodes: int,
+    alpha: float,
+    rng: np.random.Generator,
+    max_retries: int = 10,
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """``dirichlet_partition`` as a loop over nodes: per-node lists of
+    slices of each class's permuted indices, then a sort per node and a
+    class count per node.  Same draws, remainder rule and retries; ``None``
+    where the package raises for empty nodes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    for _ in range(max_retries):
+        rows = rng.dirichlet(np.full(num_classes, alpha), size=num_nodes)
+        assigned: list[list[np.ndarray]] = [[] for _ in range(num_nodes)]
+        for c in range(num_classes):
+            idx = rng.permutation(np.flatnonzero(labels == c))
+            if idx.size == 0:
+                continue
+            weights = rows[:, c]
+            total = weights.sum()
+            props = weights / total if total > 0 else np.full(num_nodes, 1.0 / num_nodes)
+            counts = np.floor(props * idx.size).astype(np.int64)
+            short = int(idx.size - counts.sum())
+            for j in range(short):
+                counts[(c + j) % num_nodes] += 1
+            cursor = 0
+            for k in range(num_nodes):
+                assigned[k].append(idx[cursor : cursor + counts[k]])
+                cursor += counts[k]
+        shards = [
+            np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
+            for parts in assigned
+        ]
+        if min(s.size for s in shards) > 0:
+            dists = np.zeros((num_nodes, num_classes))
+            for k, shard in enumerate(shards):
+                counts_k = np.bincount(labels[shard], minlength=num_classes)
+                dists[k] = counts_k / shard.size
+            return shards, dists
+    return None
+
+
+def looped_export_trace_csv(trace, path) -> None:
+    """The participation CSV written row by row through ``csv.writer``."""
+    trace = np.asarray(trace)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round"] + [f"node_{k}" for k in range(trace.shape[1])])
+        for t in range(trace.shape[0]):
+            writer.writerow([t] + [int(v) for v in trace[t]])
+
+
+def _looped_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def looped_write_weights_csv(path, rows, num_nodes: int) -> None:
+    """``weights.csv`` with every cell formatted on its own."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["round", "psi", "participants", "deviation"]
+            + [f"weight_{k}" for k in range(num_nodes)]
+        )
+        for r in rows:
+            weights = [] if r.weights is None else [_looped_fmt(v) for v in r.weights]
+            writer.writerow(
+                [r.round_idx, _looped_fmt(r.psi), r.num_participants, _looped_fmt(r.deviation)]
+                + weights
+            )

@@ -465,3 +465,29 @@ class TestParser:
             main(["run", "--help"])
         assert err.value.code == 0
         assert "default 50" in capsys.readouterr().out  # cutoff default surfaces
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seed", "1.5"], "pmfl run: error: seed: must be an integer"),
+        (["run", "--num-nodes", "0"], "pmfl run: error: "),
+        (["sweep", "--vary", "seed=x"], "pmfl sweep: error: --vary: seed: "),
+        (["sweep", "--vary", "seed"], "pmfl sweep: error: --vary needs key=v1,v2,..."),
+        (["sweep", "--rounds", "2.5", "--vary", "seed=1"], "pmfl sweep: error: rounds: "),
+        (["synth-data", "--num-classes", "10", "--input-dim", "4"],
+         "pmfl synth-data: error: "),
+    ])
+    def test_a_refused_value_is_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(argv[:1] + ["--out", str(out)] + argv[1:])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1 and stderr.startswith(message)
+        assert not out.exists()
+
+    def test_a_syntax_error_keeps_the_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--out", "x", "--seed"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: pmfl run")
+        assert stderr.rstrip("\n").endswith("error: argument --seed: expected one argument")

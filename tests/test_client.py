@@ -313,9 +313,10 @@ class TestStagedLoop:
             tracemalloc.stop()
         assert peak < node.buffer.rows.nbytes + update.nbytes + 64 * 1024
 
-    @pytest.mark.parametrize("contrastive_weight, limit", [(0.5, 32 * 1024), (0.0, 16 * 1024)])
+    @pytest.mark.parametrize("contrastive_weight, limit", [(0.5, 16 * 1024), (0.0, 4 * 1024)])
     def test_a_warm_step_allocates_little(self, contrastive_weight, limit):
-        # one step of the desk config's shapes: a full window of 5 on 32 rows
+        # one step of the desk config's shapes: a full window of 5 on 32 rows;
+        # the gradient, the push and the SGD step as local_train takes them
         spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
         rng = np.random.default_rng(4)
         global_params = init_params(spec, rng)
@@ -328,10 +329,12 @@ class TestStagedLoop:
         buffers.stage(perturbed(global_params, rng, 0.05), global_params, window, reference)
 
         def step():
-            combined_loss_and_grad(
+            _, grad = combined_loss_and_grad(
                 buffers.current, batch, global_params, buffers.window, temperature=0.5,
                 contrastive_weight=contrastive_weight, mu_reference=reference, buffers=buffers,
             )
+            buffers.push()
+            sgd_step(buffers.current, grad, 0.1, out=buffers.current, ws=buffers.workspace)
 
         step()  # warm-up
         tracemalloc.start()

@@ -37,7 +37,7 @@ from pmfl.participation import export_trace_csv
 from pmfl.rng import stream
 from pmfl.server import DivergenceError
 
-from oracles import expected_weight
+from oracles import expected_weight, looped_write_weights_csv
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -529,6 +529,40 @@ FAILING_WRITES = {
 }
 
 
+def _weight_rows(num_nodes: int, rounds: int, seed: int) -> list[RoundMetrics]:
+    """Rows whose weights repeat values across rounds as a run's do, with
+    -0.0, NaN, ±inf and a row without weights among them."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([rng.random(37), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]])
+    rows = []
+    for t in range(rounds):
+        weights = None if t == 2 else rng.choice(pool, num_nodes)
+        rows.append(RoundMetrics(
+            t, int(rng.integers(num_nodes + 1)),
+            psi=None if t % 3 == 0 else float(rng.random()),
+            deviation=None if t % 4 == 1 else float(rng.random()),
+            weights=weights,
+        ))
+    return rows
+
+
+class TestMatchesTheLoopedWeightsWriter:
+    """weights.csv with each distinct value formatted once against the
+    writer that formatted every cell."""
+
+    @pytest.mark.parametrize("num_nodes, rows", [
+        (1, _weight_rows(1, 5, 0)),
+        (30, _weight_rows(30, 40, 1)),
+        (250, _weight_rows(250, 12, 2)),
+        (3, []),
+        (3, [RoundMetrics(0, 0)]),
+    ], ids=["1_node", "30_nodes", "250_nodes", "no_rows", "no_weights"])
+    def test_same_bytes(self, tmp_path, num_nodes, rows):
+        harness._write_weights_csv(tmp_path / "got.csv", rows, num_nodes)
+        looped_write_weights_csv(tmp_path / "want.csv", rows, num_nodes)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestAtomicWrites:
     """A write that fails part way leaves the previous file as it was and no
     partial file beside it."""
@@ -664,6 +698,18 @@ class TestBlasPin:
 
 
 class TestSweep:
+    def test_importing_pmfl_loads_no_process_pool(self):
+        # run_sweep imports them when it starts its pool
+        script = (
+            "import json, sys, pmfl, pmfl.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(json.dumps({name: name in sys.modules for name in pool}))\n"
+        )
+        assert _fresh_blas_env(script, {}) == {
+            "multiprocessing": False,
+            "concurrent.futures.process": False,
+        }
+
     def test_cells_start_with_one_blas_thread_unless_set(self):
         # run_sweep's spawn pool starts after ``import pmfl`` set the pin,
         # so every cell inherits it; a count set beforehand wins

@@ -14,6 +14,8 @@ from pmfl.heterogeneity import (
 )
 from pmfl.rng import stream
 
+from oracles import looped_dirichlet_partition
+
 
 def balanced_labels(num_classes: int, per_class: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes), per_class)
@@ -90,6 +92,55 @@ class TestDirichletPartition:
                 [np.sum(labels[s] == c) for s in shards], dtype=np.float64
             )
             np.testing.assert_allclose(sizes / 5000.0, props, atol=1e-3)
+
+
+def assert_same_partition(got, want):
+    shards, dists = got
+    want_shards, want_dists = want
+    assert len(shards) == len(want_shards)
+    for shard, want_shard in zip(shards, want_shards):
+        assert shard.dtype == want_shard.dtype
+        np.testing.assert_array_equal(shard, want_shard)
+    assert dists.tobytes() == want_dists.tobytes()
+
+
+class TestMatchesTheLoopedPartition:
+    """The owner-per-sample partition against the loop over nodes it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 5.0])
+    @pytest.mark.parametrize("num_nodes", [1, 7, 30, 250])
+    def test_shards_and_dists_bit_for_bit(self, seed, alpha, num_nodes):
+        # unequal classes, one of them absent
+        rng = np.random.default_rng(seed)
+        labels = rng.choice([0, 2, 3, 4, 5], size=3000, p=[0.4, 0.3, 0.15, 0.1, 0.05])
+        got_rng, want_rng = stream(seed, "p"), stream(seed, "p")
+        want = looped_dirichlet_partition(labels, 6, num_nodes, alpha, want_rng, max_retries=20)
+        if want is None:  # every draw left a node empty
+            with pytest.raises(ValueError, match="empty nodes"):
+                dirichlet_partition(labels, 6, num_nodes, alpha, got_rng, max_retries=20)
+        else:
+            assert_same_partition(
+                dirichlet_partition(labels, 6, num_nodes, alpha, got_rng, max_retries=20), want
+            )
+        # the same draws were taken
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_redrawn_partitions_match(self, caplog):
+        # 14 samples over 6 nodes: some draws leave a node empty and are redrawn
+        labels = np.array([0, 1, 2] * 4 + [2, 2])
+        with caplog.at_level(logging.WARNING, logger="pmfl.heterogeneity"):
+            for seed in range(20):
+                want = looped_dirichlet_partition(labels, 3, 6, 0.5, stream(seed, "p"))
+                got = dirichlet_partition(labels, 3, 6, 0.5, stream(seed, "p"))
+                assert_same_partition(got, want)
+        assert any("redrawing" in r.message for r in caplog.records)
+
+    def test_both_give_up_on_the_same_draws(self):
+        labels = np.array([0, 1])
+        assert looped_dirichlet_partition(labels, 2, 8, 0.5, stream(6, "p"), 4) is None
+        with pytest.raises(ValueError, match="empty nodes"):
+            dirichlet_partition(labels, 2, 8, 0.5, stream(6, "p"), max_retries=4)
 
 
 class TestAssignFrequencies:

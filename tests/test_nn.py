@@ -11,6 +11,7 @@ from pmfl.nn import (
     Layer,
     Minibatch,
     ModelSpec,
+    Workspace,
     cross_entropy,
     cross_entropy_and_grad,
     flatten,
@@ -308,6 +309,23 @@ class TestSgd:
         np.testing.assert_array_equal(
             flatten(after), flatten(case.params) - 0.3 * flatten(grad)
         )
+
+    @pytest.mark.parametrize("into", ["fresh", "other", "params", "params_ws", "grad"])
+    def test_step_into_out_is_p_minus_lr_g(self, into):
+        case = gradcheck_case(2, with_contrastive=False)
+        _, grad = cross_entropy_and_grad(case.params, case.batch)
+        grad = grad.copy()
+        want = flatten(case.params) - 0.3 * flatten(grad)
+        kwargs = {
+            "fresh": {},
+            "other": {"out": case.params.copy()},
+            "params": {"out": case.params},
+            "params_ws": {"out": case.params, "ws": Workspace(case.params.spec(), 1, 1)},
+            "grad": {"out": grad},
+        }[into]
+        after = sgd_step(case.params, grad, lr=0.3, **kwargs)
+        assert after is kwargs.get("out", after)
+        assert flatten(after).tobytes() == want.tobytes()
 
     def test_param_delta_is_flat_difference(self):
         case = gradcheck_case(3, with_contrastive=False)

@@ -13,6 +13,8 @@ from pmfl.participation import (
     markov_stationary,
 )
 
+from oracles import looped_export_trace_csv
+
 
 def bernoulli_sigma(p: float, rounds: int) -> float:
     return np.sqrt(p * (1.0 - p) / rounds)
@@ -179,3 +181,37 @@ class TestMatrixAndExport:
         assert len(rows) == 31
         back = np.array([[int(v) for v in row[1:]] for row in rows[1:]])
         np.testing.assert_array_equal(back, mat)
+
+
+def _traces():
+    """(name, matrix) pairs: every pattern, empty shapes and other dtypes."""
+    rng = np.random.default_rng(29)
+    freqs = rng.uniform(0.0, 1.0, 250)
+    yield "bernoulli", schedule("bernoulli", freqs, seed=30).trace_matrix(400)
+    yield "markovian", schedule("markovian", freqs[:30], seed=31).trace_matrix(120)
+    yield "cyclic", schedule("cyclic", freqs[:7], seed=32, cycle_length=9).trace_matrix(50)
+    yield "no_rounds", schedule("bernoulli", freqs[:5], seed=33).trace_matrix(0)
+    yield "no_nodes", np.zeros((4, 0), dtype=np.int8)
+    yield "wide_ints", rng.integers(-1000, 10**12, size=(6, 5))
+    yield "bools", rng.random((5, 4)) < 0.5
+    yield "integral_floats", rng.integers(-3, 4, size=(5, 4)).astype(np.float64)
+
+
+TRACES = dict(_traces())
+
+
+class TestMatchesTheLoopedWriter:
+    """The participation CSV against the row-by-row csv.writer it replaced."""
+
+    @pytest.mark.parametrize("trace", list(TRACES.values()), ids=list(TRACES))
+    def test_same_bytes(self, tmp_path, trace):
+        export_trace_csv(trace, tmp_path / "got.csv")
+        looped_export_trace_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5])
+    def test_refuses_a_value_that_is_not_an_integer(self, tmp_path, bad):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="integers only"):
+            export_trace_csv(np.array([[0.0, 1.0], [1.0, bad]]), path)
+        assert list(tmp_path.iterdir()) == []
