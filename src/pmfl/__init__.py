@@ -18,8 +18,8 @@ for _name in BLAS_THREAD_VARS:
     os.environ.setdefault(_name, "1")
 
 from .config import ExperimentConfig, load_config, save_config
-from .contrastive import LocalBuffer, combined_loss_and_grad, cosine_similarity
-from .client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
+from .contrastive import LocalBuffer, combined_loss_and_grad
+from .client import NodeState, local_train, nonparticipant_update
 from .data import DatasetSpec, LabeledDataset, export_csv, ingest_csv, synth_dataset
 from .harness import RunResult, build_environment, run_experiment, run_sweep, resume_run
 from .heterogeneity import (
@@ -33,14 +33,12 @@ from .nn import (
     Minibatch,
     ModelParams,
     ModelSpec,
-    cross_entropy,
     cross_entropy_and_grad,
     flatten,
     forward_logits,
     forward_representation,
     init_params,
     param_delta,
-    partition_slices,
     sgd_step,
     unflatten,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -52,7 +53,8 @@ def _build_config(parser, args) -> ExperimentConfig:
 
 
 def _parse_vary(parser, items: list[str]) -> dict:
-    """``--vary key=v1,v2,...`` items as a grid of raw tokens for run_sweep."""
+    """``--vary key=v1,v2,...`` items as a grid of raw tokens for run_sweep;
+    a comma inside brackets stays in its value, as in ``[16,8],[32]``."""
     grid = {}
     for item in items:
         key, eq, raw = item.partition("=")
@@ -61,7 +63,7 @@ def _parse_vary(parser, items: list[str]) -> dict:
             _fail(parser, f"--vary needs key=v1,v2,... (got {item!r})")
         if key in grid:
             _fail(parser, f"--vary {key}: given more than once")
-        grid[key] = [token.strip() for token in raw.split(",") if token.strip()]
+        grid[key] = [t.strip() for t in re.split(r",(?![^\[]*\])", raw) if t.strip()]
     return grid
 
 

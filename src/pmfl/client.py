@@ -23,34 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
 from .nn import Minibatch, ModelParams, param_delta, sgd_step
 from .rng import stream
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class LocalTrainConfig:
-    """Knobs the local loop needs; a slice of the experiment config."""
-
-    local_iterations: int = 5
-    local_lr: float = 0.1
-    batch_size: int = 32
-    temperature: float = 0.5
-    contrastive_weight: float = 0.5
-
-    def __post_init__(self):
-        if self.local_iterations < 0:
-            raise ValueError("local_iterations must be >= 0")
-        if self.local_lr <= 0:
-            raise ValueError("local_lr must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.contrastive_weight < 0:
-            raise ValueError("contrastive_weight must be >= 0")
 
 
 @dataclass
@@ -101,7 +79,7 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int, count: int
 def local_train(
     node: NodeState,
     global_params: ModelParams,
-    cfg: LocalTrainConfig,
+    cfg: ExperimentConfig,
     round_idx: int,
     buffers: TrainBuffers | None = None,
 ) -> np.ndarray:
@@ -115,6 +93,9 @@ def local_train(
     An empty shard is skipped with a logged error and contributes a zero
     update, the same as sitting the round out.
     """
+    if cfg.local_iterations < 0 or cfg.local_lr <= 0 or cfg.batch_size < 1:
+        raise ValueError("local training needs local_iterations >= 0, local_lr > 0 "
+                         "and batch_size >= 1")
     if node.num_samples == 0:
         log.error("node %d has an empty shard, skipping round %d", node.node_id, round_idx)
         return np.zeros(global_params.num_params)
@@ -131,7 +112,7 @@ def local_train(
         rng, node.num_samples, cfg.batch_size, cfg.local_iterations
     )
     mu_reference = node.buffer.newest()
-    buffers.stage(global_params, global_params, node.buffer, mu_reference)
+    buffers.stage(global_params, global_params, node.buffer.rows, mu_reference)
     w = buffers.current  # starts as a copy of the global model, stepped in place
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
@@ -148,7 +129,6 @@ def local_train(
         buffers.push()  # the window holds models older than the current one
         sgd_step(w, grad, cfg.local_lr, out=w, ws=buffers.workspace)
     if cfg.local_iterations and node.buffer.capacity:
-        node.buffer.spec = w.spec()  # a buffer made without one learns it, as on a push
         node.buffer.rows = buffers.window.copy()
     return param_delta(w, global_params)
 

@@ -255,7 +255,9 @@ def _parse_str(raw) -> str:
 
 
 def _parse_widths(raw) -> tuple[int, ...]:
-    if isinstance(raw, str):
+    if isinstance(raw, str) and raw.lstrip().startswith("["):
+        raw = json.loads(raw)  # the list a JSON config holds
+    elif isinstance(raw, str):
         raw = [v for v in raw.split(",") if v.strip()]
     if isinstance(raw, (list, tuple)):
         return tuple(_parse_int(v) for v in raw)
@@ -275,7 +277,7 @@ _KINDS = {
     "int": ("an integer", _parse_int),
     "float": ("a number", _parse_float),
     "str": ("a string", _parse_str),
-    _WIDTHS: ("integer widths, as a list or 'W1,W2,...'", _parse_widths),
+    _WIDTHS: ("integer widths, as a list, '[W1,W2,...]' or 'W1,W2,...'", _parse_widths),
     "int | None": ("an integer, 'inf' or null", _parse_cutoff),
 }
 

@@ -21,7 +21,6 @@ coefficients of the contrastive term to its gradient ``dz`` and the model's.
 from __future__ import annotations
 
 import logging
-from typing import Iterator
 
 import numpy as np
 
@@ -40,31 +39,10 @@ from .nn import forward_representation  # noqa: F401  (perfbench/layers.py wraps
 log = logging.getLogger(__name__)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors.
-
-    Identical vectors give exactly 1.0; a zero-norm operand gives 0.0 with a
-    logged warning, keeping downstream sums finite.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.array_equal(a, b):
-        if not a.any():
-            log.warning("cosine similarity of zero-norm vectors, returning 0")
-            return 0.0
-        return 1.0
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        log.warning("cosine similarity with a zero-norm operand, returning 0")
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _cos_rows(a, b, na=None, nb=None, out=None, mask=None) -> np.ndarray:
-    """Cosine similarity along the last axis, with the same conventions as above.
+    """Cosine similarity along the last axis, with the conventions of the
+    scalar reference in ``tests/oracles.py``: identical rows give exactly 1,
+    and a zero-norm operand gives 0.
 
     Leading axes broadcast; ``na`` and ``nb`` are the row norms of ``a`` and
     ``b`` when the caller has them, ``out`` takes the cosines and the boolean
@@ -88,19 +66,19 @@ class LocalBuffer:
     """Sliding window of model snapshots, strictly oldest-first eviction.
 
     The window is one read-only ``(len, P)`` array, :attr:`rows`, oldest
-    first.  Capacity 0 disables buffering (pushes are dropped).  A push
-    builds a new array and never writes the old one, so a row read from the
-    buffer (a model from :meth:`newest`, say) keeps its values without a copy
-    however the buffer moves on.  ``spec`` fixes the row width up front;
-    without it the first push does.
+    first, whose rows are models of ``spec``.  Capacity 0 disables
+    buffering (pushes are dropped).  A push builds a new array and never
+    writes the old one, so a row read from the buffer (a model from
+    :meth:`newest`, say) keeps its values without a copy however the buffer
+    moves on.
     """
 
-    def __init__(self, capacity: int, spec: ModelSpec | None = None):
+    def __init__(self, capacity: int, spec: ModelSpec):
         if capacity < 0:
             raise ValueError("buffer capacity must be >= 0")
         self.capacity = int(capacity)
         self.spec = spec
-        self.rows = np.empty((0, 0 if spec is None else spec.num_params))
+        self.rows = np.empty((0, spec.num_params))
 
     @property
     def rows(self) -> np.ndarray:
@@ -116,27 +94,14 @@ class LocalBuffer:
     def push(self, params: ModelParams) -> None:
         if self.capacity == 0:
             return
-        if self.spec is None:
-            self.spec = params.spec()
-            self.rows = np.empty((0, self.spec.num_params))
         kept = self.rows[max(len(self) + 1 - self.capacity, 0) :]
         self.rows = np.concatenate([kept, params.vector[None]])
 
     def newest(self) -> ModelParams | None:
         return ModelParams(self.spec, self.rows[-1]) if len(self) else None
 
-    def oldest(self) -> ModelParams | None:
-        return ModelParams(self.spec, self.rows[0]) if len(self) else None
-
-    def entries(self) -> list[ModelParams]:
-        """Snapshots ordered oldest to newest, as read-only views of the rows."""
-        return list(self)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[ModelParams]:
-        return (ModelParams(self.spec, row) for row in self.rows)
 
 
 class TrainBuffers:
@@ -167,13 +132,11 @@ class TrainBuffers:
         self,
         params: ModelParams,
         global_params: ModelParams,
-        window,
+        rows: np.ndarray,
         mu_reference: ModelParams | None,
     ) -> None:
         """Copy in the current model, the reference (the global model when
-        there is none), the global model and ``window``, a
-        :class:`LocalBuffer` or its rows."""
-        rows = getattr(window, "rows", window)
+        there is none), the global model and the window's (len, P) ``rows``."""
         if len(rows) > self.capacity:
             raise ValueError(f"{len(rows)} window rows exceed the capacity {self.capacity}")
         self.stack[0] = params.vector
@@ -214,7 +177,7 @@ def combined_loss_and_grad(
     params: ModelParams,
     batch: Minibatch,
     global_params: ModelParams,
-    buffer,
+    buffer: np.ndarray,
     temperature: float,
     contrastive_weight: float,
     mu_reference: ModelParams | None = None,
@@ -222,11 +185,11 @@ def combined_loss_and_grad(
 ) -> tuple[float, ModelParams]:
     """Cross-entropy plus weighted contrastive term, with its full gradient.
 
-    ``buffer`` is the window of past models, a :class:`LocalBuffer` or its
-    (len, P) rows.  ``mu_reference`` is the model whose representation
-    anchors the per-sample threshold (callers freeze the buffer head from
-    before the round started); ``None`` falls back to the global model,
-    making the threshold exactly 1.
+    ``buffer`` is the window of past models as (len, P) rows, oldest first.
+    ``mu_reference`` is the model whose representation anchors the
+    per-sample threshold (callers freeze the buffer head from before the
+    round started); ``None`` falls back to the global model, making the
+    threshold exactly 1.
 
     ``buffers`` must hold these arguments, staged by
     :meth:`TrainBuffers.stage` and pushed since, with ``params`` its

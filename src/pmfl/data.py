@@ -128,15 +128,10 @@ def synth_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return train, test
 
 
-def ingest_csv(
-    path,
-    num_classes: int | None = None,
-    expected_dim: int | None = None,
-    standardize: bool = False,
-) -> LabeledDataset:
+def ingest_csv(path, standardize: bool = False) -> LabeledDataset:
     """Read ``feature..., label`` rows; malformed input fails with its line number."""
     features, labels = [], []
-    dim = expected_dim
+    dim = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -167,13 +162,12 @@ def ingest_csv(
     y = np.asarray(labels, dtype=np.int64)
     if y.min() < 0:
         raise ValueError(f"{path}: labels must be >= 0")
-    classes = num_classes if num_classes is not None else int(y.max()) + 1
     if standardize:
         mean = x.mean(axis=0)
         std = x.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)
         x = (x - mean) / std
-    return LabeledDataset(x, y, classes)
+    return LabeledDataset(x, y, int(y.max()) + 1)
 
 
 def export_csv(dataset: LabeledDataset, path) -> None:

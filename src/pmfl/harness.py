@@ -26,9 +26,10 @@ window as one array ``buffers`` cut apart by ``buffer_lengths``, and
 array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
 round.  Each is replaced whole, and a pair whose row counts disagree (a run
 stopped between the two replaces) is refused on resume, as is a checkpoint
-file that cannot be read.  Every file is written to a temporary file first
-and then renamed over its target; a run starts by deleting the temporary
-files of its own outputs that a killed run left behind.
+file that cannot be read or whose arrays do not fit the run.  Every file is
+written to a temporary file first and then renamed over its target; a run
+starts by deleting the temporary files of its own outputs that a killed run
+left behind.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
 only code that starts one, so it imports ``multiprocessing`` and the
@@ -66,7 +67,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
-from .client import LocalTrainConfig, NodeState, local_train
+from .client import NodeState, local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
 from .config import ExperimentConfig, parse_value
 from .contrastive import LocalBuffer, TrainBuffers
@@ -130,7 +131,6 @@ class Environment:
     trace: np.ndarray  # (rounds, num_nodes)
     nodes: list[NodeState]
     spec: ModelSpec
-    local_cfg: LocalTrainConfig
     eval_workspace: Workspace  # sized for the train set, the test set and every shard
     train_buffers: TrainBuffers  # every participation's local steps run in these
 
@@ -183,13 +183,6 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         )
         for k in range(cfg.num_nodes)
     ]
-    local_cfg = LocalTrainConfig(
-        local_iterations=cfg.local_iterations,
-        local_lr=cfg.local_lr,
-        batch_size=cfg.batch_size,
-        temperature=cfg.temperature,
-        contrastive_weight=cfg.contrastive_weight,
-    )
     return Environment(
         cfg=cfg,
         train=train,
@@ -200,7 +193,6 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         trace=trace,
         nodes=nodes,
         spec=spec,
-        local_cfg=local_cfg,
         eval_workspace=Workspace(spec, 1, max(train.num_samples, test.num_samples)),
         train_buffers=TrainBuffers(spec, cfg.local_buffer_size, cfg.batch_size),
     )
@@ -211,14 +203,6 @@ class RunResult:
     out_dir: Path
     rounds_completed: int
     summary: dict
-
-    @property
-    def final_test_accuracy(self):
-        return self.summary.get("final_test_accuracy")
-
-    @property
-    def top5_test_accuracy(self):
-        return self.summary.get("top5_test_accuracy")
 
 
 def _fmt(value) -> str:
@@ -384,13 +368,32 @@ def _reading(path: Path):
         raise ValueError(f"{path} is damaged: {type(exc).__name__}: {exc}") from exc
 
 
+def _check_shapes(data: dict, windows: list, env: Environment, state: AggregatorState) -> None:
+    """Refuse a saved array whose shape does not fit the run.  The count of
+    ``row_weights`` is checked against the rows they belong to."""
+    P, N = env.spec.num_params, env.cfg.num_nodes
+    want = {name: (N, P) if name == "cached_updates" else (N,) for name in _SERVER_ARRAYS}
+    want.update(global_flat=(P,), buffer_lengths=(N,),
+                row_weights=(len(data.get("row_weights", ())), N))
+    for name, shape in want.items():
+        if name in data and data[name].shape != shape:
+            raise ValueError(f"{name} has shape {data[name].shape}, the run needs {shape}")
+    if "buffers" in data and [len(w) for w in windows] != data["buffer_lengths"].tolist():
+        raise ValueError(f"buffer_lengths do not cut the {len(data['buffers'])} rows of buffers")
+    for name, buffer, rows in [("history", state.history, data["history"]), *(
+            (f"window {n.node_id}", n.buffer, w) for n, w in zip(env.nodes, windows))]:
+        if rows.ndim != 2 or rows.shape[1] != P or len(rows) > buffer.capacity:
+            raise ValueError(f"{name} has shape {rows.shape}, the run needs at most "
+                             f"{buffer.capacity} rows of {P}")
+
+
 def _load_checkpoint(
     out_dir: Path, env: Environment, state: AggregatorState
 ) -> list[RoundMetrics]:
     """Put a checkpoint's state into ``state`` and the nodes; return its rows.
 
-    A checkpoint file that cannot be read raises a ValueError naming it, and
-    nothing is changed.
+    A checkpoint file that cannot be read, or whose arrays do not fit the
+    run, raises a ValueError naming it, and nothing is changed.
     """
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
@@ -407,6 +410,7 @@ def _load_checkpoint(
             windows = np.split(data["buffers"], ends)
         else:  # written before the windows were one array
             windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
+        _check_shapes(data, windows, env, state)
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
     with _reading(rows_path):
         with open(rows_path) as fh:
@@ -445,9 +449,7 @@ def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetric
     # row i is the update of node participants[i]; absent nodes send nothing
     updates = np.empty((participants.size, env.spec.num_params))
     for i, k in enumerate(participants):
-        updates[i] = local_train(
-            env.nodes[k], state.global_model, env.local_cfg, t, env.train_buffers
-        )
+        updates[i] = local_train(env.nodes[k], state.global_model, cfg, t, env.train_buffers)
 
     update_weights(state, indicators)
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None

@@ -49,9 +49,9 @@ def evaluate(
     """(argmax accuracy, mean cross-entropy) of the model on a labelled set.
 
     The values are those of :func:`pmfl.nn.forward_logits`, ``argmax`` and
-    :func:`pmfl.nn.cross_entropy`, bit for bit: the same operations, each
-    written into ``workspace`` (a fresh one when None), whose rows must hold
-    the whole set.
+    the reference ``cross_entropy`` of ``tests/oracles.py``, bit for bit:
+    the same operations, each written into ``workspace`` (a fresh one when
+    None), whose rows must hold the whole set.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -224,17 +224,6 @@ def unflatten(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
     return ModelParams(spec, np.array(flat, dtype=np.float64))
 
 
-def partition_slices(spec: ModelSpec) -> dict[str, slice]:
-    """Index ranges of each block inside the flat layout; disjoint and covering."""
-    out = {}
-    pos = 0
-    for block in BLOCKS:
-        size = sum(o * i + o for o, i in spec.block_shapes(block))
-        out[block] = slice(pos, pos + size)
-        pos += size
-    return out
-
-
 def _atleast_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -393,11 +382,6 @@ def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x, len(params.layers()), rectify_last=False)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(
@@ -406,21 +390,13 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of ``labels`` under softmax(``logits``)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    _check_labels(labels, logits.shape[-1])
-    lp = log_softmax(logits)
-    return float(-lp[np.arange(labels.shape[0]), labels].mean())
-
-
 def _nll(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood of ``labels`` under softmax(``logits``),
-    :func:`cross_entropy` bit for bit, and the labels' flat indices; the
-    (n, classes) ``logits`` become :func:`log_softmax` of themselves in
-    place.  The ufunc reductions and ``add.reduce(x) / n`` are the arithmetic
-    of ``max``, ``sum`` and ``mean`` in fewer Python calls.
+    """Mean negative log-likelihood of ``labels`` under softmax(``logits``)
+    and the labels' flat indices; the (n, classes) ``logits`` become their
+    log-softmax in place.  The loss is the reference ``cross_entropy`` of
+    ``tests/oracles.py`` bit for bit: the ufunc reductions and
+    ``add.reduce(x) / n`` are the arithmetic of its ``max``, ``sum`` and
+    ``mean`` in fewer Python calls.
     """
     n, classes = logits.shape
     _check_labels(labels, classes)

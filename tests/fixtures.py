@@ -27,7 +27,7 @@ class GradCase:
     params: ModelParams
     batch: Minibatch
     global_params: ModelParams
-    buffer: LocalBuffer
+    buffer: np.ndarray  # the window's (len, P) rows, oldest first
     mu_reference: ModelParams
     temperature: float
     contrastive_weight: float
@@ -45,7 +45,8 @@ def _margins_ok(case: GradCase, with_contrastive: bool) -> bool:
     mu = _cos_rows(
         forward_representation(case.mu_reference, case.batch.features), z_glob
     )
-    for entry in case.buffer:
+    for row in case.buffer:
+        entry = ModelParams(case.params.spec(), row)
         s = _cos_rows(z, forward_representation(entry, case.batch.features))
         if np.abs(s - mu).min() < PARTITION_MARGIN:
             return False
@@ -71,14 +72,14 @@ def gradcheck_case(case_seed: int, with_contrastive: bool) -> GradCase:
             rng.standard_normal((3, spec.input_dim)),
             rng.integers(0, n_classes, size=3),
         )
-        buffer = LocalBuffer(capacity=4)
+        buffer = LocalBuffer(4, spec)
         for scale in (0.15, 0.3):
             buffer.push(perturbed(params, rng, scale))
         case = GradCase(
             params=params,
             batch=batch,
             global_params=perturbed(params, rng, 0.2),
-            buffer=buffer,
+            buffer=buffer.rows,
             mu_reference=perturbed(params, rng, 0.1),
             temperature=float(rng.uniform(0.4, 1.5)),
             contrastive_weight=float(rng.uniform(0.3, 1.2)),

@@ -7,26 +7,66 @@ the vectorized code under test.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from pmfl.client import LocalTrainConfig, NodeState, _epoch_batches
-from pmfl.contrastive import LocalBuffer, cosine_similarity
+from pmfl.client import NodeState, _epoch_batches
+from pmfl.config import ExperimentConfig
 from pmfl.nn import (
     Minibatch,
     ModelParams,
+    _check_labels,
     cross_entropy_and_grad,
     flatten,
     forward_representation,
-    log_softmax,
     param_delta,
     sgd_step,
     unflatten,
 )
 from pmfl.server import _advance, _smooth
+
+log = logging.getLogger(__name__)
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors.
+
+    Identical vectors give exactly 1.0; a zero-norm operand gives 0.0 with a
+    logged warning, keeping downstream sums finite.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if np.array_equal(a, b):
+        if not a.any():
+            log.warning("cosine similarity of zero-norm vectors, returning 0")
+            return 0.0
+        return 1.0
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        log.warning("cosine similarity with a zero-norm operand, returning 0")
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-likelihood of ``labels`` under softmax(``logits``)."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    _check_labels(labels, logits.shape[-1])
+    lp = log_softmax(logits)
+    return float(-lp[np.arange(labels.shape[0]), labels].mean())
 
 
 def scalar_forward(params: ModelParams, x) -> tuple[list[float], list[float]]:
@@ -204,16 +244,16 @@ def contrastive_loss(current_rep: np.ndarray, ctx: ContrastiveContext) -> float:
     return float(np.log1p(neg / pos))
 
 
-def compute_mu(buffer: LocalBuffer, global_params: ModelParams, x: np.ndarray) -> float:
+def compute_mu(window: np.ndarray, global_params: ModelParams, x: np.ndarray) -> float:
     """Per-sample partition threshold.
 
-    Similarity between the newest buffered model's representation of ``x`` and
-    the global model's; exactly 1 when the buffer is empty (the global model is
-    then its own reference).
+    Similarity between the representation of ``x`` under the newest of the
+    window's (len, P) rows and the global model's; exactly 1 when the window
+    is empty (the global model is then its own reference).
     """
-    newest = buffer.newest()
-    if newest is None:
+    if len(window) == 0:
         return 1.0
+    newest = ModelParams(global_params.spec(), window[-1])
     return cosine_similarity(
         forward_representation(newest, x), forward_representation(global_params, x)
     )
@@ -290,13 +330,14 @@ def looped_loss_and_grad(
     params: ModelParams,
     batch: Minibatch,
     global_params: ModelParams,
-    buffer: LocalBuffer,
+    buffer: np.ndarray,
     temperature: float,
     contrastive_weight: float,
     mu_reference: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """``combined_loss_and_grad`` with one forward pass and one gradient term
-    per reference model, as the package computed it before it stacked them."""
+    per reference model, as the package computed it before it stacked them.
+    ``buffer`` is the window's (len, P) rows."""
     if contrastive_weight == 0.0:
         return cross_entropy_and_grad(params, batch)
 
@@ -313,7 +354,7 @@ def looped_loss_and_grad(
         return ce, cached_backward(params, inputs, pres, dlogits)
 
     z_glob = forward_representation(global_params, X)
-    hist = [forward_representation(m, X) for m in buffer]
+    hist = [forward_representation(ModelParams(params.spec(), row), X) for row in buffer]
     if mu_reference is None:
         mu = np.ones(n)
     else:
@@ -343,7 +384,7 @@ def looped_loss_and_grad(
 
 
 def looped_local_train(
-    node: NodeState, global_params: ModelParams, cfg: LocalTrainConfig, round_idx: int
+    node: NodeState, global_params: ModelParams, cfg: ExperimentConfig, round_idx: int
 ) -> np.ndarray:
     """``local_train`` as the package ran it before the steps shared one set
     of buffers: :func:`looped_loss_and_grad` on the node's own window, a
@@ -359,7 +400,7 @@ def looped_local_train(
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = looped_loss_and_grad(
-            w, batch, global_params, node.buffer, cfg.temperature,
+            w, batch, global_params, node.buffer.rows, cfg.temperature,
             cfg.contrastive_weight, mu_reference,
         )
         node.buffer.push(w)

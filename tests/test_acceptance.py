@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmfl.client import LocalTrainConfig, NodeState, _epoch_batches, local_train
+from pmfl.client import NodeState, _epoch_batches, local_train
 from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
 from pmfl.harness import run_experiment, run_sweep
@@ -240,7 +240,7 @@ def test_04_contrastive_loss_identities():
     rng = np.random.default_rng(42)
     spec = ModelSpec(input_dim=5, encoder=(8,), projection=(6,), classifier=(3,))
     global_params = init_params(spec, rng)
-    buffer = LocalBuffer(3)
+    buffer = LocalBuffer(3, spec)
     buffer.push(perturbed(global_params, rng, 0.2))
     buffer.push(perturbed(global_params, rng, 0.1))
     node = NodeState(
@@ -250,7 +250,7 @@ def test_04_contrastive_loss_identities():
         buffer=buffer,
         root_seed=11,
     )
-    cfg = LocalTrainConfig(
+    cfg = ExperimentConfig(
         local_iterations=4, local_lr=0.1, batch_size=16,
         temperature=0.5, contrastive_weight=0.0,
     )

@@ -100,3 +100,45 @@ def test_baseline_rounds_pass_the_aggregation_hook(variant, tmp_path, monkeypatc
 
     metrics = layers.per_layer_metrics(tracer.arrays(), tracer.counts, tmp_path)
     assert metrics["server.aggregate.calls"] == cfg.rounds
+
+
+# wrapped names that no run calls: they stay only so the hooks can wrap them
+HOOK_ONLY = {"client.nonparticipant_update", "contrastive.ref_forward", "nn.params_copy"}
+
+
+def _uncalled(run, monkeypatch) -> set[str]:
+    """The names the hooks wrap that ``run()`` makes no call of."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("spans").Tracer()
+    layers.install(tracer)
+    try:
+        with tracer.span(layers.ROOT):
+            run()
+    finally:
+        tracer.restore()
+    return set(tracer.names) - {tracer.names[i] for i in tracer.name_ids}
+
+
+def test_no_other_wrapped_name_lives_for_the_hooks_alone(tmp_path, monkeypatch):
+    # the contrastive kernel with checkpoints, plain cross-entropy, both
+    # baseline update rules, and a resume
+    configs = [tiny_config(checkpoint_every=2)] + [
+        tiny_config(variant=v) for v in ("wo_mct", "uniform_average", "cached_update")
+    ]
+    uncalled = [
+        _uncalled(lambda: harness.run_experiment(cfg, tmp_path / str(i)), monkeypatch)
+        for i, cfg in enumerate(configs)
+    ]
+    real = harness.update_weights
+
+    def update_weights(state, indicators):
+        if state.round_idx == 4:
+            raise KeyboardInterrupt
+        return real(state, indicators)
+
+    with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+        m.setattr(harness, "update_weights", update_weights)
+        harness.run_experiment(tiny_config(checkpoint_every=2), tmp_path / "resumed")
+    uncalled.append(_uncalled(lambda: harness.resume_run(tmp_path / "resumed"), monkeypatch))
+    assert set.intersection(*uncalled) == HOOK_ONLY

@@ -44,6 +44,17 @@ TINY_FLAGS = [
 ]
 
 
+def _npz_damage(edit):
+    """A damage that rewrites a checkpoint's arrays after ``edit`` changes them."""
+
+    def damage(path):
+        arrays = dict(np.load(path))
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return staticmethod(damage)
+
+
 class TestRunCommand:
     def test_run_without_a_test_set_finishes_with_null_test_fields(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path)] + TINY_FLAGS
@@ -180,16 +191,26 @@ class TestRunCommand:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
 
-    @staticmethod
-    def _drop_global_model(path):
-        arrays = dict(np.load(path))
-        del arrays["global_flat"]
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+    # the tiny run has 85 parameters, 4 nodes and a history of 2 models
+    _drop_global_model = _npz_damage(lambda a: a.pop("global_flat"))
+    _short_global_model = _npz_damage(lambda a: a.update(global_flat=a["global_flat"][:-1]))
+    _narrow_history = _npz_damage(lambda a: a.update(history=a["history"][:, :5]))
+    _weights_for_two_nodes = _npz_damage(lambda a: a.update(weights=a["weights"][:2]))
+    _narrow_row_weights = _npz_damage(lambda a: a.update(row_weights=a["row_weights"][:, :2]))
+    _lengths_for_two_nodes = _npz_damage(
+        lambda a: a.update(buffer_lengths=a["buffer_lengths"][:2]))
+    _lengths_past_the_rows = _npz_damage(
+        lambda a: a.update(buffer_lengths=a["buffer_lengths"] + 1))
 
     @pytest.mark.parametrize("damage, name", [
         ("_truncate", CHECKPOINT_FILE),
         ("_drop_global_model", CHECKPOINT_FILE),
+        ("_short_global_model", CHECKPOINT_FILE),
+        ("_narrow_history", CHECKPOINT_FILE),
+        ("_weights_for_two_nodes", CHECKPOINT_FILE),
+        ("_narrow_row_weights", CHECKPOINT_FILE),
+        ("_lengths_for_two_nodes", CHECKPOINT_FILE),
+        ("_lengths_past_the_rows", CHECKPOINT_FILE),
         ("_truncate", CHECKPOINT_ROWS_FILE),
     ])
     def test_resume_of_a_damaged_checkpoint_is_a_clean_error(
@@ -262,6 +283,16 @@ class TestSweepCommand:
         assert (tmp_path / "cell_000__seed=1").is_dir()
         assert (tmp_path / "cell_001__seed=2").is_dir()
 
+    def test_vary_over_width_lists(self, tmp_path, capsys):
+        # a comma inside brackets belongs to one width list
+        rc = main(["sweep", "--out", str(tmp_path), "--vary", "encoder_dims=[16,8],[32]"]
+                  + TINY_FLAGS)
+        assert rc == 0
+        assert "sweep complete: 2 cells, 0 failed" in capsys.readouterr().out
+        widths = [json.loads((cell / "manifest.json").read_text())["resolved_config"]
+                  ["encoder_dims"] for cell in sorted(tmp_path.glob("cell_*"))]
+        assert widths == [[16, 8], [32]]
+
     def test_cells_without_a_test_set_finish(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path), "--vary", "seed=1,2"]
                   + TINY_FLAGS + ["--dataset-test-fraction", "0"])
@@ -304,13 +335,14 @@ class TestSweepCommand:
 
 
 class TestOneParser:
-    # field -> (spelling, setting as the manifest records it); a --vary
-    # token cannot hold a comma, so the two-width spelling rides on a flag
+    # field -> (spelling, setting as the manifest records it); commas outside
+    # brackets separate --vary values, so the "8,4" spelling rides on a flag
     SPELLINGS = {
         "dataset_standardize": ("no", False),
         "rounds": ("5", 5),
         "local_lr": ("0.05", 0.05),
         "encoder_dims": ("16", [16]),
+        "classifier_hidden_dims": ("[5,3]", [5, 3]),
         "cutoff_interval": ("inf", None),
     }
 

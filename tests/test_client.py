@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmfl.client import LocalTrainConfig, NodeState, local_train, nonparticipant_update
+from pmfl.client import NodeState, local_train, nonparticipant_update
+from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
 from pmfl.nn import (
     Minibatch,
@@ -31,7 +32,7 @@ def make_node(seed, n=10, capacity=4, node_id=0, root_seed=99):
         node_id=node_id,
         features=rng.standard_normal((n, SPEC.input_dim)),
         labels=rng.integers(0, SPEC.num_classes, size=n),
-        buffer=LocalBuffer(capacity),
+        buffer=LocalBuffer(capacity, SPEC),
         root_seed=root_seed,
     )
 
@@ -56,16 +57,14 @@ def epoch_batches_oracle(rng, n, batch_size, count):
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LocalTrainConfig(local_iterations=-1)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(local_lr=0.0)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(temperature=0.0)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(contrastive_weight=-0.5)
+        # a config that skipped validate(): local_train refuses the loop's
+        # settings itself, and its kernel those of the contrastive term
+        node = make_node(0, capacity=2)
+        node.buffer.push(make_global(2))
+        for setting in (dict(local_iterations=-1), dict(local_lr=0.0), dict(batch_size=0),
+                        dict(temperature=0.0), dict(contrastive_weight=-0.5)):
+            with pytest.raises(ValueError):
+                local_train(node, make_global(), ExperimentConfig(**setting), 0)
 
 
 class TestNodeState:
@@ -78,9 +77,9 @@ class TestNodeState:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            NodeState(0, np.zeros(3), np.zeros(3, dtype=int), LocalBuffer(1), 0)
+            NodeState(0, np.zeros(3), np.zeros(3, dtype=int), LocalBuffer(1, SPEC), 0)
         with pytest.raises(ValueError):
-            NodeState(0, np.zeros((3, 2)), np.zeros(4, dtype=int), LocalBuffer(1), 0)
+            NodeState(0, np.zeros((3, 2)), np.zeros(4, dtype=int), LocalBuffer(1, SPEC), 0)
 
     def test_round_rng_is_round_and_node_keyed(self):
         node = make_node(0, node_id=3, root_seed=42)
@@ -93,14 +92,14 @@ class TestNodeState:
 class TestLocalTrain:
     def test_zero_iterations_returns_zero_update(self):
         node = make_node(1)
-        delta = local_train(node, make_global(), LocalTrainConfig(local_iterations=0), 0)
+        delta = local_train(node, make_global(), ExperimentConfig(local_iterations=0), 0)
         np.testing.assert_array_equal(delta, 0.0)
         assert len(node.buffer) == 0
 
     def test_single_full_batch_step_closed_form(self):
         node = make_node(2, n=8, capacity=0)
         w0 = make_global(3)
-        cfg = LocalTrainConfig(
+        cfg = ExperimentConfig(
             local_iterations=1, local_lr=0.2, batch_size=64, contrastive_weight=0.7
         )
         delta = local_train(node, w0, cfg, round_idx=5)
@@ -119,24 +118,24 @@ class TestLocalTrain:
     def test_buffer_holds_pre_step_models(self):
         node = make_node(3, capacity=10)
         w0 = make_global(4)
-        cfg = LocalTrainConfig(local_iterations=3, batch_size=4, contrastive_weight=0.0)
+        cfg = ExperimentConfig(local_iterations=3, batch_size=4, contrastive_weight=0.0)
         delta = local_train(node, w0, cfg, 0)
         assert len(node.buffer) == 3
-        entries = node.buffer.entries()
-        np.testing.assert_array_equal(flatten(entries[0]), flatten(w0))
+        rows = node.buffer.rows
+        np.testing.assert_array_equal(rows[0], flatten(w0))
         final = flatten(w0) + delta
-        assert np.any(flatten(entries[-1]) != final)  # newest is pre-step, not final
+        assert np.any(rows[-1] != final)  # newest is pre-step, not final
 
     def test_buffer_growth_and_eviction_across_rounds(self):
         node = make_node(4, capacity=5)
-        cfg = LocalTrainConfig(local_iterations=3, batch_size=4)
+        cfg = ExperimentConfig(local_iterations=3, batch_size=4)
         w = make_global(5)
         local_train(node, w, cfg, 0)
         assert len(node.buffer) == 3
-        kept_before = [flatten(m) for m in node.buffer]
+        kept_before = node.buffer.rows
         local_train(node, w, cfg, 1)
         assert len(node.buffer) == 5  # min(capacity, 3 + 3)
-        kept_after = [flatten(m) for m in node.buffer]
+        kept_after = node.buffer.rows
         # the two oldest survivors are the last two snapshots of round 0
         np.testing.assert_array_equal(kept_after[0], kept_before[1])
         np.testing.assert_array_equal(kept_after[1], kept_before[2])
@@ -145,7 +144,7 @@ class TestLocalTrain:
         node = make_node(5, n=11, capacity=3)
         node.buffer.push(perturbed(make_global(6), np.random.default_rng(0), 0.1))
         w0 = make_global(6)
-        cfg = LocalTrainConfig(
+        cfg = ExperimentConfig(
             local_iterations=7, local_lr=0.05, batch_size=4, contrastive_weight=0.0
         )
         delta = local_train(node, w0, cfg, 2)
@@ -164,7 +163,7 @@ class TestLocalTrain:
         prefill = perturbed(make_global(7), np.random.default_rng(1), 0.2)
         node.buffer.push(prefill)
         w0 = make_global(7)
-        cfg = LocalTrainConfig(
+        cfg = ExperimentConfig(
             local_iterations=iterations,
             local_lr=0.1,
             batch_size=4,
@@ -173,7 +172,7 @@ class TestLocalTrain:
         delta = local_train(node, w0, cfg, 3)
 
         rng = stream(99, "train", node.node_id, 3)
-        buf = LocalBuffer(capacity)
+        buf = LocalBuffer(capacity, SPEC)
         buf.push(prefill)
         frozen_ref = buf.newest()  # pinned before any mid-round snapshots
         w = w0.copy()
@@ -182,7 +181,7 @@ class TestLocalTrain:
                 w,
                 Minibatch(node.features[idx], node.labels[idx]),
                 w0,
-                buf,
+                buf.rows,
                 temperature=cfg.temperature,
                 contrastive_weight=0.6,
                 mu_reference=frozen_ref,
@@ -195,7 +194,7 @@ class TestLocalTrain:
 
     def test_epoch_walk_covers_shard_without_replacement(self):
         node = make_node(7, n=10)
-        cfg = LocalTrainConfig(local_iterations=3, batch_size=4, contrastive_weight=0.0)
+        cfg = ExperimentConfig(local_iterations=3, batch_size=4, contrastive_weight=0.0)
         rng = stream(99, "train", node.node_id, 0)
         batches = epoch_batches_oracle(rng, 10, 4, 3)
         assert [len(b) for b in batches] == [4, 4, 2]  # short tail batch
@@ -205,16 +204,16 @@ class TestLocalTrain:
         local_train(node, make_global(8), cfg, 0)  # and the walk actually runs
 
     def test_empty_shard_is_skipped_with_error(self, caplog):
-        node = NodeState(1, np.zeros((0, 3)), np.zeros(0, dtype=int), LocalBuffer(2), 99)
+        node = NodeState(1, np.zeros((0, 3)), np.zeros(0, dtype=int), LocalBuffer(2, SPEC), 99)
         w0 = make_global(9)
         with caplog.at_level(logging.ERROR, logger="pmfl.client"):
-            delta = local_train(node, w0, LocalTrainConfig(), 4)
+            delta = local_train(node, w0, ExperimentConfig(), 4)
         np.testing.assert_array_equal(delta, 0.0)
         assert len(node.buffer) == 0
         assert any("empty shard" in r.message for r in caplog.records)
 
     def test_deterministic_replay(self):
-        cfg = LocalTrainConfig(local_iterations=5, batch_size=3)
+        cfg = ExperimentConfig(local_iterations=5, batch_size=3)
         a = local_train(make_node(8), make_global(10), cfg, 6)
         b = local_train(make_node(8), make_global(10), cfg, 6)
         np.testing.assert_array_equal(a, b)
@@ -223,7 +222,7 @@ class TestLocalTrain:
         node = make_node(9)
         w0 = make_global(11)
         before = flatten(w0).copy()
-        local_train(node, w0, LocalTrainConfig(local_iterations=4, batch_size=4), 0)
+        local_train(node, w0, ExperimentConfig(local_iterations=4, batch_size=4), 0)
         np.testing.assert_array_equal(flatten(w0), before)
 
 
@@ -243,7 +242,7 @@ class TestStagedLoop:
     @pytest.mark.parametrize("capacity", [0, 1, 4, 12])
     def test_matches_the_looped_loop_bit_for_bit(self, capacity, batch_size, contrastive_weight):
         rng = np.random.default_rng((capacity, batch_size))
-        cfg = LocalTrainConfig(
+        cfg = ExperimentConfig(
             local_iterations=6, local_lr=0.1, batch_size=batch_size,
             contrastive_weight=contrastive_weight,
         )
@@ -272,7 +271,7 @@ class TestStagedLoop:
 
     def test_buffers_must_fit_the_window_and_the_batch(self):
         node = make_node(0, capacity=4)
-        cfg = LocalTrainConfig(local_iterations=2, batch_size=4)
+        cfg = ExperimentConfig(local_iterations=2, batch_size=4)
         for buffers in (TrainBuffers(SPEC, 3, 4), TrainBuffers(SPEC, 4, 3)):
             with pytest.raises(ValueError):
                 local_train(node, make_global(), cfg, 0, buffers)
@@ -282,11 +281,11 @@ class TestStagedLoop:
         node = make_node(0, capacity=2)
         node.buffer.push(g)
         buffers = TrainBuffers(SPEC, 2, 8)
-        buffers.stage(w, g, node.buffer, None)
+        buffers.stage(w, g, node.buffer.rows, None)
         batch = Minibatch(node.features[:8], node.labels[:8])
         kwargs = dict(temperature=0.5, contrastive_weight=0.5, buffers=buffers)
         with pytest.raises(ValueError):
-            combined_loss_and_grad(w, batch, g, node.buffer, **kwargs)  # not the staged row
+            combined_loss_and_grad(w, batch, g, node.buffer.rows, **kwargs)  # not the staged row
         with pytest.raises(ValueError):
             combined_loss_and_grad(buffers.current, batch, g, np.empty((0, 1)), **kwargs)
         combined_loss_and_grad(buffers.current, batch, g, buffers.window, **kwargs)
@@ -300,7 +299,7 @@ class TestStagedLoop:
                          LocalBuffer(5, spec), 7)
         for _ in range(5):
             node.buffer.push(perturbed(global_params, rng, 0.1))
-        cfg = LocalTrainConfig(local_iterations=5, batch_size=32)
+        cfg = ExperimentConfig(local_iterations=5, batch_size=32)
         buffers = TrainBuffers(spec, 5, 32)
         tracemalloc.start()
         try:
@@ -326,7 +325,7 @@ class TestStagedLoop:
         reference = window.newest()
         batch = Minibatch(rng.standard_normal((32, 32)), rng.integers(0, 10, 32))
         buffers = TrainBuffers(spec, 5, 32)
-        buffers.stage(perturbed(global_params, rng, 0.05), global_params, window, reference)
+        buffers.stage(perturbed(global_params, rng, 0.05), global_params, window.rows, reference)
 
         def step():
             _, grad = combined_loss_and_grad(

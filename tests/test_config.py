@@ -78,6 +78,8 @@ class TestValidation:
         ("dataset_test_fraction", 1.0),
         ("eval_every", 0),
         ("workers", 0),
+        ("local_iterations", -1),
+        ("local_lr", 0.0),
     ])
     def test_field_rejections(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -7,13 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from pmfl.contrastive import (
-    LocalBuffer,
-    combined_loss_and_grad,
-    cosine_similarity,
-    _cos_rows,
-)
+from pmfl.contrastive import LocalBuffer, _cos_rows, combined_loss_and_grad
 from pmfl.nn import (
+    ModelParams,
+    ModelSpec,
     cross_entropy_and_grad,
     flatten,
     forward_representation,
@@ -27,6 +24,7 @@ from oracles import (
     ContrastiveContext,
     compute_mu,
     contrastive_loss,
+    cosine_similarity,
     fd_gradient,
     max_rel_err,
     partition_samples,
@@ -45,7 +43,7 @@ class TestCosineSimilarity:
         assert cosine_similarity([1.0, 1.0], [2.0, 2.0]) == pytest.approx(1.0)
 
     def test_zero_norm_returns_zero_and_warns(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="pmfl.contrastive"):
+        with caplog.at_level(logging.WARNING, logger="oracles"):
             assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
             assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
         assert len(caplog.records) == 2
@@ -68,38 +66,34 @@ class TestCosineSimilarity:
 
 
 class TestLocalBuffer:
-    def _model(self, seed):
-        from pmfl.nn import ModelSpec
+    SPEC = ModelSpec(input_dim=2, encoder=(3,), projection=(2,), classifier=(2,))
 
-        return init_params(
-            ModelSpec(input_dim=2, encoder=(3,), projection=(2,), classifier=(2,)),
-            np.random.default_rng(seed),
-        )
+    def _model(self, seed):
+        return init_params(self.SPEC, np.random.default_rng(seed))
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LocalBuffer(capacity=-1)
+            LocalBuffer(-1, self.SPEC)
 
     def test_capacity_zero_drops_pushes(self):
-        buf = LocalBuffer(capacity=0)
+        buf = LocalBuffer(0, self.SPEC)
         buf.push(self._model(0))
         assert len(buf) == 0
-        assert buf.newest() is None and buf.oldest() is None
+        assert buf.newest() is None
+        assert buf.rows.shape == (0, self.SPEC.num_params)
 
     def test_evicts_oldest_first(self):
-        buf = LocalBuffer(capacity=3)
+        buf = LocalBuffer(3, self.SPEC)
         models = [self._model(i) for i in range(5)]
         for m in models:
             buf.push(m)
         assert len(buf) == 3
-        kept = buf.entries()
-        for got, want in zip(kept, models[2:]):
-            np.testing.assert_array_equal(flatten(got), flatten(want))
-        np.testing.assert_array_equal(flatten(buf.oldest()), flatten(models[2]))
+        for got, want in zip(buf.rows, models[2:]):
+            np.testing.assert_array_equal(got, flatten(want))
         np.testing.assert_array_equal(flatten(buf.newest()), flatten(models[4]))
 
     def test_push_stores_a_deep_copy(self):
-        buf = LocalBuffer(capacity=2)
+        buf = LocalBuffer(2, self.SPEC)
         m = self._model(7)
         before = flatten(m).copy()
         buf.push(m)
@@ -210,14 +204,15 @@ class TestContrastiveLoss:
 class TestComputeMu:
     def test_empty_buffer_gives_exactly_one(self):
         case = gradcheck_case(0, with_contrastive=False)
-        assert compute_mu(LocalBuffer(3), case.global_params, case.batch.features[0]) == 1.0
+        empty = np.empty((0, case.params.num_params))
+        assert compute_mu(empty, case.global_params, case.batch.features[0]) == 1.0
 
     def test_uses_newest_entry_against_global(self):
         case = gradcheck_case(1, with_contrastive=True)
         x = case.batch.features[0]
         mu = compute_mu(case.buffer, case.global_params, x)
         want = cosine_similarity(
-            forward_representation(case.buffer.newest(), x),
+            forward_representation(ModelParams(case.params.spec(), case.buffer[-1]), x),
             forward_representation(case.global_params, x),
         )
         assert mu == want
@@ -245,7 +240,7 @@ class TestCombinedLoss:
             case.params,
             case.batch,
             case.global_params,
-            LocalBuffer(4),
+            np.empty((0, case.params.num_params)),
             temperature=0.5,
             contrastive_weight=0.8,
             mu_reference=None,
@@ -273,7 +268,8 @@ class TestCombinedLoss:
                 forward_representation(case.mu_reference, x),
                 forward_representation(case.global_params, x),
             )
-            hist = [forward_representation(m, x) for m in case.buffer]
+            hist = [forward_representation(ModelParams(case.params.spec(), row), x)
+                    for row in case.buffer]
             pos, neg = partition_samples(z, hist, mu)
             ctx = ContrastiveContext(
                 global_rep=forward_representation(case.global_params, x),
@@ -353,9 +349,9 @@ class TestCombinedLoss:
         # parameters carry gradient: grads always live in the current model
         case = gradcheck_case(1, with_contrastive=True)
         rng = np.random.default_rng(123)
-        buf2 = LocalBuffer(case.buffer.capacity)
-        for m in case.buffer:
-            buf2.push(perturbed(m, rng, 0.05))
+        spec = case.params.spec()
+        buf2 = np.stack([perturbed(ModelParams(spec, row), rng, 0.05).vector
+                         for row in case.buffer])
         loss_a, _ = combined_loss_and_grad(
             case.params, case.batch, case.global_params, case.buffer,
             case.temperature, case.contrastive_weight, case.mu_reference,

@@ -109,7 +109,7 @@ class TestCsv:
                                              samples_per_class=20, seed=9))
         path = tmp_path / "train.csv"
         export_csv(train, path)
-        back = ingest_csv(path, num_classes=3)
+        back = ingest_csv(path)
         np.testing.assert_array_equal(back.features, train.features)
         np.testing.assert_array_equal(back.labels, train.labels)
         assert back.num_classes == 3

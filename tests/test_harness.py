@@ -124,7 +124,7 @@ class TestRunArtifacts:
         assert not (tmp_path / CHECKPOINT_FILE).exists()
         assert not (tmp_path / CHECKPOINT_ROWS_FILE).exists()
         assert result.rounds_completed == 6
-        assert result.final_test_accuracy is not None
+        assert result.summary["final_test_accuracy"] is not None
 
     def test_manifest_records_both_configs(self, tmp_path):
         cfg = tiny_config(variant="wo_mct")

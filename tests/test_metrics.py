@@ -10,10 +10,10 @@ import pytest
 from pmfl import ExperimentConfig
 from pmfl.harness import build_environment
 from pmfl.metrics import evaluate, node_cdf, top5_mean, update_deviation
-from pmfl.nn import ModelSpec, Workspace, cross_entropy, forward_logits, init_params, unflatten
+from pmfl.nn import ModelSpec, Workspace, forward_logits, init_params, unflatten
 from pmfl.rng import stream
 
-from oracles import looped_update_deviation
+from oracles import cross_entropy, looped_update_deviation
 
 
 class TestUpdateDeviation:

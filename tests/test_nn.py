@@ -12,14 +12,11 @@ from pmfl.nn import (
     Minibatch,
     ModelSpec,
     Workspace,
-    cross_entropy,
     cross_entropy_and_grad,
     flatten,
     forward_logits,
     forward_representation,
     init_params,
-    log_softmax,
-    partition_slices,
     param_delta,
     sgd_step,
     unflatten,
@@ -29,7 +26,9 @@ from pmfl.rng import stream
 from fixtures import gradcheck_case
 from oracles import (
     cached_forward,
+    cross_entropy,
     fd_gradient,
+    log_softmax,
     max_rel_err,
     scalar_cross_entropy,
     scalar_forward,
@@ -125,20 +124,14 @@ class TestFlatLayout:
         )
         np.testing.assert_array_equal(params.classifier[0].bias, [5.0, 6.0])
 
-    def test_partition_slices_disjoint_and_covering(self):
+    def test_blocks_follow_one_another_in_layout_order(self):
         spec = ModelSpec(input_dim=5, encoder=(7, 4), projection=(3,), classifier=(6, 2))
-        sl = partition_slices(spec)
-        assert sl["encoder"].start == 0
-        assert sl["encoder"].stop == sl["projection"].start
-        assert sl["projection"].stop == sl["classifier"].start
-        assert sl["classifier"].stop == spec.num_params
-        # block contents line up with per-block flattening
         params = init_params(spec, np.random.default_rng(1))
-        flat = flatten(params)
-        enc = np.concatenate(
-            [np.concatenate([l.weight.ravel(), l.bias]) for l in params.encoder]
-        )
-        np.testing.assert_array_equal(flat[sl["encoder"]], enc)
+        blocks = [
+            np.concatenate([np.concatenate([l.weight.ravel(), l.bias]) for l in layers])
+            for layers in (params.encoder, params.projection, params.classifier)
+        ]
+        np.testing.assert_array_equal(flatten(params), np.concatenate(blocks))
 
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ class TestBufferRows:
         np.testing.assert_array_equal(buf.rows, np.stack([m.vector for m in models[2:]]))
 
     def test_push_replaces_the_array_and_never_writes_it(self):
-        buf = LocalBuffer(2)
+        buf = LocalBuffer(2, SPEC)
         a, b, c = _models(3, 1)
         buf.push(a)
         buf.push(b)
@@ -49,7 +49,7 @@ class TestBufferRows:
         assert not buf.rows.flags.writeable
 
     def test_a_model_read_from_the_buffer_keeps_its_values(self):
-        buf = LocalBuffer(1)
+        buf = LocalBuffer(1, SPEC)
         a, b = _models(2, 2)
         buf.push(a)
         newest = buf.newest()
@@ -93,13 +93,13 @@ def _assert_window_matches(capacity: int, with_reference: bool, rows: int) -> No
     """A full window of perturbed models, one evicted, against the loop."""
     rng = np.random.default_rng((capacity, with_reference))
     params = init_params(SPEC, rng)
-    buf = LocalBuffer(capacity)
+    buf = LocalBuffer(capacity, SPEC)
     for _ in range(capacity + 2):  # fill, then evict
         buf.push(perturbed(params, rng, 0.3))
     batch = _batch(rng, rows)
     reference = perturbed(params, rng, 0.1) if with_reference else None
     _assert_matches_the_looped_kernel(
-        params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference
+        params, batch, perturbed(params, rng, 0.2), buf.rows, 0.5, 0.7, reference
     )
 
 
@@ -118,11 +118,11 @@ class TestStackedKernel:
         params = init_params(SPEC, rng)
         global_params = perturbed(params, rng, 0.2)
         reference = perturbed(params, rng, 0.1)
-        buf = LocalBuffer(4)
+        buf = LocalBuffer(4, SPEC)
         for model in (reference, perturbed(params, rng, 0.3), global_params, params):
             buf.push(model)
         _assert_matches_the_looped_kernel(
-            params, _batch(rng, 32), global_params, buf, 0.5, 0.7, reference
+            params, _batch(rng, 32), global_params, buf.rows, 0.5, 0.7, reference
         )
 
     @pytest.mark.parametrize("with_reference", [True, False])
@@ -134,12 +134,12 @@ class TestStackedKernel:
         dead = perturbed(params, rng, 0.3)
         dead.projection[-1].weight[:] = 0.0
         dead.projection[-1].bias[:] = -1.0  # every representation rectified away
-        buf = LocalBuffer(3)
+        buf = LocalBuffer(3, SPEC)
         for model in (perturbed(params, rng, 0.3), dead, perturbed(params, rng, 0.3)):
             buf.push(model)
         reference = dead if with_reference else None
         _assert_matches_the_looped_kernel(
-            params, batch, perturbed(params, rng, 0.2), buf, 0.5, 0.7, reference
+            params, batch, perturbed(params, rng, 0.2), buf.rows, 0.5, 0.7, reference
         )
 
     def test_no_representation_layers(self):
@@ -147,21 +147,21 @@ class TestStackedKernel:
         spec = ModelSpec(input_dim=5, encoder=(), projection=(), classifier=(4,))
         rng = np.random.default_rng(8)
         params = init_params(spec, rng)
-        buf = LocalBuffer(2)
+        buf = LocalBuffer(2, spec)
         for _ in range(3):
             buf.push(perturbed(params, rng, 0.3))
         _assert_matches_the_looped_kernel(
-            params, _batch(rng, 8), perturbed(params, rng, 0.2), buf, 0.5, 0.7,
+            params, _batch(rng, 8), perturbed(params, rng, 0.2), buf.rows, 0.5, 0.7,
             perturbed(params, rng, 0.1),
         )
 
     def test_zero_contrastive_weight(self):
         rng = np.random.default_rng(7)
         params = init_params(SPEC, rng)
-        buf = LocalBuffer(2)
+        buf = LocalBuffer(2, SPEC)
         buf.push(perturbed(params, rng, 0.3))
         _assert_matches_the_looped_kernel(
-            params, _batch(rng, 32), perturbed(params, rng, 0.2), buf, 0.5, 0.0,
+            params, _batch(rng, 32), perturbed(params, rng, 0.2), buf.rows, 0.5, 0.0,
             perturbed(params, rng, 0.1),
         )
 
