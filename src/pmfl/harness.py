@@ -2,10 +2,13 @@
 
 Everything a run needs (dataset, shards, frequencies, traces, initial model)
 is rebuilt deterministically from the config, so a checkpoint only has to
-carry the mutable state: the global model, the weight bookkeeping, the node
-buffers and the metric rows recorded so far.  Reruns of the same config are
-byte-identical, a resumed run finishes with the same bytes as an
-uninterrupted one, and a sweep writes the same bytes with any worker count.
+carry the mutable state: the global model, the past global models, the node
+windows and the metric rows recorded so far.  The node weights are no part of
+it: they follow from the participation trace alone, so a resume replays
+:func:`~pmfl.server.update_weights` over the trace up to its round, and
+``weights.csv`` is written from a replay over the whole trace.  Reruns of the
+same config are byte-identical, a resumed run finishes with the same bytes as
+an uninterrupted one, and a sweep writes the same bytes with any worker count.
 
 A round trains only the nodes that attend it.  Their updates fill the rows
 of one (K_t, P) array, which goes through the update deviation and the
@@ -20,16 +23,17 @@ After every round the loop keeps a snapshot of the state
 ``checkpoint_every`` rounds, and on any failure (Ctrl-C, SIGTERM and a
 failed end-of-run write included) the latest one, so it always holds the
 last completed round and the live state is never rolled back.  A checkpoint
-is two files.  ``checkpoint.npz`` holds the state arrays, every node's
-window as one array ``buffers`` cut apart by ``buffer_lengths``, and
-``row_weights``, every recorded round's node weights as one (rounds, nodes)
-array; ``checkpoint_rows.json`` holds the scalar fields of each recorded
-round.  Each is replaced whole, and a pair whose row counts disagree (a run
-stopped between the two replaces) is refused on resume, as is a checkpoint
-file that cannot be read or whose arrays do not fit the run.  Every file is
-written to a temporary file first and then renamed over its target; a run
-starts by deleting the temporary files of its own outputs that a killed run
-left behind.
+is two files.  ``checkpoint.npz`` holds ``next_round``, the global model, the
+history of past globals, every node's window as one array ``buffers`` cut
+apart by ``buffer_lengths`` and, for the cached rule, ``cached_updates``;
+``checkpoint_rows.json`` holds the scalar fields of each recorded round.
+Each is replaced whole, and a pair whose row counts disagree (a run stopped
+between the two replaces) is refused on resume, as is a checkpoint file that
+cannot be read, whose arrays do not have the exact lengths the run and its
+trace give them, or whose saved weights (written before the replay) differ
+from the replay.  Every file is written to a temporary file first and then
+renamed over its target; a run starts by deleting the temporary files of its
+own outputs that a killed run left behind.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
 only code that starts one, so it imports ``multiprocessing`` and the
@@ -81,6 +85,7 @@ from .server import (
     AggregatorState,
     aggregate,
     history_coefficient,
+    replay_weights,
     update_weights,
 )
 
@@ -216,33 +221,13 @@ def _fmt(value) -> str:
 def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round",
-                "psi",
-                "participants",
-                "deviation",
-                "train_accuracy",
-                "train_loss",
-                "test_accuracy",
-                "test_loss",
-            ]
-        )
+        writer.writerow(["round", "psi", "participants", "deviation", "train_accuracy",
+                         "train_loss", "test_accuracy", "test_loss"])
         for r in rows:
-            if r.train_accuracy is None:
-                continue
-            writer.writerow(
-                [
-                    r.round_idx,
-                    _fmt(r.psi),
-                    r.num_participants,
-                    _fmt(r.deviation),
-                    _fmt(r.train_accuracy),
-                    _fmt(r.train_loss),
-                    _fmt(r.test_accuracy),
-                    _fmt(r.test_loss),
-                ]
-            )
+            if r.train_accuracy is not None:
+                writer.writerow(map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation,
+                                           r.train_accuracy, r.train_loss, r.test_accuracy,
+                                           r.test_loss)))
 
 
 class _WeightText(dict):
@@ -255,19 +240,21 @@ class _WeightText(dict):
         return text
 
 
-def _write_weights_csv(path, rows: list[RoundMetrics], num_nodes: int) -> None:
+def _write_weights_csv(path, rows: list[RoundMetrics], weights, num_nodes: int) -> None:
+    """One line per row, with the node weights that ``weights`` gives beside
+    it (None for a row without any)."""
     text = _WeightText()
     # no field holds a comma, a quote or a line break, so each row is joined
     # as csv.writer would write it, without its per-field quoting checks
     with atomic_open(path, "w", newline="") as fh:
         fh.write(",".join(["round", "psi", "participants", "deviation"]
                           + [f"weight_{k}" for k in range(num_nodes)]) + "\r\n")
-        for r in rows:
-            weights = [] if r.weights is None else map(
-                text.__getitem__, np.asarray(r.weights, np.float64).view(np.int64).tolist()
+        for r, w in zip(rows, weights, strict=True):
+            cells = [] if w is None else map(
+                text.__getitem__, np.asarray(w, np.float64).view(np.int64).tolist()
             )
             fh.write(",".join([str(r.round_idx), _fmt(r.psi), str(r.num_participants),
-                               _fmt(r.deviation), *weights]) + "\r\n")
+                               _fmt(r.deviation), *cells]) + "\r\n")
 
 
 def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
@@ -297,27 +284,11 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
     )
 
 
-# the JSON half of a checkpoint; the weight vectors go into the npz
-_SCALAR_FIELDS = tuple(
-    f.name for f in dataclasses.fields(RoundMetrics) if f.name != "weights"
-)
 # server arrays that rounds write in place, so a snapshot copies them
-_SERVER_ARRAYS = ("weights", "rounds_waiting", "event_counts", "cached_updates")
-
-
-def _rows_to_jsonable(rows: list[RoundMetrics]) -> list[dict]:
-    return [{name: getattr(r, name) for name in _SCALAR_FIELDS} for r in rows]
-
-
-def _rows_from_jsonable(raw: list[dict], row_weights) -> list[RoundMetrics]:
-    """Rows from their scalar fields and, row by row, their weight vectors.
-
-    Checkpoints written before ``row_weights`` existed keep each row's
-    weights in the JSON; pass ``None`` to read them from there.
-    """
-    if row_weights is None:
-        row_weights = [np.asarray(d.pop("weights")) for d in raw]
-    return [RoundMetrics(**d, weights=w) for d, w in zip(raw, row_weights)]
+_SERVER_ARRAYS = ("cached_updates",)
+# the bookkeeping a resume replays; checkpoints written before the replay
+# saved it, and a resume holds those copies to the replay
+_REPLAYED = ("weights", "rounds_waiting", "event_counts")
 
 
 def _state_arrays(env: Environment, state: AggregatorState) -> dict:
@@ -347,15 +318,11 @@ def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> N
         **arrays,
         "buffers": np.concatenate(windows),
         "buffer_lengths": np.array([len(w) for w in windows], dtype=np.int64),
-        # reshaped so that no rows still make a (0, nodes) array
-        "row_weights": np.array([r.weights for r in rows], dtype=np.float64).reshape(
-            len(rows), len(windows)
-        ),
     }
     # savez appends ".npz" to a path without it, so it gets the open file
     with atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
         np.savez(fh, **arrays)
-    _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": _rows_to_jsonable(rows)})
+    _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": [dataclasses.asdict(r) for r in rows]})
 
 
 @contextmanager
@@ -368,32 +335,44 @@ def _reading(path: Path):
         raise ValueError(f"{path} is damaged: {type(exc).__name__}: {exc}") from exc
 
 
-def _check_shapes(data: dict, windows: list, env: Environment, state: AggregatorState) -> None:
-    """Refuse a saved array whose shape does not fit the run.  The count of
-    ``row_weights`` is checked against the rows they belong to."""
-    P, N = env.spec.num_params, env.cfg.num_nodes
-    want = {name: (N, P) if name == "cached_updates" else (N,) for name in _SERVER_ARRAYS}
-    want.update(global_flat=(P,), buffer_lengths=(N,),
-                row_weights=(len(data.get("row_weights", ())), N))
-    for name, shape in want.items():
+def _check_shapes(
+    data: dict, windows: list, env: Environment, state: AggregatorState, next_round: int
+) -> None:
+    """Refuse a saved array whose shape does not fit the run and the first
+    ``next_round`` rounds of its trace.
+
+    The history holds one global per round up to its capacity, and a window
+    one model per local step of the node's participations up to its
+    capacity; an empty shard takes no steps.
+    """
+    cfg, P, N = env.cfg, env.spec.num_params, env.cfg.num_nodes
+    for name, shape in {"cached_updates": (N, P), "global_flat": (P,),
+                        "buffer_lengths": (N,)}.items():
         if name in data and data[name].shape != shape:
             raise ValueError(f"{name} has shape {data[name].shape}, the run needs {shape}")
     if "buffers" in data and [len(w) for w in windows] != data["buffer_lengths"].tolist():
         raise ValueError(f"buffer_lengths do not cut the {len(data['buffers'])} rows of buffers")
-    for name, buffer, rows in [("history", state.history, data["history"]), *(
-            (f"window {n.node_id}", n.buffer, w) for n, w in zip(env.nodes, windows))]:
-        if rows.ndim != 2 or rows.shape[1] != P or len(rows) > buffer.capacity:
-            raise ValueError(f"{name} has shape {rows.shape}, the run needs at most "
-                             f"{buffer.capacity} rows of {P}")
+    steps = cfg.local_iterations * env.trace[:next_round].sum(axis=0, dtype=np.int64)
+    for name, buffer, rows, length in [
+        ("history", state.history, data["history"], next_round),
+        *((f"window {n.node_id}", n.buffer, w, steps[n.node_id] if n.num_samples else 0)
+          for n, w in zip(env.nodes, windows)),
+    ]:
+        want = (int(min(length, buffer.capacity)), P)
+        if rows.shape != want:
+            raise ValueError(f"{name} has shape {rows.shape}, round {next_round} of "
+                             f"the run needs {want}")
 
 
 def _load_checkpoint(
     out_dir: Path, env: Environment, state: AggregatorState
 ) -> list[RoundMetrics]:
-    """Put a checkpoint's state into ``state`` and the nodes; return its rows.
+    """Put a checkpoint's state into the run's fresh ``state`` and the nodes,
+    replaying the weight bookkeeping over the trace; return its rows.
 
-    A checkpoint file that cannot be read, or whose arrays do not fit the
-    run, raises a ValueError naming it, and nothing is changed.
+    A checkpoint file that cannot be read, whose arrays do not fit the run,
+    or whose saved bookkeeping differs from the replay raises a ValueError
+    naming it before anything is written.
     """
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
@@ -403,29 +382,36 @@ def _load_checkpoint(
         with np.load(path) as npz:
             data = {name: npz[name] for name in npz.files}
         next_round = int(data["next_round"])
+        if not 0 <= next_round <= env.cfg.rounds:
+            raise ValueError(f"next_round is {next_round}, the run has {env.cfg.rounds} rounds")
         global_flat, history = data["global_flat"], data["history"]
-        row_weights = data.get("row_weights")
         if "buffers" in data:
             ends = np.cumsum(data["buffer_lengths"])[:-1]
             windows = np.split(data["buffers"], ends)
         else:  # written before the windows were one array
             windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
-        _check_shapes(data, windows, env, state)
+        _check_shapes(data, windows, env, state, next_round)
+        for _ in replay_weights(state, env.trace[:next_round]):
+            pass
+        for name in _REPLAYED:
+            want = getattr(state, name)
+            saved = data.get(name, want)  # only checkpoints written before the replay
+            if (saved.dtype, saved.shape, saved.tobytes()) != (
+                    want.dtype, want.shape, want.tobytes()):
+                raise ValueError(f"{name} differs from its replay over the trace")
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
     with _reading(rows_path):
         with open(rows_path) as fh:
             raw = json.load(fh)["rows"]
         if not isinstance(raw, list):
             raise TypeError(f"rows is a {type(raw).__name__}, not a list")
-        rows = _rows_from_jsonable(raw, row_weights)
+        # rows written before the replay also carry their weights; read past them
+        rows = [RoundMetrics(**{k: v for k, v in d.items() if k != "weights"}) for d in raw]
     # one round, one row; the files are replaced one after the other, so a
     # run stopped in between leaves a pair that disagrees
-    if len(raw) != next_round or (
-        row_weights is not None and len(row_weights) != len(raw)
-    ):
-        weights_note = "" if row_weights is None else f", {len(row_weights)} row_weights"
+    if len(raw) != next_round:
         raise ValueError(
-            f"{CHECKPOINT_FILE} (next_round {next_round}{weights_note}) and "
+            f"{CHECKPOINT_FILE} (next_round {next_round}) and "
             f"{CHECKPOINT_ROWS_FILE} ({len(raw)} rows) in {out_dir} disagree"
         )
 
@@ -462,7 +448,6 @@ def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetric
         num_participants=int(participants.size),
         psi=psi,
         deviation=deviation,
-        weights=state.weights.copy(),  # aggregation reads the weights, never writes
     )
     if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
         # one call, so one matmul per layer, over each whole set: gemm's bits
@@ -515,7 +500,11 @@ def _write_results(
     """Evaluate the final model per node and write every end-of-run artifact."""
     cfg = env.cfg
     _write_metrics_csv(out_dir / "metrics.csv", rows)
-    _write_weights_csv(out_dir / "weights.csv", rows, cfg.num_nodes)
+    # every round's weights, replayed into a throwaway state; the model gives its shape
+    scratch = AggregatorState(cfg.num_nodes, state.global_model, cfg.rounds,
+                              cutoff=cfg.cutoff_interval, history_size=0)
+    _write_weights_csv(out_dir / "weights.csv", rows, replay_weights(scratch, env.trace),
+                       cfg.num_nodes)
     per_node = [
         evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
         for n in env.nodes

@@ -93,8 +93,9 @@ def node_cdf(values) -> np.ndarray:
 
 @dataclass
 class RoundMetrics:
-    """Everything recorded about one round; evaluation fields stay None on
-    rounds where the model was not scored."""
+    """The scalars recorded about one round; evaluation fields stay None on
+    rounds where the model was not scored.  The round's node weights are
+    not kept: :func:`pmfl.server.replay_weights` gives them from the trace."""
 
     round_idx: int
     num_participants: int
@@ -104,4 +105,3 @@ class RoundMetrics:
     train_loss: float | None = None
     test_accuracy: float | None = None
     test_loss: float | None = None
-    weights: np.ndarray | None = None

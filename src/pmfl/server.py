@@ -25,6 +25,7 @@ optima, so it is not the default.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -151,6 +152,15 @@ def update_weights(state: AggregatorState, indicators: np.ndarray) -> None:
     )
     state.event_counts[event] += 1
     state.rounds_waiting[event] = 0
+
+
+def replay_weights(state: AggregatorState, trace: np.ndarray) -> Iterator[np.ndarray]:
+    """Put each row of ``trace`` through :func:`update_weights` and yield
+    ``state.weights`` after it (the same array, updated in place).  From a
+    fresh state this gives a run's bookkeeping round by round, bit for bit."""
+    for indicators in trace:
+        update_weights(state, indicators)
+        yield state.weights
 
 
 def _check_updates(

@@ -470,17 +470,18 @@ def _looped_fmt(value) -> str:
     return repr(float(value))
 
 
-def looped_write_weights_csv(path, rows, num_nodes: int) -> None:
-    """``weights.csv`` with every cell formatted on its own."""
+def looped_write_weights_csv(path, rows, weights, num_nodes: int) -> None:
+    """``weights.csv`` with every cell formatted on its own; ``weights`` holds
+    each row's node weights, None for a row without any."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["round", "psi", "participants", "deviation"]
             + [f"weight_{k}" for k in range(num_nodes)]
         )
-        for r in rows:
-            weights = [] if r.weights is None else [_looped_fmt(v) for v in r.weights]
+        for r, w in zip(rows, weights, strict=True):
+            cells = [] if w is None else [_looped_fmt(v) for v in w]
             writer.writerow(
                 [r.round_idx, _looped_fmt(r.psi), r.num_participants, _looped_fmt(r.deviation)]
-                + weights
+                + cells
             )

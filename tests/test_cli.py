@@ -55,6 +55,13 @@ def _npz_damage(edit):
     return staticmethod(damage)
 
 
+def _cut_a_window_row(arrays):
+    # the last row of buffers belongs to the last window that has any
+    lengths = arrays["buffer_lengths"]
+    lengths[np.flatnonzero(lengths)[-1]] -= 1
+    arrays["buffers"] = arrays["buffers"][:-1]
+
+
 class TestRunCommand:
     def test_run_without_a_test_set_finishes_with_null_test_fields(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path)] + TINY_FLAGS
@@ -191,12 +198,18 @@ class TestRunCommand:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
 
-    # the tiny run has 85 parameters, 4 nodes and a history of 2 models
+    # the tiny run has 85 parameters, 4 nodes and a history of 2 models, and
+    # stops in round 4 with 2 models in its history
     _drop_global_model = _npz_damage(lambda a: a.pop("global_flat"))
     _short_global_model = _npz_damage(lambda a: a.update(global_flat=a["global_flat"][:-1]))
     _narrow_history = _npz_damage(lambda a: a.update(history=a["history"][:, :5]))
-    _weights_for_two_nodes = _npz_damage(lambda a: a.update(weights=a["weights"][:2]))
-    _narrow_row_weights = _npz_damage(lambda a: a.update(row_weights=a["row_weights"][:, :2]))
+    _history_row_cut_out = _npz_damage(lambda a: a.update(history=a["history"][1:]))
+    _window_row_cut_out = _npz_damage(_cut_a_window_row)
+    _next_round_past_the_run = _npz_damage(lambda a: a.update(next_round=np.asarray(7)))
+    # checkpoints written before the weights were replayed saved them; no
+    # replay gives weights for two nodes, nor a weight of 0
+    _weights_for_two_nodes = _npz_damage(lambda a: a.update(weights=np.ones(2)))
+    _weights_unlike_the_replay = _npz_damage(lambda a: a.update(weights=np.zeros(4)))
     _lengths_for_two_nodes = _npz_damage(
         lambda a: a.update(buffer_lengths=a["buffer_lengths"][:2]))
     _lengths_past_the_rows = _npz_damage(
@@ -207,8 +220,11 @@ class TestRunCommand:
         ("_drop_global_model", CHECKPOINT_FILE),
         ("_short_global_model", CHECKPOINT_FILE),
         ("_narrow_history", CHECKPOINT_FILE),
+        ("_history_row_cut_out", CHECKPOINT_FILE),
+        ("_window_row_cut_out", CHECKPOINT_FILE),
+        ("_next_round_past_the_run", CHECKPOINT_FILE),
         ("_weights_for_two_nodes", CHECKPOINT_FILE),
-        ("_narrow_row_weights", CHECKPOINT_FILE),
+        ("_weights_unlike_the_replay", CHECKPOINT_FILE),
         ("_lengths_for_two_nodes", CHECKPOINT_FILE),
         ("_lengths_past_the_rows", CHECKPOINT_FILE),
         ("_truncate", CHECKPOINT_ROWS_FILE),

@@ -17,6 +17,7 @@ import pytest
 
 import pmfl
 import pmfl.harness as harness
+import pmfl.server as server
 from pmfl.atomic import atomic_open
 from pmfl.cli import main as cli_main
 from pmfl.config import ExperimentConfig, save_config
@@ -86,6 +87,10 @@ def assert_same_sweeps(dir_a, dir_b):
         )
     summary = "sweep_summary.csv"
     assert (Path(dir_a) / summary).read_bytes() == (Path(dir_b) / summary).read_bytes()
+
+
+# what a checkpoint's npz holds for a run without cached updates
+SAVED_ARRAYS = ("next_round", "global_flat", "history", "buffers", "buffer_lengths")
 
 
 def read_csv(path):
@@ -420,18 +425,20 @@ class TestCheckpointing:
         with pytest.raises(RuntimeError, match="injected"):
             run_experiment(cfg, tmp_path / "b")
         data = np.load(tmp_path / "b" / CHECKPOINT_FILE)
-        assert sorted(data.files) == sorted(
-            ["next_round", "global_flat", "history", "buffers", "buffer_lengths",
-             "weights", "rounds_waiting", "event_counts", "row_weights"]
-        )
+        assert sorted(data.files) == sorted(SAVED_ARRAYS)
         lengths = data["buffer_lengths"]
         assert lengths.shape == (cfg.num_nodes,) and 0 < lengths.sum() <= 4 * cfg.num_nodes
         assert data["buffers"].shape == (lengths.sum(), model_spec_for(cfg).num_params)
         self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
 
-    def test_periodic_checkpoint_keeps_the_row_weights_in_the_npz(
-        self, tmp_path, monkeypatch
-    ):
+        # the cached rule's last updates are saved too
+        self._interrupt_at(monkeypatch, 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(tiny_config(variant="cached_update"), tmp_path / "c")
+        data = np.load(tmp_path / "c" / CHECKPOINT_FILE)
+        assert sorted(data.files) == sorted([*SAVED_ARRAYS, "cached_updates"])
+
+    def test_periodic_checkpoint_saves_no_weights(self, tmp_path, monkeypatch):
         cfg = tiny_config(checkpoint_every=2)
         real = harness._save_checkpoint
         kept = []
@@ -447,19 +454,46 @@ class TestCheckpointing:
 
         monkeypatch.setattr(harness, "_save_checkpoint", wrapper)
         run_experiment(cfg, tmp_path / "run")
-        weight_rows = read_csv(tmp_path / "run" / "weights.csv")[1:]
-        weights = np.array([[float(v) for v in r[4:]] for r in weight_rows])
+        monkeypatch.undo()
 
         assert [next_round for next_round, _ in kept] == [2, 4]
         for next_round, snapshot in kept:
             rows = json.loads((snapshot / CHECKPOINT_ROWS_FILE).read_text())["rows"]
             assert [r["round_idx"] for r in rows] == list(range(next_round))
             assert all("weights" not in r for r in rows)
-            row_weights = np.load(snapshot / CHECKPOINT_FILE)["row_weights"]
-            assert row_weights.shape == (next_round, cfg.num_nodes)
-            np.testing.assert_array_equal(row_weights, weights[:next_round])
+            assert sorted(np.load(snapshot / CHECKPOINT_FILE).files) == sorted(SAVED_ARRAYS)
+            # the resume replays the weights of the rounds before it
+            shutil.copy(tmp_path / "run" / "manifest.json", snapshot)
+            resume_run(snapshot)
+            assert_same_outputs(tmp_path / "run", snapshot)
 
-    @pytest.mark.parametrize("edit", ["drop_json_row", "drop_row_weight"])
+    def test_update_weights_runs_once_per_played_round(self, tmp_path, monkeypatch):
+        # the benchmark and the kill-anywhere test count the harness's calls;
+        # the replays call server.update_weights under its own name
+        cfg = tiny_config(checkpoint_every=2)
+        self._interrupt_at(monkeypatch, 4)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, tmp_path / "b")
+        monkeypatch.undo()
+
+        def calls_during(run):
+            calls = {harness: 0, server: 0}
+            for module in calls:
+                def wrapper(state, indicators, _module=module, _real=module.update_weights):
+                    calls[_module] += 1
+                    return _real(state, indicators)
+                monkeypatch.setattr(module, "update_weights", wrapper)
+            run()
+            monkeypatch.undo()
+            return calls[harness], calls[server]
+
+        # weights.csv is written from a replay over every round
+        assert calls_during(lambda: run_experiment(cfg, tmp_path / "a")) == (6, 6)
+        # a resume from round 4 also replays the 4 rounds before it
+        assert calls_during(lambda: resume_run(tmp_path / "b")) == (6 - 4, 4 + 6)
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("edit", ["drop_json_row"])
     def test_checkpoint_pair_that_disagrees_is_refused(
         self, tmp_path, monkeypatch, edit
     ):
@@ -468,16 +502,10 @@ class TestCheckpointing:
         with pytest.raises(RuntimeError, match="injected"):
             run_experiment(cfg, tmp_path)
         monkeypatch.undo()
-        if edit == "drop_json_row":
-            path = tmp_path / CHECKPOINT_ROWS_FILE
-            doc = json.loads(path.read_text())
-            del doc["rows"][-1]
-            path.write_text(json.dumps(doc))
-        else:
-            path = tmp_path / CHECKPOINT_FILE
-            arrays = dict(np.load(path))
-            arrays["row_weights"] = arrays["row_weights"][:-1]
-            np.savez(path, **arrays)
+        path = tmp_path / CHECKPOINT_ROWS_FILE
+        doc = json.loads(path.read_text())
+        del doc["rows"][-1]
+        path.write_text(json.dumps(doc))
 
         with pytest.raises(ValueError) as exc:
             resume_run(tmp_path)
@@ -523,43 +551,42 @@ _BAD_ROWS = [
 FAILING_WRITES = {
     "summary.json": lambda p: harness._write_json(p, {"a": 1.0, "b": float("nan")}),
     "metrics.csv": lambda p: harness._write_metrics_csv(p, _BAD_ROWS),
-    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS, 0),
+    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS, [None, None], 0),
     "cdf.csv": lambda p: harness._write_cdf_csv(p, np.array([[0.5, 1.0]]), [("x", 1.0)]),
     "participation.csv": lambda p: export_trace_csv(np.array([[0, 1], [1, np.nan]]), p),
 }
 
 
-def _weight_rows(num_nodes: int, rounds: int, seed: int) -> list[RoundMetrics]:
-    """Rows whose weights repeat values across rounds as a run's do, with
-    -0.0, NaN, ±inf and a row without weights among them."""
+def _weight_rows(num_nodes: int, rounds: int, seed: int):
+    """Rows and, beside them, weights that repeat values across rounds as a
+    run's do, with -0.0, NaN, ±inf and a row without weights among them."""
     rng = np.random.default_rng(seed)
     pool = np.concatenate([rng.random(37), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]])
-    rows = []
+    rows, weights = [], []
     for t in range(rounds):
-        weights = None if t == 2 else rng.choice(pool, num_nodes)
+        weights.append(None if t == 2 else rng.choice(pool, num_nodes))
         rows.append(RoundMetrics(
             t, int(rng.integers(num_nodes + 1)),
             psi=None if t % 3 == 0 else float(rng.random()),
             deviation=None if t % 4 == 1 else float(rng.random()),
-            weights=weights,
         ))
-    return rows
+    return rows, weights
 
 
 class TestMatchesTheLoopedWeightsWriter:
     """weights.csv with each distinct value formatted once against the
     writer that formatted every cell."""
 
-    @pytest.mark.parametrize("num_nodes, rows", [
-        (1, _weight_rows(1, 5, 0)),
-        (30, _weight_rows(30, 40, 1)),
-        (250, _weight_rows(250, 12, 2)),
-        (3, []),
-        (3, [RoundMetrics(0, 0)]),
+    @pytest.mark.parametrize("num_nodes, rows, weights", [
+        (1, *_weight_rows(1, 5, 0)),
+        (30, *_weight_rows(30, 40, 1)),
+        (250, *_weight_rows(250, 12, 2)),
+        (3, [], []),
+        (3, [RoundMetrics(0, 0)], [None]),
     ], ids=["1_node", "30_nodes", "250_nodes", "no_rows", "no_weights"])
-    def test_same_bytes(self, tmp_path, num_nodes, rows):
-        harness._write_weights_csv(tmp_path / "got.csv", rows, num_nodes)
-        looped_write_weights_csv(tmp_path / "want.csv", rows, num_nodes)
+    def test_same_bytes(self, tmp_path, num_nodes, rows, weights):
+        harness._write_weights_csv(tmp_path / "got.csv", rows, weights, num_nodes)
+        looped_write_weights_csv(tmp_path / "want.csv", rows, weights, num_nodes)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from pmfl.nn import ModelSpec, flatten, init_params, unflatten
+from pmfl.participation import ParticipationSchedule
 from pmfl.server import (
     AGGREGATION_MODES,
     VARIANTS,
     AggregatorState,
     aggregate,
     history_coefficient,
+    replay_weights,
     update_weights,
 )
 
@@ -140,6 +142,32 @@ class TestUpdateWeights:
             update_weights(state, np.array([1, 0, 1]))
         with pytest.raises(ValueError):
             update_weights(state, np.array([2, 0]))
+
+
+class TestReplayWeights:
+    """The weights replayed from the trace are the live run's, bit for bit."""
+
+    @pytest.mark.parametrize("pattern", ["bernoulli", "markovian", "cyclic"])
+    @pytest.mark.parametrize("cutoff", [None, 6])
+    def test_replay_after_every_round_matches_the_live_state(self, pattern, cutoff):
+        rounds, nodes = 60, 12
+        frequencies = np.linspace(0.05, 0.9, nodes)
+        trace = ParticipationSchedule(pattern, frequencies, root_seed=3,
+                                      cycle_length=10).trace_matrix(rounds)
+        live = make_state(nodes, horizon=rounds, cutoff=cutoff)
+        cutoff_events = np.zeros(nodes, dtype=bool)
+        for t in range(rounds):
+            update_weights(live, trace[t].astype(np.int64))  # as a round calls it
+            cutoff_events |= (live.rounds_waiting == 0) & (trace[t] == 0)
+            replayed = make_state(nodes, horizon=rounds, cutoff=cutoff, history_size=0)
+            yielded = list(replay_weights(replayed, trace[: t + 1]))
+            assert len(yielded) == t + 1 and yielded[-1] is replayed.weights
+            np.testing.assert_array_equal(
+                replayed.weights.view(np.int64), live.weights.view(np.int64))
+            np.testing.assert_array_equal(replayed.rounds_waiting, live.rounds_waiting)
+            np.testing.assert_array_equal(replayed.event_counts, live.event_counts)
+        # with a cutoff, some interval is closed by the cutoff, not by attending
+        assert cutoff_events.any() == (cutoff is not None)
 
 
 class TestAggregate:
