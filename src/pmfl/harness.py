@@ -26,7 +26,8 @@ last completed round and the live state is never rolled back.  A checkpoint
 is two files.  ``checkpoint.npz`` holds ``next_round``, the global model, the
 history of past globals, every node's window as one array ``buffers`` cut
 apart by ``buffer_lengths`` and, for the cached rule, ``cached_updates``;
-``checkpoint_rows.json`` holds the scalar fields of each recorded round.
+``checkpoint_rows.json`` holds the scalar fields of each recorded round, as
+one line of compact, sorted, strict JSON, the form ``json`` encodes in C.
 Each is replaced whole, and a pair whose row counts disagree (a run stopped
 between the two replaces) is refused on resume, as is a checkpoint file that
 cannot be read, whose arrays do not have the exact lengths the run and its
@@ -322,7 +323,19 @@ def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> N
     # savez appends ".npz" to a path without it, so it gets the open file
     with atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
         np.savez(fh, **arrays)
-    _write_json(out_dir / CHECKPOINT_ROWS_FILE, {"rows": [dataclasses.asdict(r) for r in rows]})
+    _write_checkpoint_rows(out_dir / CHECKPOINT_ROWS_FILE, rows)
+
+
+def _write_checkpoint_rows(path: Path, rows: list[RoundMetrics]) -> None:
+    """The rows' scalar fields as one line of strict, sorted JSON.
+
+    Compact, because only then does ``json.dumps`` run its C encoder (an
+    indent, or ``json.dump`` to a file, runs the pure-Python one), and every
+    checkpoint writes every row recorded so far.
+    """
+    text = json.dumps({"rows": [vars(r) for r in rows]}, sort_keys=True, allow_nan=False)
+    with atomic_open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 @contextmanager

@@ -136,11 +136,11 @@ def update_weights(state: AggregatorState, indicators: np.ndarray) -> None:
     a = np.asarray(indicators)
     if a.shape != (state.num_nodes,):
         raise ValueError(f"indicators must have shape ({state.num_nodes},)")
-    if not np.isin(a, (0, 1)).all():
+    event = a == 1
+    if not (event | (a == 0)).all():
         raise ValueError("indicators must be 0/1")
 
     state.rounds_waiting += 1
-    event = a == 1
     if state.cutoff is not None:
         event = event | (state.rounds_waiting == state.cutoff)
     closed = state.rounds_waiting[event].astype(np.float64)

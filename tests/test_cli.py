@@ -173,14 +173,14 @@ class TestRunCommand:
     ):
         # the run stops after a checkpoint's npz is replaced and before its
         # JSON is
-        real = harness._write_json
+        real = harness._write_checkpoint_rows
 
-        def write_json(path, payload):
-            if Path(path).name == CHECKPOINT_ROWS_FILE and len(payload["rows"]) > 2:
+        def write_rows(path, rows):
+            if Path(path).name == CHECKPOINT_ROWS_FILE and len(rows) > 2:
                 raise KeyboardInterrupt
-            return real(path, payload)
+            return real(path, rows)
 
-        monkeypatch.setattr(harness, "_write_json", write_json)
+        monkeypatch.setattr(harness, "_write_checkpoint_rows", write_rows)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(tiny_config(checkpoint_every=2), tmp_path)
         monkeypatch.undo()

@@ -76,6 +76,11 @@ def assert_same_outputs(dir_a, dir_b, exclude=()):
         assert a == b, f"{name} differs"
 
 
+def _refuse(constant: str):
+    """A ``parse_constant`` for ``json.loads`` that holds a file to strict JSON."""
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def assert_same_sweeps(dir_a, dir_b):
     """Same cells with the same outputs, and the same ``sweep_summary.csv``."""
     cells = sorted(p.name for p in Path(dir_a).iterdir() if p.is_dir())
@@ -458,7 +463,11 @@ class TestCheckpointing:
 
         assert [next_round for next_round, _ in kept] == [2, 4]
         for next_round, snapshot in kept:
-            rows = json.loads((snapshot / CHECKPOINT_ROWS_FILE).read_text())["rows"]
+            text = (snapshot / CHECKPOINT_ROWS_FILE).read_text()
+            rows = json.loads(text, parse_constant=_refuse)["rows"]
+            # one compact line with sorted keys, the form json's C encoder writes
+            assert text == json.dumps({"rows": rows}, sort_keys=True) + "\n"
+            assert rows[-1]["train_loss"] is not None and rows[0]["train_loss"] is None
             assert [r["round_idx"] for r in rows] == list(range(next_round))
             assert all("weights" not in r for r in rows)
             assert sorted(np.load(snapshot / CHECKPOINT_FILE).files) == sorted(SAVED_ARRAYS)

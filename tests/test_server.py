@@ -143,6 +143,29 @@ class TestUpdateWeights:
         with pytest.raises(ValueError):
             update_weights(state, np.array([2, 0]))
 
+    @pytest.mark.parametrize("bad", [-1, 0.5, np.nan, 2])
+    def test_a_value_other_than_0_or_1_is_refused_and_changes_nothing(self, bad):
+        state = make_state(3, cutoff=2)
+        run_trace(state, np.array([[1, 0, 0], [0, 0, 1], [1, 0, 0]]))
+        before = [a.copy() for a in (state.weights, state.rounds_waiting, state.event_counts)]
+        for row in ([bad, 0, 1], [1, 1, bad]):
+            with pytest.raises(ValueError, match="0/1"):
+                update_weights(state, np.array(row))
+        after = (state.weights, state.rounds_waiting, state.event_counts)
+        for was, now in zip(before, after):
+            np.testing.assert_array_equal(now.view(np.int64), was.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    def test_bool_and_int8_rows_give_the_int64_weights(self, dtype):
+        rng = np.random.default_rng(32)
+        trace = (rng.random((80, 5)) < 0.3).astype(np.int64)
+        want, got = make_state(5, cutoff=6), make_state(5, cutoff=6)
+        run_trace(want, trace)
+        run_trace(got, trace.astype(dtype))
+        np.testing.assert_array_equal(got.weights.view(np.int64), want.weights.view(np.int64))
+        np.testing.assert_array_equal(got.rounds_waiting, want.rounds_waiting)
+        np.testing.assert_array_equal(got.event_counts, want.event_counts)
+
 
 class TestReplayWeights:
     """The weights replayed from the trace are the live run's, bit for bit."""
