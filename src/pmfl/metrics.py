@@ -49,9 +49,9 @@ def evaluate(
     """(argmax accuracy, mean cross-entropy) of the model on a labelled set.
 
     The values are those of :func:`pmfl.nn.forward_logits`, ``argmax`` and
-    the reference ``cross_entropy`` of ``tests/oracles.py``, bit for bit,
-    with every array written into ``workspace`` (a fresh one when None),
-    whose rows must hold the whole set.
+    the reference ``cross_entropy`` of ``tests/oracles.py``, bit for bit:
+    the same operations, each written into ``workspace`` (a fresh one when
+    None), whose rows must hold the whole set.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -61,39 +61,13 @@ def evaluate(
     ws = Workspace(params.spec(), 1, n) if workspace is None else workspace
     if n > ws.rows:
         raise ValueError(f"evaluation workspace holds {ws.rows} rows, the set has {n}")
-    return _evaluation_head(dense(params.layers(), features, ws), labels, ws)
+    logits = dense(params.layers(), features, ws)
 
-
-def _evaluation_head(
-    logits: np.ndarray, labels: np.ndarray, ws: Workspace
-) -> tuple[float, float]:
-    """(argmax accuracy, mean cross-entropy) of (n, classes) ``logits``,
-    which become their log-softmax in place; bit for bit ``argmax`` and the
-    reference ``cross_entropy``.
-
-    Each row's max is taken column by column: over rows as short as a
-    model's classes that beats one reduce, and a max is exact.  When every
-    row holds its max once, the mask of maxima marks the argmax.  A tie or a
-    NaN takes ``argmax`` and the reduce instead, for the lowest index and for
-    the reduce's NaN, whose bits a column-by-column max need not share.
-    """
-    n, classes = logits.shape
-    row_max = ws.view("row_max", n, 1)
-    column = row_max[:, 0]
-    np.copyto(column, logits[:, 0])
-    for j in range(1, classes):
-        np.maximum(column, logits[:, j], out=column)
-    spread = ws.spread(row_max, logits.shape)
-    top = np.equal(logits, spread, out=ws.view("mask", n, classes))
-    # without a NaN every row holds its max at least once, so n in all is once each
-    if np.count_nonzero(top) == n and not np.isnan(column).any():
-        loss, index = _nll(logits, labels, ws, spread)
-        hits = np.count_nonzero(top.reshape(-1)[index])
-    else:
-        pred = np.argmax(logits, axis=1, out=ws.view("pred", n))
-        hits = np.count_nonzero(pred == labels)
-        loss, _ = _nll(logits, labels, ws)  # in place, once argmax has read the logits
-    return int(hits) / n, loss
+    # ties break to the lowest class index
+    pred = np.argmax(logits, axis=1, out=ws.view("pred", n))
+    acc = int(np.count_nonzero(pred == labels)) / n
+    loss, _ = _nll(logits, labels, ws)  # in place, once argmax has read the logits
+    return acc, loss
 
 
 def top5_mean(values) -> float:

@@ -390,25 +390,18 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
-def _nll(
-    logits: np.ndarray, labels: np.ndarray, ws: Workspace, row_max: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def _nll(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of ``labels`` under softmax(``logits``)
     and the labels' flat indices; the (n, classes) ``logits`` become their
     log-softmax in place.  The loss is the reference ``cross_entropy`` of
     ``tests/oracles.py`` bit for bit: the ufunc reductions and
     ``add.reduce(x) / n`` are the arithmetic of its ``max``, ``sum`` and
-    ``mean`` in fewer Python calls.  ``row_max``, each row's max already
-    spread to the logits' shape in scratch operand 0, spares the reduce.
+    ``mean`` in fewer Python calls.
     """
     n, classes = logits.shape
     _check_labels(labels, classes)
-    if row_max is None:
-        row_max = ws.spread(
-            np.maximum.reduce(logits, axis=-1, keepdims=True, out=ws.view("row_max", n, 1)),
-            logits.shape,
-        )
-    shifted = np.subtract(logits, row_max, out=logits)
+    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True, out=ws.view("row_max", n, 1))
+    shifted = np.subtract(logits, ws.spread(row_max, logits.shape), out=logits)
     exp = np.exp(shifted, out=ws.view(0, n, classes))  # once the spread row_max is read
     row_sum = np.add.reduce(exp, axis=-1, keepdims=True, out=ws.view("row_sum", n, 1))
     np.log(row_sum, out=row_sum)

@@ -9,7 +9,8 @@ import pytest
 
 from pmfl import ExperimentConfig
 from pmfl.harness import build_environment
-from pmfl.metrics import _evaluation_head, evaluate, node_cdf, top5_mean, update_deviation
+from pmfl import metrics
+from pmfl.metrics import evaluate, node_cdf, top5_mean, update_deviation
 from pmfl.nn import ModelSpec, Workspace, forward_logits, init_params, unflatten
 from pmfl.rng import stream
 
@@ -159,18 +160,21 @@ def _bits(value: float) -> int:
 
 
 class TestEvaluationHead:
-    """The head against ``argmax`` and the reference ``cross_entropy``, bit
-    for bit, NaN included: on rows whose max is unique, which it reads from
-    the mask of maxima, and on ties, infinities and NaN, which it hands to
-    ``argmax`` and the reduce."""
+    """``evaluate``'s head against ``argmax`` and the reference
+    ``cross_entropy``, bit for bit, NaN included: the model's logits are
+    handed in for the forward pass, so rows with ties, infinities and NaN
+    reach the head as written."""
 
     @staticmethod
-    def _assert_matches(logits, labels):
-        spec = ModelSpec(input_dim=1, encoder=(), projection=(), classifier=(logits.shape[1],))
+    def _assert_matches(logits, labels, monkeypatch):
+        n, classes = logits.shape
+        spec = ModelSpec(input_dim=1, encoder=(), projection=(), classifier=(classes,))
+        params = unflatten(spec, np.zeros(spec.num_params))
+        monkeypatch.setattr(metrics, "dense", lambda layers, features, ws: logits.copy())
         with np.errstate(all="ignore"):
             want = (float((np.argmax(logits, axis=1) == labels).mean()),
                     cross_entropy(logits, labels))
-            got = _evaluation_head(logits.copy(), labels, Workspace(spec, 1, len(logits)))
+            got = evaluate(params, np.zeros((n, 1)), labels)
         assert got[0] == want[0]
         assert _bits(got[1]) == _bits(want[1]), (got, want)
 
@@ -180,14 +184,14 @@ class TestEvaluationHead:
         return rng.standard_normal((n, classes)) * 4.0, rng.integers(0, classes, n), rng
 
     @pytest.mark.parametrize("classes", [2, 10, 23])
-    def test_unique_maxima(self, classes):
+    def test_unique_maxima(self, classes, monkeypatch):
         logits, labels, _ = self._logits(classes, 0)
         # half of the rows predict their label, so both hits and misses count
         labels[::2] = np.argmax(logits[::2], axis=1)
-        self._assert_matches(logits, labels)
+        self._assert_matches(logits, labels, monkeypatch)
 
     @pytest.mark.parametrize("classes", [2, 10, 23])
-    def test_tied_maxima_break_to_the_lowest_index(self, classes):
+    def test_tied_maxima_break_to_the_lowest_index(self, classes, monkeypatch):
         logits, labels, rng = self._logits(classes, 1)
         top = np.argmax(logits, axis=1)
         tied = rng.permutation(len(logits))[:40]
@@ -198,10 +202,10 @@ class TestEvaluationHead:
         logits[tied[:5]] = 0.0  # a whole row of one value
         logits[tied[5], :2] = (0.0, -0.0)  # equal, though their bits differ
         logits[tied[5], 2:] = -1.0
-        self._assert_matches(logits, labels)
+        self._assert_matches(logits, labels, monkeypatch)
 
     @pytest.mark.parametrize("classes", [2, 10, 23])
-    def test_infinities(self, classes):
+    def test_infinities(self, classes, monkeypatch):
         for seed, values in enumerate([(np.inf,), (-np.inf,), (np.inf, -np.inf)], start=2):
             logits, labels, rng = self._logits(classes, seed)
             rows = rng.permutation(len(logits))[:30]
@@ -209,10 +213,10 @@ class TestEvaluationHead:
             logits[rows, cols] = rng.choice(values, 30)
             logits[rows[0]] = -np.inf  # every class ruled out
             labels[rows[:10]] = cols[:10]
-            self._assert_matches(logits, labels)
+            self._assert_matches(logits, labels, monkeypatch)
 
     @pytest.mark.parametrize("classes", [2, 10, 23])
-    def test_nan_logits(self, classes):
+    def test_nan_logits(self, classes, monkeypatch):
         # NaNs of either sign and with a payload, one or several in a row
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
                          0xFFF800000000ABCD], dtype=np.uint64).view(np.float64)
@@ -220,13 +224,13 @@ class TestEvaluationHead:
         rows = rng.permutation(len(logits))[:60]
         logits[rows, rng.integers(0, classes, 60)] = rng.choice(nans, 60)
         logits[rows[0]] = rng.choice(nans, classes)
-        self._assert_matches(logits, labels)
+        self._assert_matches(logits, labels, monkeypatch)
 
-    def test_a_nan_row_beside_a_tie_does_not_pass_for_unique_maxima(self):
-        # one NaN row and one tied row mark n maxima in all; argmax gets both
-        # rows right, the mask of maxima would get one
+    def test_a_nan_row_beside_a_tie(self, monkeypatch):
+        # argmax reads the NaN row's prediction as its first NaN and the tied
+        # row's as the lower index
         logits = np.array([[np.nan, 0.0], [1.0, 1.0], [0.0, 2.0]])
-        self._assert_matches(logits, np.array([0, 0, 1]))
+        self._assert_matches(logits, np.array([0, 0, 1]), monkeypatch)
 
     def test_every_desk_shard(self, desk_env):
         env = desk_env
