@@ -18,7 +18,6 @@ and copied back out once at the end.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ from .config import ExperimentConfig
 from .contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
 from .nn import Minibatch, ModelParams, param_delta, sgd_step
 from .rng import stream
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -48,6 +45,8 @@ class NodeState:
             raise ValueError("features must be 2-D and labels 1-D")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
+        if not self.labels.size:
+            raise ValueError("a node needs at least one sample")
         # shards are fixed for the whole run
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
@@ -89,16 +88,10 @@ def local_train(
     capacity and hold ``cfg.batch_size`` rows; fresh ones are made without
     it.  The node's window is staged into them once and copied out once, as
     a new read-only array: the array it replaces is never written.
-
-    An empty shard is skipped with a logged error and contributes a zero
-    update, the same as sitting the round out.
     """
     if cfg.local_iterations < 0 or cfg.local_lr <= 0 or cfg.batch_size < 1:
         raise ValueError("local training needs local_iterations >= 0, local_lr > 0 "
                          "and batch_size >= 1")
-    if node.num_samples == 0:
-        log.error("node %d has an empty shard, skipping round %d", node.node_id, round_idx)
-        return np.zeros(global_params.num_params)
     if buffers is None:
         buffers = TrainBuffers(global_params.spec(), node.buffer.capacity, cfg.batch_size)
     elif buffers.capacity != node.buffer.capacity or buffers.batch_size < cfg.batch_size:

@@ -18,16 +18,20 @@ nothing.  Every evaluation of a run writes into one workspace
 every participation's local steps run in one set of training buffers
 (:class:`~pmfl.contrastive.TrainBuffers`), restaged for each participation.
 
-After every round the loop keeps a snapshot of the state
-(:func:`_state_arrays`).  A checkpoint writes that snapshot every
-``checkpoint_every`` rounds, and on any failure (Ctrl-C, SIGTERM and a
-failed end-of-run write included) the latest one, so it always holds the
-last completed round and the live state is never rolled back.  A checkpoint
-is two files.  ``checkpoint.npz`` holds ``next_round``, the global model, the
-history of past globals, every node's window as one array ``buffers`` cut
-apart by ``buffer_lengths`` and, for the cached rule, ``cached_updates``;
-``checkpoint_rows.json`` holds the scalar fields of each recorded round, as
-one line of compact, sorted, strict JSON, the form ``json`` encodes in C.
+A :class:`Run` holds all of one run's state, so runs can be stepped side by
+side; :func:`run_experiment` loops over one.  Opening it does the set-up and
+the resume, :meth:`Run.jobs` gives a round's ``local_train`` calls, and
+:meth:`Run.finish_round` plays the server half and keeps a snapshot of the
+state (:func:`_state_arrays`).  A checkpoint writes that snapshot every
+``checkpoint_every`` rounds, and on any failure after the opening
+(:meth:`Run.fail`; Ctrl-C, SIGTERM and a failed end-of-run write included)
+the latest one, so it always holds the last completed round and the live
+state is never rolled back.  A checkpoint is two files.  ``checkpoint.npz``
+holds ``next_round``, the global model, the history of past globals, every
+node's window as one array ``buffers`` cut apart by ``buffer_lengths`` and,
+for the cached rule, ``cached_updates``; ``checkpoint_rows.json`` holds the
+scalar fields of each recorded round, as one line of compact, sorted, strict
+JSON, the form ``json`` encodes in C.
 Each is replaced whole, and a pair whose row counts disagree (a run stopped
 between the two replaces) is refused on resume, as is a checkpoint file that
 cannot be read, whose arrays do not have the exact lengths the run and its
@@ -356,7 +360,7 @@ def _check_shapes(
 
     The history holds one global per round up to its capacity, and a window
     one model per local step of the node's participations up to its
-    capacity; an empty shard takes no steps.
+    capacity.
     """
     cfg, P, N = env.cfg, env.spec.num_params, env.cfg.num_nodes
     for name, shape in {"cached_updates": (N, P), "global_flat": (P,),
@@ -368,7 +372,7 @@ def _check_shapes(
     steps = cfg.local_iterations * env.trace[:next_round].sum(axis=0, dtype=np.int64)
     for name, buffer, rows, length in [
         ("history", state.history, data["history"], next_round),
-        *((f"window {n.node_id}", n.buffer, w, steps[n.node_id] if n.num_samples else 0)
+        *((f"window {n.node_id}", n.buffer, w, steps[n.node_id])
           for n, w in zip(env.nodes, windows)),
     ]:
         want = (int(min(length, buffer.capacity)), P)
@@ -439,16 +443,14 @@ def _load_checkpoint(
     return rows
 
 
-def _play_round(env: Environment, state: AggregatorState, t: int) -> RoundMetrics:
-    """Local training, weight update, aggregation and evaluation of round ``t``."""
+def _play_round(env: Environment, state: AggregatorState, t: int, updates) -> RoundMetrics:
+    """The server half of round ``t`` on its participants' (K_t, P) ``updates``,
+    rows in node order: weight update, deviation, aggregation and evaluation."""
     cfg = env.cfg
     indicators = env.trace[t].astype(np.int64)
     participants = np.flatnonzero(indicators == 1)
-
     # row i is the update of node participants[i]; absent nodes send nothing
-    updates = np.empty((participants.size, env.spec.num_params))
-    for i, k in enumerate(participants):
-        updates[i] = local_train(env.nodes[k], state.global_model, cfg, t, env.train_buffers)
+    updates = np.asarray(updates, dtype=np.float64).reshape(participants.size, env.spec.num_params)
 
     update_weights(state, indicators)
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
@@ -551,82 +553,85 @@ def _sigterm_raises():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir, resume: bool = False
-) -> RunResult:
+class Run:
+    """One run, stepped a round at a time.  Opening it does the set-up, the
+    resume, the manifest, partition and trace writes and the first snapshot;
+    a failure there writes no checkpoint."""
+
+    def __init__(self, cfg: ExperimentConfig, out_dir, resume: bool = False):
+        cfg.validate()
+        self.out_dir = out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        remove_stale_temporaries(out_dir, (*OUTPUT_FILES, CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE))
+        resolved = cfg.resolved()
+        self.env = env = build_environment(resolved)
+        self.state = state = AggregatorState(
+            resolved.num_nodes, init_params(env.spec, stream(resolved.seed, "init")),
+            resolved.rounds, cutoff=resolved.cutoff_interval,
+            history_size=resolved.global_buffer_size, global_lr=resolved.global_lr)
+        self.rows: list[RoundMetrics] = []
+        if resume:
+            self.rows = _load_checkpoint(out_dir, env, state)
+            log.info("resuming %s at round %d", out_dir, state.round_idx)
+        _write_json(out_dir / "manifest.json", {
+            "package": "pmfl", "version": __version__, "requested_config": cfg.to_dict(),
+            "resolved_config": resolved.to_dict(), "num_params": int(env.spec.num_params),
+            "outputs": list(OUTPUT_FILES),
+        })
+        _write_json(out_dir / "partition.json",
+                    partition_manifest(env.shards, env.dists, env.assignment))
+        export_trace_csv(env.trace, out_dir / "participation.csv")
+        self.snapshot = _state_arrays(env, state)
+
+    def jobs(self, t: int) -> list[tuple]:
+        """``local_train``'s arguments for each participant of round ``t``, in node order."""
+        if t != self.state.round_idx:  # its training would move the windows out of turn
+            raise ValueError(f"round {t} is out of turn: the run is at round {self.state.round_idx}")
+        env = self.env
+        return [(env.nodes[k], self.state.global_model, env.cfg, t, env.train_buffers)
+                for k in np.flatnonzero(env.trace[t] == 1)]
+
+    def finish_round(self, t: int, updates: np.ndarray) -> None:
+        """Play the server half of round ``t`` on its (K_t, P) ``updates``, then
+        snapshot the state and write the periodic checkpoint."""
+        self.rows.append(_play_round(self.env, self.state, t, updates))
+        self.snapshot = _state_arrays(self.env, self.state)
+        every, rounds = self.env.cfg.checkpoint_every, self.env.cfg.rounds
+        if every and (t + 1) % every == 0 and t + 1 < rounds:
+            _save_checkpoint(self.out_dir, self.snapshot, self.rows)
+
+    def close(self) -> RunResult:
+        """Write the end-of-run artifacts and remove the checkpoint."""
+        summary = _write_results(self.out_dir, self.env, self.state, self.rows)
+        for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
+            (self.out_dir / name).unlink(missing_ok=True)
+        return RunResult(self.out_dir, self.env.cfg.rounds, summary)
+
+    def fail(self) -> None:
+        """Save the last snapshot as the checkpoint: the last completed
+        round, never a half-done one."""
+        next_round = int(self.snapshot["next_round"])
+        _save_checkpoint(self.out_dir, self.snapshot, self.rows[:next_round])
+        # the caller gets the traceback with the exception
+        log.error("run failed; its checkpoint in %s resumes at round %d",
+                  self.out_dir, next_round)
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir, resume: bool = False) -> RunResult:
     """Run one experiment end to end, writing every artifact into ``out_dir``."""
     with _sigterm_raises():
-        return _run_experiment(cfg, out_dir, resume)
-
-
-def _run_experiment(cfg: ExperimentConfig, out_dir, resume: bool) -> RunResult:
-    cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    remove_stale_temporaries(out_dir, (*OUTPUT_FILES, CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE))
-    resolved = cfg.resolved()
-    env = build_environment(resolved)
-    num_params = env.spec.num_params
-
-    state = AggregatorState(
-        num_nodes=resolved.num_nodes,
-        global_model=init_params(env.spec, stream(resolved.seed, "init")),
-        horizon=resolved.rounds,
-        cutoff=resolved.cutoff_interval,
-        history_size=resolved.global_buffer_size,
-        global_lr=resolved.global_lr,
-    )
-
-    rows: list[RoundMetrics] = []
-    if resume:
-        rows = _load_checkpoint(out_dir, env, state)
-        log.info("resuming %s at round %d", out_dir, state.round_idx)
-
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "package": "pmfl",
-            "version": __version__,
-            "requested_config": cfg.to_dict(),
-            "resolved_config": resolved.to_dict(),
-            "num_params": int(num_params),
-            "outputs": list(OUTPUT_FILES),
-        },
-    )
-    _write_json(
-        out_dir / "partition.json",
-        partition_manifest(env.shards, env.dists, env.assignment),
-    )
-    export_trace_csv(env.trace, out_dir / "participation.csv")
-
-    snapshot = _state_arrays(env, state)
-    try:
-        # a diverging run stops with DivergenceError; numpy's warnings on the
-        # way there add nothing to it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for t in range(state.round_idx, resolved.rounds):
-                rows.append(_play_round(env, state, t))
-                snapshot = _state_arrays(env, state)
-                every = resolved.checkpoint_every
-                if every and (t + 1) % every == 0 and t + 1 < resolved.rounds:
-                    _save_checkpoint(out_dir, snapshot, rows)
-        summary = _write_results(out_dir, env, state, rows)
-    except BaseException:
-        # the checkpoint is the last completed round, never a half-done one,
-        # and the end-of-run writes come after the last round
-        next_round = int(snapshot["next_round"])
-        _save_checkpoint(out_dir, snapshot, rows[:next_round])
-        # the caller gets the traceback with the exception
-        log.error("run failed; its checkpoint in %s resumes at round %d", out_dir, next_round)
-        raise
-
-    # a finished run does not need its checkpoint any more
-    for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
-        p = out_dir / name
-        if p.exists():
-            p.unlink()
-
-    return RunResult(out_dir=out_dir, rounds_completed=resolved.rounds, summary=summary)
+        run = Run(cfg, out_dir, resume)
+        try:
+            # a diverging run stops with DivergenceError; numpy's warnings on
+            # the way there add nothing to it
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for t in range(run.state.round_idx, run.env.cfg.rounds):
+                    # stacked here, so the list of rows is gone before the server half
+                    run.finish_round(t, np.array([local_train(*job) for job in run.jobs(t)]))
+            return run.close()
+        except BaseException:
+            run.fail()
+            raise
 
 
 def resume_run(out_dir) -> RunResult:
@@ -680,6 +685,7 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
     grid = parsed
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    remove_stale_temporaries(out_dir, ("sweep_summary.csv",))
     keys = sorted(grid)
     cells = []
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):

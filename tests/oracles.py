@@ -390,8 +390,6 @@ def looped_local_train(
     of buffers: :func:`looped_loss_and_grad` on the node's own window, a
     ``LocalBuffer.push`` after every step and a fresh model from every SGD
     step.  The node's window moves on as under ``local_train``."""
-    if node.num_samples == 0:
-        return np.zeros(global_params.num_params)
     batches = _epoch_batches(
         node.round_rng(round_idx), node.num_samples, cfg.batch_size, cfg.local_iterations
     )

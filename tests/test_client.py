@@ -1,7 +1,6 @@
 """Local training loop: batching, buffer discipline and update vectors."""
 from __future__ import annotations
 
-import logging
 import tracemalloc
 
 import numpy as np
@@ -80,6 +79,11 @@ class TestNodeState:
             NodeState(0, np.zeros(3), np.zeros(3, dtype=int), LocalBuffer(1, SPEC), 0)
         with pytest.raises(ValueError):
             NodeState(0, np.zeros((3, 2)), np.zeros(4, dtype=int), LocalBuffer(1, SPEC), 0)
+
+    def test_empty_shard_is_refused(self):
+        # a partition never hands out an empty shard, and no round could train one
+        with pytest.raises(ValueError, match="at least one sample"):
+            NodeState(1, np.zeros((0, 3)), np.zeros(0, dtype=int), LocalBuffer(2, SPEC), 99)
 
     def test_round_rng_is_round_and_node_keyed(self):
         node = make_node(0, node_id=3, root_seed=42)
@@ -202,15 +206,6 @@ class TestLocalTrain:
             np.sort(np.concatenate(batches)), np.arange(10)
         )
         local_train(node, make_global(8), cfg, 0)  # and the walk actually runs
-
-    def test_empty_shard_is_skipped_with_error(self, caplog):
-        node = NodeState(1, np.zeros((0, 3)), np.zeros(0, dtype=int), LocalBuffer(2, SPEC), 99)
-        w0 = make_global(9)
-        with caplog.at_level(logging.ERROR, logger="pmfl.client"):
-            delta = local_train(node, w0, ExperimentConfig(), 4)
-        np.testing.assert_array_equal(delta, 0.0)
-        assert len(node.buffer) == 0
-        assert any("empty shard" in r.message for r in caplog.records)
 
     def test_deterministic_replay(self):
         cfg = ExperimentConfig(local_iterations=5, batch_size=3)

@@ -552,6 +552,80 @@ class TestCheckpointing:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUT_FILES)
 
 
+def _step(run, rounds):
+    """Play ``rounds`` of a :class:`harness.Run` as ``run_experiment`` does."""
+    for t in rounds:
+        run.finish_round(t, np.array([harness.local_train(*job) for job in run.jobs(t)]))
+
+
+class TestRun:
+    """Runs stepped from outside ``run_experiment``, and the failures of their
+    opening."""
+
+    def test_interleaved_runs_write_their_solo_bytes(self, tmp_path):
+        # one round of each in turn, in one process; any state kept outside a
+        # Run would carry over from one config into the other
+        cfgs = {
+            "a": tiny_config(checkpoint_every=2),
+            "b": tiny_config(variant="cached_update", seed=3, local_buffer_size=3, rounds=5),
+        }
+        runs = {name: harness.Run(cfg, tmp_path / name) for name, cfg in cfgs.items()}
+        for t in range(6):
+            for name, run in runs.items():
+                if t < cfgs[name].rounds:
+                    _step(run, [t])
+        for name, run in runs.items():
+            assert run.close().rounds_completed == cfgs[name].rounds
+            run_experiment(cfgs[name], tmp_path / f"solo_{name}")
+            assert_same_outputs(tmp_path / f"solo_{name}", tmp_path / name)
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(OUTPUT_FILES)
+
+    def test_a_round_out_of_turn_is_refused_and_changes_nothing(self, tmp_path):
+        cfg = tiny_config()
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, range(2))
+        for t in (1, 3):
+            with pytest.raises(ValueError, match=f"round {t} is out of turn"):
+                _step(run, [t])
+        _step(run, range(2, cfg.rounds))
+        run.close()
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_failed_set_up_of_a_resume_keeps_the_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config(checkpoint_every=2)
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, range(3))
+        run.fail()
+        pair = {name: (tmp_path / "b" / name).read_bytes()
+                for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE)}
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "export_trace_csv", fail)
+        with pytest.raises(OSError, match="disk full"):
+            resume_run(tmp_path / "b")
+        monkeypatch.undo()
+        for name, content in pair.items():
+            assert (tmp_path / "b" / name).read_bytes() == content, name
+        resume_run(tmp_path / "b")
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("writer", ["_write_json", "export_trace_csv"])
+    def test_failed_set_up_write_of_a_fresh_run_leaves_no_checkpoint(
+        self, tmp_path, monkeypatch, writer
+    ):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, writer, fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+        assert not {CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE} & {p.name for p in tmp_path.iterdir()}
+
+
 # each writes part of its output, then meets a value it cannot format
 _BAD_ROWS = [
     RoundMetrics(0, 1, psi=0.5, train_accuracy=1.0),
@@ -771,6 +845,17 @@ class TestSweep:
         assert cell_dir.is_dir()
         run_experiment(dataclasses.replace(base, seed=5), tmp_path / "direct")
         assert_same_outputs(cell_dir, tmp_path / "direct")
+
+    def test_stale_summary_temporaries_are_removed(self, tmp_path):
+        # a sweep killed while writing its summary leaves its temporary file
+        stale = tmp_path / ".sweep_summary.csv.123.deadbeef.tmp"
+        other = tmp_path / ".notes.txt.123.deadbeef.tmp"
+        for path in (stale, other):
+            path.write_text("partial")
+        run_sweep(tiny_config(rounds=2), {"seed": [1]}, tmp_path)
+        assert not stale.exists()
+        assert other.exists()  # not a sweep output: left alone
+        assert (tmp_path / "sweep_summary.csv").exists()
 
     def test_cells_fail_independently(self, tmp_path):
         rows = run_sweep(
