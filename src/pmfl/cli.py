@@ -73,13 +73,11 @@ def _cmd_run(parser, args) -> int:
         if args.config or _collect_overrides(args, dataclasses.fields(ExperimentConfig)):
             _fail(parser, "--resume continues with the recorded config; "
                           "drop the other flags")
-        if not (out / "manifest.json").exists():
-            _fail(parser, f"{out} has no manifest.json to resume from")
     else:
         cfg = _build_config(parser, args)
     try:
         result = resume_run(out) if args.resume else run_experiment(cfg, out)
-    except FileNotFoundError as exc:  # e.g. --resume of a run with no checkpoint
+    except FileNotFoundError as exc:  # --resume of a run with no manifest or checkpoint
         _fail(parser, str(exc))
     except ValueError as exc:  # a diverged run, a failed partition, a bad checkpoint
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)

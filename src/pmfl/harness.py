@@ -18,20 +18,21 @@ nothing.  Every evaluation of a run writes into one workspace
 every participation's local steps run in one set of training buffers
 (:class:`~pmfl.contrastive.TrainBuffers`), restaged for each participation.
 
-A :class:`Run` holds all of one run's state, so runs can be stepped side by
-side; :func:`run_experiment` loops over one.  Opening it does the set-up and
-the resume, :meth:`Run.jobs` gives a round's ``local_train`` calls, and
-:meth:`Run.finish_round` plays the server half and keeps a snapshot of the
-state (:func:`_state_arrays`).  A checkpoint writes that snapshot every
-``checkpoint_every`` rounds, and on any failure after the opening
-(:meth:`Run.fail`; Ctrl-C, SIGTERM and a failed end-of-run write included)
-the latest one, so it always holds the last completed round and the live
-state is never rolled back.  A checkpoint is two files.  ``checkpoint.npz``
-holds ``next_round``, the global model, the history of past globals, every
-node's window as one array ``buffers`` cut apart by ``buffer_lengths`` and,
-for the cached rule, ``cached_updates``; ``checkpoint_rows.json`` holds the
-scalar fields of each recorded round, as one line of compact, sorted, strict
-JSON, the form ``json`` encodes in C.
+A :class:`Run` holds all of one run's state, its next round included, so runs
+can be stepped side by side; :func:`run_experiment` and :func:`resume_run`
+play one to its end.  A fresh run removes the directory's earlier one, and a
+resume takes its config from the manifest.  :meth:`Run.jobs` gives the next
+round's ``local_train`` calls, and :meth:`Run.finish_round` plays its server
+half and keeps a snapshot of the state (:func:`_state_arrays`).  A checkpoint
+writes that snapshot every ``checkpoint_every`` rounds, and on any failure
+after the opening (:meth:`Run.fail`; Ctrl-C, SIGTERM and a failed end-of-run
+write included) the latest one, so it always holds the last completed round
+and the live state is never rolled back.  A checkpoint is two files.
+``checkpoint.npz`` holds ``next_round``, the global model, the history of
+past globals, every node's window as one array ``buffers`` cut apart by
+``buffer_lengths`` and, for the cached rule, ``cached_updates``;
+``checkpoint_rows.json`` holds the scalar fields of each recorded round, as
+one line of compact, sorted, strict JSON, the form ``json`` encodes in C.
 Each is replaced whole, and a pair whose row counts disagree (a run stopped
 between the two replaces) is refused on resume, as is a checkpoint file that
 cannot be read, whose arrays do not have the exact lengths the run and its
@@ -110,6 +111,7 @@ OUTPUT_FILES = (
     "model_meta.json",
     "manifest.json",
 )
+_RUN_FILES = (*OUTPUT_FILES, CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE)
 
 
 def model_spec_for(cfg: ExperimentConfig) -> ModelSpec:
@@ -289,8 +291,6 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
     )
 
 
-# server arrays that rounds write in place, so a snapshot copies them
-_SERVER_ARRAYS = ("cached_updates",)
 # the bookkeeping a resume replays; checkpoints written before the replay
 # saved it, and a resume holds those copies to the replay
 _REPLAYED = ("weights", "rounds_waiting", "event_counts")
@@ -309,10 +309,8 @@ def _state_arrays(env: Environment, state: AggregatorState) -> dict:
         "history": state.history.rows,
         "buffers": [node.buffer.rows for node in env.nodes],
     }
-    for name in _SERVER_ARRAYS:
-        value = getattr(state, name)
-        if value is not None:  # cached_updates, before the cached rule's first round
-            arrays[name] = value.copy()
+    if state.cached_updates is not None:  # the cached rule, after its first round
+        arrays["cached_updates"] = state.cached_updates.copy()  # rounds write it in place
     return arrays
 
 
@@ -417,9 +415,8 @@ def _load_checkpoint(
                     want.dtype, want.shape, want.tobytes()):
                 raise ValueError(f"{name} differs from its replay over the trace")
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
-    with _reading(rows_path):
-        with open(rows_path) as fh:
-            raw = json.load(fh)["rows"]
+    with _reading(rows_path), open(rows_path) as fh:
+        raw = json.load(fh)["rows"]
         if not isinstance(raw, list):
             raise TypeError(f"rows is a {type(raw).__name__}, not a list")
         # rows written before the replay also carry their weights; read past them
@@ -437,16 +434,14 @@ def _load_checkpoint(
     state.history.rows = history
     for node, window in zip(env.nodes, windows):
         node.buffer.rows = window
-    for name in _SERVER_ARRAYS:
-        if name in data:
-            setattr(state, name, data[name])
+    state.cached_updates = data.get("cached_updates")
     return rows
 
 
-def _play_round(env: Environment, state: AggregatorState, t: int, updates) -> RoundMetrics:
-    """The server half of round ``t`` on its participants' (K_t, P) ``updates``,
+def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetrics:
+    """The server half of the next round on its participants' (K_t, P) ``updates``,
     rows in node order: weight update, deviation, aggregation and evaluation."""
-    cfg = env.cfg
+    cfg, t = env.cfg, state.round_idx
     indicators = env.trace[t].astype(np.int64)
     participants = np.flatnonzero(indicators == 1)
     # row i is the update of node participants[i]; absent nodes send nothing
@@ -458,12 +453,7 @@ def _play_round(env: Environment, state: AggregatorState, t: int, updates) -> Ro
 
     new_global = aggregate(state, updates, participants, cfg.variant, cfg.aggregation_mode)
 
-    row = RoundMetrics(
-        round_idx=t,
-        num_participants=int(participants.size),
-        psi=psi,
-        deviation=deviation,
-    )
+    row = RoundMetrics(t, int(participants.size), psi, deviation)
     if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
         # one call, so one matmul per layer, over each whole set: gemm's bits
         # for a row depend on how many rows share the call, so a set is never
@@ -486,11 +476,8 @@ def _summarize(
     test_acc = [r.test_accuracy for r in evaluated if r.test_accuracy is not None]
     last = evaluated[-1] if evaluated else None
     quarter_start = (3 * cfg.rounds) // 4
-    tail_devs = [
-        r.deviation
-        for r in rows
-        if r.round_idx >= quarter_start and r.deviation is not None
-    ]
+    tail_devs = [r.deviation for r in rows
+                 if r.round_idx >= quarter_start and r.deviation is not None]
     return {
         "rounds_completed": cfg.rounds,
         "num_params": int(num_params),
@@ -501,9 +488,7 @@ def _summarize(
         "top5_train_accuracy": top5_mean(train_acc) if train_acc else None,
         # a run without a test set has no test accuracy to rank
         "top5_test_accuracy": top5_mean(test_acc) if test_acc else None,
-        "mean_deviation_last_quarter": (
-            float(np.mean(tail_devs)) if tail_devs else None
-        ),
+        "mean_deviation_last_quarter": float(np.mean(tail_devs)) if tail_devs else None,
         "realized_mean_frequency": float(trace.mean()) if trace.size else 0.0,
         "evaluated_round_count": len(evaluated),
     }
@@ -520,10 +505,8 @@ def _write_results(
                               cutoff=cfg.cutoff_interval, history_size=0)
     _write_weights_csv(out_dir / "weights.csv", rows, replay_weights(scratch, env.trace),
                        cfg.num_nodes)
-    per_node = [
-        evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
-        for n in env.nodes
-    ]
+    per_node = [evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
+                for n in env.nodes]
     acc_cdf = node_cdf([a for a, _ in per_node])
     loss_cdf = node_cdf([l for _, l in per_node])
     _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)
@@ -554,15 +537,22 @@ def _sigterm_raises():
 
 
 class Run:
-    """One run, stepped a round at a time.  Opening it does the set-up, the
-    resume, the manifest, partition and trace writes and the first snapshot;
-    a failure there writes no checkpoint."""
+    """One run, stepped a round at a time: a fresh run of ``cfg`` in ``out_dir``,
+    or with ``cfg`` None the run there, resumed with its manifest's config.
+    Opening it does the set-up, the resume or the removal of the directory's
+    earlier run, the manifest, partition and trace writes and the first
+    snapshot; a failure there writes no checkpoint."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir, resume: bool = False):
-        cfg.validate()
+    def __init__(self, cfg: ExperimentConfig | None, out_dir):
         self.out_dir = out_dir = Path(out_dir)
+        resume = cfg is None
+        if resume:
+            path = out_dir / "manifest.json"
+            with open(path) as fh, _reading(path):
+                cfg = ExperimentConfig.from_dict(json.load(fh)["requested_config"])
+        cfg.validate()
         out_dir.mkdir(parents=True, exist_ok=True)
-        remove_stale_temporaries(out_dir, (*OUTPUT_FILES, CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE))
+        remove_stale_temporaries(out_dir, _RUN_FILES)
         resolved = cfg.resolved()
         self.env = env = build_environment(resolved)
         self.state = state = AggregatorState(
@@ -573,6 +563,9 @@ class Run:
         if resume:
             self.rows = _load_checkpoint(out_dir, env, state)
             log.info("resuming %s at round %d", out_dir, state.round_idx)
+        else:  # no file of the earlier run may pass for one of this run
+            for name in _RUN_FILES:
+                (out_dir / name).unlink(missing_ok=True)
         _write_json(out_dir / "manifest.json", {
             "package": "pmfl", "version": __version__, "requested_config": cfg.to_dict(),
             "resolved_config": resolved.to_dict(), "num_params": int(env.spec.num_params),
@@ -583,25 +576,33 @@ class Run:
         export_trace_csv(env.trace, out_dir / "participation.csv")
         self.snapshot = _state_arrays(env, state)
 
-    def jobs(self, t: int) -> list[tuple]:
-        """``local_train``'s arguments for each participant of round ``t``, in node order."""
-        if t != self.state.round_idx:  # its training would move the windows out of turn
-            raise ValueError(f"round {t} is out of turn: the run is at round {self.state.round_idx}")
-        env = self.env
+    @property
+    def done(self) -> bool:
+        """Whether the run has played every round."""
+        return self.state.round_idx == self.env.cfg.rounds
+
+    def jobs(self) -> list[tuple]:
+        """``local_train``'s arguments for each participant of the next round, in node order."""
+        if self.done:
+            raise ValueError(f"the run has played all {self.env.cfg.rounds} rounds")
+        env, t = self.env, self.state.round_idx
         return [(env.nodes[k], self.state.global_model, env.cfg, t, env.train_buffers)
                 for k in np.flatnonzero(env.trace[t] == 1)]
 
-    def finish_round(self, t: int, updates: np.ndarray) -> None:
-        """Play the server half of round ``t`` on its (K_t, P) ``updates``, then
-        snapshot the state and write the periodic checkpoint."""
-        self.rows.append(_play_round(self.env, self.state, t, updates))
+    def finish_round(self, updates: np.ndarray) -> None:
+        """Play the server half of the next round on its (K_t, P) ``updates``,
+        then snapshot the state and write the periodic checkpoint."""
+        self.rows.append(_play_round(self.env, self.state, updates))
         self.snapshot = _state_arrays(self.env, self.state)
-        every, rounds = self.env.cfg.checkpoint_every, self.env.cfg.rounds
-        if every and (t + 1) % every == 0 and t + 1 < rounds:
+        every = self.env.cfg.checkpoint_every
+        if every and self.state.round_idx % every == 0 and not self.done:
             _save_checkpoint(self.out_dir, self.snapshot, self.rows)
 
     def close(self) -> RunResult:
         """Write the end-of-run artifacts and remove the checkpoint."""
+        if not self.done:
+            raise ValueError(f"cannot close: the run has played {self.state.round_idx} "
+                             f"of {self.env.cfg.rounds} rounds")
         summary = _write_results(self.out_dir, self.env, self.state, self.rows)
         for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
             (self.out_dir / name).unlink(missing_ok=True)
@@ -617,30 +618,31 @@ class Run:
                   self.out_dir, next_round)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, resume: bool = False) -> RunResult:
-    """Run one experiment end to end, writing every artifact into ``out_dir``."""
+def _play_to_end(cfg: ExperimentConfig | None, out_dir) -> RunResult:
+    """Play ``Run(cfg, out_dir)`` to its end, or to its failure checkpoint."""
     with _sigterm_raises():
-        run = Run(cfg, out_dir, resume)
+        run = Run(cfg, out_dir)
         try:
             # a diverging run stops with DivergenceError; numpy's warnings on
             # the way there add nothing to it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for t in range(run.state.round_idx, run.env.cfg.rounds):
+                while not run.done:
                     # stacked here, so the list of rows is gone before the server half
-                    run.finish_round(t, np.array([local_train(*job) for job in run.jobs(t)]))
+                    run.finish_round(np.array([local_train(*job) for job in run.jobs()]))
             return run.close()
         except BaseException:
             run.fail()
             raise
 
 
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RunResult:
+    """Run one experiment end to end; its artifacts replace any earlier run in ``out_dir``."""
+    return _play_to_end(cfg, out_dir)
+
+
 def resume_run(out_dir) -> RunResult:
-    """Continue an interrupted run from its checkpoint."""
-    out_dir = Path(out_dir)
-    path = out_dir / "manifest.json"
-    with open(path) as fh, _reading(path):
-        cfg = ExperimentConfig.from_dict(json.load(fh)["requested_config"])
-    return run_experiment(cfg, out_dir, resume=True)
+    """Continue an interrupted run from its checkpoint, with its recorded config."""
+    return _play_to_end(None, out_dir)
 
 
 def _run_cell(args) -> dict:

@@ -552,10 +552,18 @@ class TestCheckpointing:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUT_FILES)
 
 
-def _step(run, rounds):
-    """Play ``rounds`` of a :class:`harness.Run` as ``run_experiment`` does."""
-    for t in rounds:
-        run.finish_round(t, np.array([harness.local_train(*job) for job in run.jobs(t)]))
+def _step(run, count):
+    """Play the next ``count`` rounds of a :class:`harness.Run` as
+    ``run_experiment`` does."""
+    for _ in range(count):
+        run.finish_round(np.array([harness.local_train(*job) for job in run.jobs()]))
+
+
+def _stopped_run(cfg, out_dir, rounds):
+    """A run of ``cfg`` stopped with its failure checkpoint after ``rounds``."""
+    run = harness.Run(cfg, out_dir)
+    _step(run, rounds)
+    run.fail()
 
 
 class TestRun:
@@ -570,33 +578,70 @@ class TestRun:
             "b": tiny_config(variant="cached_update", seed=3, local_buffer_size=3, rounds=5),
         }
         runs = {name: harness.Run(cfg, tmp_path / name) for name, cfg in cfgs.items()}
-        for t in range(6):
-            for name, run in runs.items():
-                if t < cfgs[name].rounds:
-                    _step(run, [t])
+        while not all(run.done for run in runs.values()):
+            for run in runs.values():
+                if not run.done:
+                    _step(run, 1)
         for name, run in runs.items():
             assert run.close().rounds_completed == cfgs[name].rounds
             run_experiment(cfgs[name], tmp_path / f"solo_{name}")
             assert_same_outputs(tmp_path / f"solo_{name}", tmp_path / name)
             assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(OUTPUT_FILES)
 
-    def test_a_round_out_of_turn_is_refused_and_changes_nothing(self, tmp_path):
+    def test_close_before_the_last_round_is_refused_and_writes_nothing(self, tmp_path):
         cfg = tiny_config()
         run = harness.Run(cfg, tmp_path / "b")
-        _step(run, range(2))
-        for t in (1, 3):
-            with pytest.raises(ValueError, match=f"round {t} is out of turn"):
-                _step(run, [t])
-        _step(run, range(2, cfg.rounds))
+        _step(run, 2)
+        with pytest.raises(ValueError, match="played 2 of 6 rounds"):
+            run.close()
+        written = {p.name for p in (tmp_path / "b").iterdir()}
+        assert not {"metrics.csv", "weights.csv", "summary.json"} & written
+        _step(run, cfg.rounds - 2)
         run.close()
         run_experiment(cfg, tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
+    def test_jobs_after_the_last_round_are_refused_and_change_nothing(self, tmp_path):
+        cfg = tiny_config()
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, cfg.rounds)
+        assert run.done
+        with pytest.raises(ValueError, match="played all 6 rounds"):
+            run.jobs()
+        assert run.done and len(run.rows) == cfg.rounds
+        run.close()
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_a_resume_takes_no_config_but_its_manifest(self, tmp_path):
+        cfg = tiny_config(checkpoint_every=2)
+        _stopped_run(cfg, tmp_path / "b", 3)
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+        with pytest.raises(TypeError):
+            run_experiment(tiny_config(checkpoint_every=2, local_lr=0.5), tmp_path / "b",
+                           resume=True)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == kept
+        resume_run(tmp_path / "b")
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("earlier", ["finished", "stopped"])
+    def test_a_fresh_run_clears_the_earlier_run_in_its_directory(self, tmp_path, earlier):
+        if earlier == "finished":
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path)
+        else:
+            _stopped_run(tiny_config(checkpoint_every=2), tmp_path, 3)
+        run = harness.Run(tiny_config(checkpoint_every=2, local_lr=0.5), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "participation.csv", "partition.json"]
+        # killed before its first checkpoint: nothing of the earlier run resumes
+        _step(run, 1)
+        with pytest.raises(FileNotFoundError, match="no checkpoint"):
+            resume_run(tmp_path)
+
     def test_failed_set_up_of_a_resume_keeps_the_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config(checkpoint_every=2)
-        run = harness.Run(cfg, tmp_path / "b")
-        _step(run, range(3))
-        run.fail()
+        _stopped_run(cfg, tmp_path / "b", 3)
         pair = {name: (tmp_path / "b" / name).read_bytes()
                 for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE)}
 
