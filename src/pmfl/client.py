@@ -3,18 +3,15 @@
 A participating node starts from the broadcast global model, runs a fixed
 number of one-minibatch gradient steps on the combined objective, and ships
 back the flat difference between its final and initial parameters.  After every
-iteration the pre-step model is snapshotted into the node's sliding buffer, so
-the buffer always holds the models *preceding* the one currently training;
-those snapshots feed the contrastive term, both this round and in later rounds
-the node attends.
+iteration the pre-step model joins the node's window of past models, which
+feeds the contrastive term this round and in later rounds the node attends.
+The partition threshold reference is frozen at round start (the newest window
+row from before this round), so mid-round snapshots do not move the goalposts.
 
-The partition threshold reference is frozen at round start (the newest buffer
-entry from before this round), so mid-round snapshots do not move the goalposts
-within the round.
-
-The steps run in a :class:`~pmfl.contrastive.TrainBuffers`: the node's window
-is staged into it once per participation, snapshotted and stepped in place,
-and copied back out once at the end.
+:func:`local_train` writes none of its arguments: it takes the node's window
+as a read-only array and returns the window it leaves as a new one, beside
+the update.  The steps run in a :class:`~pmfl.contrastive.TrainBuffers` that
+the window is staged into once and copied out of once.
 """
 from __future__ import annotations
 
@@ -23,19 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
+from .contrastive import TrainBuffers, combined_loss_and_grad
 from .nn import Minibatch, ModelParams, param_delta, sgd_step
 from .rng import stream
 
 
 @dataclass
 class NodeState:
-    """One federated node: its shard, snapshot buffer and stream identity."""
+    """One federated node: its shard and stream identity."""
 
     node_id: int
     features: np.ndarray
     labels: np.ndarray
-    buffer: LocalBuffer
     root_seed: int
 
     def __post_init__(self):
@@ -75,55 +71,39 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int, count: int
         pos += take
 
 
-def local_train(
-    node: NodeState,
-    global_params: ModelParams,
-    cfg: ExperimentConfig,
-    round_idx: int,
-    buffers: TrainBuffers | None = None,
-) -> np.ndarray:
-    """Run the node's local iterations and return its flat update vector.
-
-    The steps run in ``buffers``, which must match the node's window
-    capacity and hold ``cfg.batch_size`` rows; fresh ones are made without
-    it.  The node's window is staged into them once and copied out once, as
-    a new read-only array: the array it replaces is never written.
-    """
+def local_train(node: NodeState, global_params: ModelParams, cfg: ExperimentConfig,
+                round_idx: int, window: np.ndarray, buffers: TrainBuffers | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Train from the node's ``window`` of past models, (len, P) rows oldest
+    first, in ``buffers`` (fresh ones without it; they must fit
+    ``cfg.local_buffer_size`` and ``cfg.batch_size``); return the flat update
+    and the new window, a new read-only array."""
     if cfg.local_iterations < 0 or cfg.local_lr <= 0 or cfg.batch_size < 1:
         raise ValueError("local training needs local_iterations >= 0, local_lr > 0 "
                          "and batch_size >= 1")
+    capacity = cfg.local_buffer_size
     if buffers is None:
-        buffers = TrainBuffers(global_params.spec(), node.buffer.capacity, cfg.batch_size)
-    elif buffers.capacity != node.buffer.capacity or buffers.batch_size < cfg.batch_size:
-        raise ValueError(
-            f"buffers for a window of {buffers.capacity} and {buffers.batch_size} rows "
-            f"cannot train a window of {node.buffer.capacity} on batches of {cfg.batch_size}"
-        )
+        buffers = TrainBuffers(global_params.spec(), capacity, cfg.batch_size)
+    elif buffers.capacity != capacity or buffers.batch_size < cfg.batch_size:
+        raise ValueError(f"buffers for a window of {buffers.capacity} and {buffers.batch_size} "
+                         f"rows cannot train a window of {capacity} on batches of {cfg.batch_size}")
 
-    rng = node.round_rng(round_idx)
-    batches = _epoch_batches(
-        rng, node.num_samples, cfg.batch_size, cfg.local_iterations
-    )
-    mu_reference = node.buffer.newest()
-    buffers.stage(global_params, global_params, node.buffer.rows, mu_reference)
+    batches = _epoch_batches(node.round_rng(round_idx), node.num_samples, cfg.batch_size,
+                             cfg.local_iterations)
+    mu_reference = ModelParams(buffers.spec, window[-1]) if len(window) else None
+    buffers.stage(global_params, global_params, window, mu_reference)
     w = buffers.current  # starts as a copy of the global model, stepped in place
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = combined_loss_and_grad(
-            w,
-            batch,
-            global_params,
-            buffers.window,
-            temperature=cfg.temperature,
-            contrastive_weight=cfg.contrastive_weight,
-            mu_reference=mu_reference,
-            buffers=buffers,
+            w, batch, global_params, buffers.window, temperature=cfg.temperature,
+            contrastive_weight=cfg.contrastive_weight, mu_reference=mu_reference, buffers=buffers,
         )
         buffers.push()  # the window holds models older than the current one
         sgd_step(w, grad, cfg.local_lr, out=w, ws=buffers.workspace)
-    if cfg.local_iterations and node.buffer.capacity:
-        node.buffer.rows = buffers.window.copy()
-    return param_delta(w, global_params)
+    new_window = buffers.window.copy()
+    new_window.flags.writeable = False
+    return param_delta(w, global_params), new_window
 
 
 def nonparticipant_update(num_params: int) -> np.ndarray:

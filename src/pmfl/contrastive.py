@@ -63,14 +63,14 @@ def _cos_rows(a, b, na=None, nb=None, out=None, mask=None) -> np.ndarray:
 
 
 class LocalBuffer:
-    """Sliding window of model snapshots, strictly oldest-first eviction.
+    """Sliding window of model snapshots, strictly oldest-first eviction: the
+    server's past global models.
 
     The window is one read-only ``(len, P)`` array, :attr:`rows`, oldest
     first, whose rows are models of ``spec``.  Capacity 0 disables
     buffering (pushes are dropped).  A push builds a new array and never
-    writes the old one, so a row read from the buffer (a model from
-    :meth:`newest`, say) keeps its values without a copy however the buffer
-    moves on.
+    writes the old one, so a row read from the buffer keeps its values
+    without a copy however the buffer moves on.
     """
 
     def __init__(self, capacity: int, spec: ModelSpec):
@@ -96,9 +96,6 @@ class LocalBuffer:
             return
         kept = self.rows[max(len(self) + 1 - self.capacity, 0) :]
         self.rows = np.concatenate([kept, params.vector[None]])
-
-    def newest(self) -> ModelParams | None:
-        return ModelParams(self.spec, self.rows[-1]) if len(self) else None
 
     def __len__(self) -> int:
         return len(self.rows)

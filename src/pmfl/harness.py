@@ -18,28 +18,31 @@ nothing.  Every evaluation of a run writes into one workspace
 every participation's local steps run in one set of training buffers
 (:class:`~pmfl.contrastive.TrainBuffers`), restaged for each participation.
 
-A :class:`Run` holds all of one run's state, its next round included, so runs
-can be stepped side by side; :func:`run_experiment` and :func:`resume_run`
-play one to its end.  A fresh run removes the directory's earlier one, and a
-resume takes its config from the manifest.  :meth:`Run.jobs` gives the next
-round's ``local_train`` calls, and :meth:`Run.finish_round` plays its server
-half and keeps a snapshot of the state (:func:`_state_arrays`).  A checkpoint
-writes that snapshot every ``checkpoint_every`` rounds, and on any failure
-after the opening (:meth:`Run.fail`; Ctrl-C, SIGTERM and a failed end-of-run
-write included) the latest one, so it always holds the last completed round
-and the live state is never rolled back.  A checkpoint is two files.
-``checkpoint.npz`` holds ``next_round``, the global model, the history of
-past globals, every node's window as one array ``buffers`` cut apart by
-``buffer_lengths`` and, for the cached rule, ``cached_updates``;
-``checkpoint_rows.json`` holds the scalar fields of each recorded round, as
-one line of compact, sorted, strict JSON, the form ``json`` encodes in C.
-Each is replaced whole, and a pair whose row counts disagree (a run stopped
-between the two replaces) is refused on resume, as is a checkpoint file that
-cannot be read, whose arrays do not have the exact lengths the run and its
-trace give them, or whose saved weights (written before the replay) differ
-from the replay.  Every file is written to a temporary file first and then
-renamed over its target; a run starts by deleting the temporary files of its
-own outputs that a killed run left behind.
+A :class:`Run` holds all of one run's state, its next round and every node's
+window included, so runs can be stepped side by side; :func:`run_experiment`
+and :func:`resume_run` play one to its end.  A fresh run removes the
+directory's earlier one, and a resume takes its config from the manifest.
+:meth:`Run.jobs` gives the next round's ``local_train`` calls, each with the
+window it trains from; a job writes nothing, so it can be run again.
+:meth:`Run.finish_round` takes what the jobs return, plays the server half,
+and only then installs the new windows and keeps a snapshot
+(:func:`_state_arrays`), so a round that raises changes neither.  A round
+whose global model, deviation, accuracy or loss is not finite raises
+:class:`~pmfl.server.DivergenceError`.  A checkpoint writes the snapshot
+every ``checkpoint_every`` rounds, and on any failure after the opening
+(:meth:`Run.fail`, which never masks the failure; Ctrl-C, SIGTERM and a
+failed end-of-run write included), so it holds the last completed round.
+
+A checkpoint is two files, both written whole before either replaces its
+target.  ``checkpoint.npz`` holds ``next_round``, the global model, the
+history of past globals, every node's window as one array ``buffers`` cut
+apart by ``buffer_lengths`` and, for the cached rule, ``cached_updates``;
+``checkpoint_rows.json`` holds each recorded round's scalar fields as one
+line of compact, sorted, strict JSON.  A pair whose row counts disagree (a
+run stopped between the two replaces) is refused on resume, as is a file
+that cannot be read, whose arrays do not fit the run and its trace exactly,
+or whose saved weights (written before the replay) differ from the replay.
+A run starts by deleting the temporary files a killed run left of its outputs.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
 only code that starts one, so it imports ``multiprocessing`` and the
@@ -65,7 +68,9 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import signal
+import sys
 import threading
 import zipfile
 from contextlib import contextmanager
@@ -80,7 +85,7 @@ from .atomic import write_json as _write_json
 from .client import NodeState, local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
 from .config import ExperimentConfig, parse_value
-from .contrastive import LocalBuffer, TrainBuffers
+from .contrastive import TrainBuffers
 from .data import DatasetSpec, LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
@@ -89,6 +94,7 @@ from .participation import ParticipationSchedule, export_trace_csv
 from .rng import stream
 from .server import (
     AggregatorState,
+    DivergenceError,
     aggregate,
     history_coefficient,
     replay_weights,
@@ -185,16 +191,8 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     )
     trace = schedule.trace_matrix(cfg.rounds)
     spec = model_spec_for(cfg)
-    nodes = [
-        NodeState(
-            node_id=k,
-            features=train.features[shards[k]],
-            labels=train.labels[shards[k]],
-            buffer=LocalBuffer(cfg.local_buffer_size, spec),
-            root_seed=cfg.seed,
-        )
-        for k in range(cfg.num_nodes)
-    ]
+    nodes = [NodeState(k, train.features[shards[k]], train.labels[shards[k]], cfg.seed)
+             for k in range(cfg.num_nodes)]
     return Environment(
         cfg=cfg,
         train=train,
@@ -296,18 +294,16 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
 _REPLAYED = ("weights", "rounds_waiting", "event_counts")
 
 
-def _state_arrays(env: Environment, state: AggregatorState) -> dict:
+def _state_arrays(state: AggregatorState, windows: list[np.ndarray]) -> dict:
     """The run state at a round boundary, as the arrays a checkpoint saves.
-
-    The global vector and the window rows are kept by reference: rounds
-    replace them and never write them.  ``buffers`` holds every node's
-    window, joined into one array only when it is saved.
-    """
+    The global vector, the history and the run's list of windows are kept by
+    reference: rounds replace them and never write them.  ``buffers``, every
+    node's window, is joined into one array only when it is saved."""
     arrays = {
         "next_round": np.asarray(state.round_idx),
         "global_flat": state.global_model.vector,
         "history": state.history.rows,
-        "buffers": [node.buffer.rows for node in env.nodes],
+        "buffers": windows,
     }
     if state.cached_updates is not None:  # the cached rule, after its first round
         arrays["cached_updates"] = state.cached_updates.copy()  # rounds write it in place
@@ -315,7 +311,9 @@ def _state_arrays(env: Environment, state: AggregatorState) -> dict:
 
 
 def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> None:
-    """Write a snapshot of :func:`_state_arrays` and the rows recorded before it."""
+    """Write a snapshot of :func:`_state_arrays` and the rows recorded before
+    it; a failed write of either file (a row that JSON cannot encode, a full
+    disk) leaves the previous pair as it was."""
     windows = arrays["buffers"]
     arrays = {
         **arrays,
@@ -323,21 +321,21 @@ def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> N
         "buffer_lengths": np.array([len(w) for w in windows], dtype=np.int64),
     }
     # savez appends ".npz" to a path without it, so it gets the open file
-    with atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
+    with _write_checkpoint_rows(out_dir / CHECKPOINT_ROWS_FILE, rows), \
+            atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
         np.savez(fh, **arrays)
-    _write_checkpoint_rows(out_dir / CHECKPOINT_ROWS_FILE, rows)
 
 
-def _write_checkpoint_rows(path: Path, rows: list[RoundMetrics]) -> None:
-    """The rows' scalar fields as one line of strict, sorted JSON.
-
+@contextmanager
+def _write_checkpoint_rows(path: Path, rows: list[RoundMetrics]):
+    """The rows' scalar fields as one line of strict, sorted JSON, in a
+    temporary file that replaces ``path`` when the block inside ends cleanly.
     Compact, because only then does ``json.dumps`` run its C encoder (an
-    indent, or ``json.dump`` to a file, runs the pure-Python one), and every
-    checkpoint writes every row recorded so far.
-    """
+    indent runs the pure-Python one), and every checkpoint writes every row."""
     text = json.dumps({"rows": [vars(r) for r in rows]}, sort_keys=True, allow_nan=False)
     with atomic_open(path, "w") as fh:
         fh.write(text + "\n")
+        yield
 
 
 @contextmanager
@@ -368,12 +366,11 @@ def _check_shapes(
     if "buffers" in data and [len(w) for w in windows] != data["buffer_lengths"].tolist():
         raise ValueError(f"buffer_lengths do not cut the {len(data['buffers'])} rows of buffers")
     steps = cfg.local_iterations * env.trace[:next_round].sum(axis=0, dtype=np.int64)
-    for name, buffer, rows, length in [
-        ("history", state.history, data["history"], next_round),
-        *((f"window {n.node_id}", n.buffer, w, steps[n.node_id])
-          for n, w in zip(env.nodes, windows)),
+    for name, rows, length, capacity in [
+        ("history", data["history"], next_round, state.history.capacity),
+        *((f"window {k}", w, steps[k], cfg.local_buffer_size) for k, w in enumerate(windows)),
     ]:
-        want = (int(min(length, buffer.capacity)), P)
+        want = (int(min(length, capacity)), P)
         if rows.shape != want:
             raise ValueError(f"{name} has shape {rows.shape}, round {next_round} of "
                              f"the run needs {want}")
@@ -381,9 +378,9 @@ def _check_shapes(
 
 def _load_checkpoint(
     out_dir: Path, env: Environment, state: AggregatorState
-) -> list[RoundMetrics]:
-    """Put a checkpoint's state into the run's fresh ``state`` and the nodes,
-    replaying the weight bookkeeping over the trace; return its rows.
+) -> tuple[list[RoundMetrics], list[np.ndarray]]:
+    """Put a checkpoint's state into the run's fresh ``state``, replaying the
+    weight bookkeeping over the trace; return its rows and its node windows.
 
     A checkpoint file that cannot be read, whose arrays do not fit the run,
     or whose saved bookkeeping differs from the replay raises a ValueError
@@ -404,7 +401,7 @@ def _load_checkpoint(
             ends = np.cumsum(data["buffer_lengths"])[:-1]
             windows = np.split(data["buffers"], ends)
         else:  # written before the windows were one array
-            windows = [data[f"buffer_{node.node_id}"] for node in env.nodes]
+            windows = [data[f"buffer_{k}"] for k in range(env.cfg.num_nodes)]
         _check_shapes(data, windows, env, state, next_round)
         for _ in replay_weights(state, env.trace[:next_round]):
             pass
@@ -432,10 +429,10 @@ def _load_checkpoint(
     state.round_idx = next_round
     state.global_model = unflatten(env.spec, global_flat)
     state.history.rows = history
-    for node, window in zip(env.nodes, windows):
-        node.buffer.rows = window
     state.cached_updates = data.get("cached_updates")
-    return rows
+    for window in windows:
+        window.flags.writeable = False
+    return rows, windows
 
 
 def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetrics:
@@ -465,6 +462,9 @@ def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetri
             row.test_accuracy, row.test_loss = evaluate(
                 new_global, env.test.features, env.test.labels, env.eval_workspace
             )
+    for name, value in vars(row).items():  # the deviation, accuracies and losses
+        if value is not None and not math.isfinite(value):
+            raise DivergenceError(t, name)
     return row
 
 
@@ -560,8 +560,10 @@ class Run:
             resolved.rounds, cutoff=resolved.cutoff_interval,
             history_size=resolved.global_buffer_size, global_lr=resolved.global_lr)
         self.rows: list[RoundMetrics] = []
+        # every node's window, oldest row first; only finish_round replaces one
+        self.windows = [np.empty((0, env.spec.num_params))] * resolved.num_nodes
         if resume:
-            self.rows = _load_checkpoint(out_dir, env, state)
+            self.rows, self.windows = _load_checkpoint(out_dir, env, state)
             log.info("resuming %s at round %d", out_dir, state.round_idx)
         else:  # no file of the earlier run may pass for one of this run
             for name in _RUN_FILES:
@@ -574,27 +576,42 @@ class Run:
         _write_json(out_dir / "partition.json",
                     partition_manifest(env.shards, env.dists, env.assignment))
         export_trace_csv(env.trace, out_dir / "participation.csv")
-        self.snapshot = _state_arrays(env, state)
+        self.snapshot = _state_arrays(state, self.windows)
 
     @property
     def done(self) -> bool:
         """Whether the run has played every round."""
         return self.state.round_idx == self.env.cfg.rounds
 
-    def jobs(self) -> list[tuple]:
-        """``local_train``'s arguments for each participant of the next round, in node order."""
+    def _participants(self) -> np.ndarray:
         if self.done:
             raise ValueError(f"the run has played all {self.env.cfg.rounds} rounds")
-        env, t = self.env, self.state.round_idx
-        return [(env.nodes[k], self.state.global_model, env.cfg, t, env.train_buffers)
-                for k in np.flatnonzero(env.trace[t] == 1)]
+        return np.flatnonzero(self.env.trace[self.state.round_idx] == 1)
 
-    def finish_round(self, updates: np.ndarray) -> None:
-        """Play the server half of the next round on its (K_t, P) ``updates``,
-        then snapshot the state and write the periodic checkpoint."""
+    def jobs(self) -> list[tuple]:
+        """``local_train``'s arguments for each participant of the next round,
+        in node order, each with the window the node trains from."""
+        env, t = self.env, self.state.round_idx
+        return [(env.nodes[k], self.state.global_model, env.cfg, t, self.windows[k],
+                 env.train_buffers) for k in self._participants()]
+
+    def finish_round(self, updates: np.ndarray, windows: list[np.ndarray]) -> None:
+        """Play the server half of the next round on its (K_t, P) ``updates``
+        and new ``windows``, what its jobs returned in job order; then install
+        the windows, snapshot the state and write the periodic checkpoint.  A
+        round that raises installs nothing."""
+        participants, cfg = self._participants(), self.env.cfg
+        installed = list(self.windows)
+        for k, window in zip(participants, windows, strict=True):
+            grown = min(len(installed[k]) + cfg.local_iterations, cfg.local_buffer_size)
+            if window.shape != (grown, self.env.spec.num_params) or window.flags.writeable:
+                raise ValueError(f"node {k}'s new window has shape {window.shape}, "
+                                 f"the round leaves it ({grown}, P) and read-only")
+            installed[k] = window
         self.rows.append(_play_round(self.env, self.state, updates))
-        self.snapshot = _state_arrays(self.env, self.state)
-        every = self.env.cfg.checkpoint_every
+        self.windows = installed
+        self.snapshot = _state_arrays(self.state, installed)
+        every = cfg.checkpoint_every
         if every and self.state.round_idx % every == 0 and not self.done:
             _save_checkpoint(self.out_dir, self.snapshot, self.rows)
 
@@ -610,9 +627,17 @@ class Run:
 
     def fail(self) -> None:
         """Save the last snapshot as the checkpoint: the last completed
-        round, never a half-done one."""
+        round, never a half-done one.  Called while an exception is handled,
+        it never replaces that exception: a failed write is only logged."""
+        in_flight = sys.exc_info()[1]
         next_round = int(self.snapshot["next_round"])
-        _save_checkpoint(self.out_dir, self.snapshot, self.rows[:next_round])
+        try:
+            _save_checkpoint(self.out_dir, self.snapshot, self.rows[:next_round])
+        except Exception:
+            if in_flight is None:
+                raise
+            log.exception("run failed, and so did its checkpoint in %s", self.out_dir)
+            return
         # the caller gets the traceback with the exception
         log.error("run failed; its checkpoint in %s resumes at round %d",
                   self.out_dir, next_round)
@@ -627,8 +652,8 @@ def _play_to_end(cfg: ExperimentConfig | None, out_dir) -> RunResult:
             # the way there add nothing to it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 while not run.done:
-                    # stacked here, so the list of rows is gone before the server half
-                    run.finish_round(np.array([local_train(*job) for job in run.jobs()]))
+                    trained = [local_train(*job) for job in run.jobs()]
+                    run.finish_round(np.array([u for u, _ in trained]), [w for _, w in trained])
             return run.close()
         except BaseException:
             run.fail()

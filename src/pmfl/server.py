@@ -59,12 +59,10 @@ VARIANTS = {
 
 
 class DivergenceError(ValueError):
-    """Aggregation produced a non-finite global model."""
+    """A round produced a non-finite global model or metrics ``field``."""
 
-    def __init__(self, round_idx: int):
-        super().__init__(
-            f"global model became non-finite at round {round_idx}; the run diverged"
-        )
+    def __init__(self, round_idx: int, field: str = "global model"):
+        super().__init__(f"{field} became non-finite at round {round_idx}; the run diverged")
         self.round_idx = round_idx
 
 

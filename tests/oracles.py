@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from pmfl.client import NodeState, _epoch_batches
+from pmfl.contrastive import LocalBuffer
 from pmfl.config import ExperimentConfig
 from pmfl.nn import (
     Minibatch,
@@ -384,26 +385,32 @@ def looped_loss_and_grad(
 
 
 def looped_local_train(
-    node: NodeState, global_params: ModelParams, cfg: ExperimentConfig, round_idx: int
-) -> np.ndarray:
+    node: NodeState,
+    global_params: ModelParams,
+    cfg: ExperimentConfig,
+    round_idx: int,
+    window: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """``local_train`` as the package ran it before the steps shared one set
-    of buffers: :func:`looped_loss_and_grad` on the node's own window, a
-    ``LocalBuffer.push`` after every step and a fresh model from every SGD
-    step.  The node's window moves on as under ``local_train``."""
+    of buffers: :func:`looped_loss_and_grad` on a ``LocalBuffer`` that holds
+    the node's window, a push after every step and a fresh model from every
+    SGD step.  Returns the update and the buffer's rows."""
     batches = _epoch_batches(
         node.round_rng(round_idx), node.num_samples, cfg.batch_size, cfg.local_iterations
     )
-    mu_reference = node.buffer.newest()
+    buffer = LocalBuffer(cfg.local_buffer_size, global_params.spec())
+    buffer.rows = window.copy()
+    mu_reference = ModelParams(global_params.spec(), window[-1]) if len(window) else None
     w = global_params
     for batch_idx in batches:
         batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = looped_loss_and_grad(
-            w, batch, global_params, node.buffer.rows, cfg.temperature,
+            w, batch, global_params, buffer.rows, cfg.temperature,
             cfg.contrastive_weight, mu_reference,
         )
-        node.buffer.push(w)
+        buffer.push(w)
         w = sgd_step(w, grad, cfg.local_lr)
-    return param_delta(w, global_params)
+    return param_delta(w, global_params), buffer.rows
 
 
 def looped_dirichlet_partition(

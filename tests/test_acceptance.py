@@ -247,14 +247,13 @@ def test_04_contrastive_loss_identities():
         node_id=0,
         features=rng.standard_normal((40, 5)),
         labels=rng.integers(0, 3, size=40),
-        buffer=buffer,
         root_seed=11,
     )
     cfg = ExperimentConfig(
         local_iterations=4, local_lr=0.1, batch_size=16,
-        temperature=0.5, contrastive_weight=0.0,
+        temperature=0.5, contrastive_weight=0.0, local_buffer_size=3,
     )
-    update = local_train(node, global_params, cfg, round_idx=7)
+    update, _ = local_train(node, global_params, cfg, 7, buffer.rows)
 
     plain_rng = node.round_rng(7)
     w = global_params.copy()

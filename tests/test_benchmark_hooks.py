@@ -80,6 +80,10 @@ def test_trace_hooks_wrap_a_run_and_restore_every_attribute(tmp_path, monkeypatc
     # one kernel call per local step: every participation runs them all
     steps = harness.build_environment(cfg.resolved()).trace.sum() * cfg.local_iterations
     assert metrics["contrastive.loss_and_grad.calls"] == steps
+    # the benchmark's check_run refuses a traced run with any other count of
+    # local_train calls than the participations in participation.csv
+    _, facts = importlib.import_module("run").check_run(tmp_path)
+    assert metrics["client.local_train.calls"] == facts["participations"] > 0
 
 
 def test_a_run_without_the_contrastive_term_still_passes_every_hook(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,27 @@ class TestRunCommand:
             assert "Traceback" not in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
 
+    def test_a_non_finite_row_is_one_divergence_error_line(self, tmp_path):
+        src = str(Path(pmfl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = str(tmp_path / "r")
+        # round 18's losses are NaN while its global model is still finite; the
+        # resume starts from the failure checkpoint of round 18
+        for args in (["--num-nodes", "8", "--rounds", "40", "--local-lr", "0.1",
+                      "--aggregation-mode", "literal", "--eval-every", "1",
+                      "--dataset-samples-per-class", "40", "--encoder-dims", "16",
+                      "--projection-dims", "8", "--checkpoint-every", "5"], ["--resume"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pmfl.cli", "run", "--out", out, *args],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert [line for line in proc.stderr.splitlines() if "error" in line] == [
+                "pmfl run: error: DivergenceError: train_loss became non-finite at "
+                "round 18; the run diverged"]
+            assert "Traceback" not in proc.stderr
+
     def _csv_run(self, tmp_path, num_classes):
         data = tmp_path / "data"
         main(["synth-data", "--out", str(data), "--num-classes", str(num_classes),
@@ -172,15 +194,20 @@ class TestRunCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         # the run stops after a checkpoint's npz is replaced and before its
-        # JSON is
-        real = harness._write_checkpoint_rows
+        # JSON is, at every checkpoint after the first
+        real = harness.atomic_open
+        written = []
 
-        def write_rows(path, rows):
-            if Path(path).name == CHECKPOINT_ROWS_FILE and len(rows) > 2:
-                raise KeyboardInterrupt
-            return real(path, rows)
+        @contextmanager
+        def opened(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as fh:
+                yield fh
+                if Path(path).name == CHECKPOINT_ROWS_FILE:
+                    written.append(path)
+                    if len(written) > 1:
+                        raise KeyboardInterrupt
 
-        monkeypatch.setattr(harness, "_write_checkpoint_rows", write_rows)
+        monkeypatch.setattr(harness, "atomic_open", opened)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(tiny_config(checkpoint_every=2), tmp_path)
         monkeypatch.undo()

@@ -79,7 +79,6 @@ class TestLocalBuffer:
         buf = LocalBuffer(0, self.SPEC)
         buf.push(self._model(0))
         assert len(buf) == 0
-        assert buf.newest() is None
         assert buf.rows.shape == (0, self.SPEC.num_params)
 
     def test_evicts_oldest_first(self):
@@ -90,7 +89,7 @@ class TestLocalBuffer:
         assert len(buf) == 3
         for got, want in zip(buf.rows, models[2:]):
             np.testing.assert_array_equal(got, flatten(want))
-        np.testing.assert_array_equal(flatten(buf.newest()), flatten(models[4]))
+        np.testing.assert_array_equal(buf.rows[-1], flatten(models[4]))
 
     def test_push_stores_a_deep_copy(self):
         buf = LocalBuffer(2, self.SPEC)
@@ -98,7 +97,7 @@ class TestLocalBuffer:
         before = flatten(m).copy()
         buf.push(m)
         m.encoder[0].weight[:] += 100.0
-        np.testing.assert_array_equal(flatten(buf.newest()), before)
+        np.testing.assert_array_equal(buf.rows[-1], before)
 
 
 class TestPartition:

@@ -556,7 +556,8 @@ def _step(run, count):
     """Play the next ``count`` rounds of a :class:`harness.Run` as
     ``run_experiment`` does."""
     for _ in range(count):
-        run.finish_round(np.array([harness.local_train(*job) for job in run.jobs()]))
+        trained = [harness.local_train(*job) for job in run.jobs()]
+        run.finish_round(np.array([u for u, _ in trained]), [w for _, w in trained])
 
 
 def _stopped_run(cfg, out_dir, rounds):
@@ -611,6 +612,69 @@ class TestRun:
         assert run.done and len(run.rows) == cfg.rounds
         run.close()
         run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_a_round_whose_jobs_run_again_ends_with_the_solo_bytes(self, tmp_path):
+        # a caller interrupted after one of round 2's jobs asks for them again
+        cfg = tiny_config(num_nodes=6, rounds=8)
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, 2)
+        jobs = run.jobs()
+        assert len(jobs) == 2
+        harness.local_train(*jobs[0])
+        _step(run, cfg.rounds - 2)
+        run.close()
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_a_failed_round_changes_no_window_and_no_snapshot(self, tmp_path, monkeypatch):
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, 3)
+        windows, snapshot = run.windows, run.snapshot
+        kept = [w.copy() for w in windows]
+        real_job, real_round = harness.local_train, harness._play_round
+        count = len(run.jobs())
+        assert count >= 2
+
+        def fail(*args):
+            raise RuntimeError("injected failure")
+
+        for failing in range(count):  # each job in turn, the others run
+            jobs = iter(range(count))
+            monkeypatch.setattr(harness, "local_train", lambda *args: (
+                fail if next(jobs) == failing else real_job)(*args))
+            with pytest.raises(RuntimeError, match="injected"):
+                _step(run, 1)
+        monkeypatch.undo()
+        # the server half that fails after it has run through
+        monkeypatch.setattr(harness, "_play_round", lambda *args: fail(real_round(*args)))
+        with pytest.raises(RuntimeError, match="injected"):
+            _step(run, 1)
+        monkeypatch.undo()
+        assert run.windows is windows and run.snapshot is snapshot
+        for window, before in zip(windows, kept):
+            np.testing.assert_array_equal(window, before)
+        run.fail()
+        resume_run(tmp_path / "b")
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_finish_round_refuses_results_that_do_not_fit_the_round(self, tmp_path):
+        run = harness.Run(tiny_config(), tmp_path / "b")
+        trained = [harness.local_train(*job) for job in run.jobs()]
+        updates, windows = np.array([u for u, _ in trained]), [w for _, w in trained]
+        assert len(windows) and len(windows[0])
+        for bad in [(updates[1:], windows), (updates, windows[1:]),
+                    (updates, [windows[0].copy(), *windows[1:]]),  # writable
+                    (updates, [windows[0][1:], *windows[1:]])]:
+            with pytest.raises(ValueError):
+                run.finish_round(*bad)
+        assert run.state.round_idx == 0 and not run.rows
+        run.finish_round(updates, windows)
+        _step(run, 5)
+        run.close()
+        run_experiment(tiny_config(), tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
     def test_a_resume_takes_no_config_but_its_manifest(self, tmp_path):
@@ -741,6 +805,59 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
+    def test_a_row_that_cannot_be_encoded_keeps_the_previous_pair(self, tmp_path, monkeypatch):
+        # neither the periodic checkpoint of round 4 nor the failure checkpoint
+        # after it replaces the pair of round 2
+        real = harness._play_round
+
+        def play(env, state, updates):
+            row = real(env, state, updates)
+            if row.round_idx == 2:
+                row.psi = float("nan")
+            return row
+
+        monkeypatch.setattr(harness, "_play_round", play)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run_experiment(tiny_config(checkpoint_every=2), tmp_path / "b")
+        monkeypatch.undo()
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 2
+        resume_run(tmp_path / "b")
+        run_experiment(tiny_config(checkpoint_every=2), tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_a_failed_failure_checkpoint_keeps_the_error_and_the_previous_pair(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        cfg, run_dir = tiny_config(checkpoint_every=2), tmp_path / "b"
+        real = harness.update_weights
+        pair = {}
+
+        def fail_write(path, rows):
+            raise OSError("disk full")
+
+        def update_weights(state, indicators):
+            if state.round_idx == 3:  # the pair of round 2 is written
+                for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
+                    pair[name] = (run_dir / name).read_bytes()
+                monkeypatch.setattr(harness, "_write_checkpoint_rows", fail_write)
+                raise RuntimeError("injected failure")
+            return real(state, indicators)
+
+        monkeypatch.setattr(harness, "update_weights", update_weights)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, run_dir)
+        assert "disk full" in caplog.text
+        # with no exception in flight, the failed write is the error
+        run = harness.Run(cfg, tmp_path / "c")
+        with pytest.raises(OSError, match="disk full"):
+            run.fail()
+        monkeypatch.undo()
+        for name, content in pair.items():
+            assert (run_dir / name).read_bytes() == content, name
+        resume_run(run_dir)
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", run_dir)
+
     def test_failed_checkpoint_keeps_the_previous_pair(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "b"
         real = np.savez
@@ -826,6 +943,23 @@ class TestDivergence:
         assert int(data["next_round"]) == round_idx
         for name in data.files:
             assert np.isfinite(data[name]).all(), name
+
+    def test_a_non_finite_row_stops_the_run_with_a_checkpoint_that_resumes(self, tmp_path):
+        # round 18's losses are NaN while its global model is still finite
+        cfg = ExperimentConfig(
+            num_nodes=8, rounds=40, local_lr=0.1, aggregation_mode="literal", eval_every=1,
+            dataset_samples_per_class=40, encoder_dims=(16,), projection_dims=(8,),
+            checkpoint_every=5,
+        )
+        for play in (run_experiment, lambda cfg, out_dir: resume_run(out_dir)):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                play(cfg, tmp_path)
+            assert exc.value.round_idx == 18
+            assert str(exc.value).startswith("train_loss became non-finite at round 18")
+            assert int(np.load(tmp_path / CHECKPOINT_FILE)["next_round"]) == 18
+            rows = json.loads((tmp_path / CHECKPOINT_ROWS_FILE).read_text(),
+                              parse_constant=_refuse)["rows"]
+            assert [r["round_idx"] for r in rows] == list(range(18))
 
 
 def _fresh_blas_env(script: str, preset: dict) -> dict:

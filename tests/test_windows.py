@@ -52,7 +52,7 @@ class TestBufferRows:
         buf = LocalBuffer(1, SPEC)
         a, b = _models(2, 2)
         buf.push(a)
-        newest = buf.newest()
+        newest = ModelParams(SPEC, buf.rows[-1])
         buf.push(b)
         np.testing.assert_array_equal(newest.vector, a.vector)
         with pytest.raises(ValueError):
