@@ -34,14 +34,14 @@ every ``checkpoint_every`` rounds, and on any failure after the opening
 failed end-of-run write included), so it holds the last completed round.
 
 A checkpoint is two files, both written whole before either replaces its
-target.  ``checkpoint.npz`` holds ``next_round``, the global model, the
-history of past globals, every node's window as one array ``buffers`` cut
-apart by ``buffer_lengths`` and, for the cached rule, ``cached_updates``;
-``checkpoint_rows.json`` holds each recorded round's scalar fields as one
-line of compact, sorted, strict JSON.  A pair whose row counts disagree (a
-run stopped between the two replaces) is refused on resume, as is a file
-that cannot be read, whose arrays do not fit the run and its trace exactly,
-or whose saved weights (written before the replay) differ from the replay.
+target.  ``checkpoint.npz`` holds the stamp ``format``, ``next_round``, the
+global model, the history of past globals, every node's window as one array
+``buffers`` cut apart by ``buffer_lengths`` and, for the cached rule,
+``cached_updates``; ``checkpoint_rows.json`` holds each recorded round's
+scalar fields as one line of compact, sorted, strict JSON.  A resume refuses
+a missing or other stamp (a run stopped under an older layout starts again),
+a pair whose row counts disagree, a file that cannot be read, and arrays
+that are not exactly the format's or do not fit the run and its trace.
 A run starts by deleting the temporary files a killed run left of its outputs.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
@@ -95,6 +95,7 @@ from .rng import stream
 from .server import (
     AggregatorState,
     DivergenceError,
+    VARIANTS,
     aggregate,
     history_coefficient,
     replay_weights,
@@ -105,6 +106,8 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_ROWS_FILE = "checkpoint_rows.json"
+# the checkpoint.npz layout this code writes and resumes; a new layout takes the next number
+CHECKPOINT_FORMAT = 1
 
 OUTPUT_FILES = (
     "metrics.csv",
@@ -289,11 +292,6 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
     )
 
 
-# the bookkeeping a resume replays; checkpoints written before the replay
-# saved it, and a resume holds those copies to the replay
-_REPLAYED = ("weights", "rounds_waiting", "event_counts")
-
-
 def _state_arrays(state: AggregatorState, windows: list[np.ndarray]) -> dict:
     """The run state at a round boundary, as the arrays a checkpoint saves.
     The global vector, the history and the run's list of windows are kept by
@@ -316,6 +314,7 @@ def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> N
     disk) leaves the previous pair as it was."""
     windows = arrays["buffers"]
     arrays = {
+        "format": np.asarray(CHECKPOINT_FORMAT),
         **arrays,
         "buffers": np.concatenate(windows),
         "buffer_lengths": np.array([len(w) for w in windows], dtype=np.int64),
@@ -348,43 +347,42 @@ def _reading(path: Path):
         raise ValueError(f"{path} is damaged: {type(exc).__name__}: {exc}") from exc
 
 
-def _check_shapes(
-    data: dict, windows: list, env: Environment, state: AggregatorState, next_round: int
-) -> None:
-    """Refuse a saved array whose shape does not fit the run and the first
-    ``next_round`` rounds of its trace.
+def _check_shapes(data: dict, env: Environment, state: AggregatorState, next_round: int) -> None:
+    """Refuse saved arrays that are not exactly those of the format, or whose
+    shapes do not fit the run and the first ``next_round`` rounds of its trace.
 
     The history holds one global per round up to its capacity, and a window
     one model per local step of the node's participations up to its
     capacity.
     """
     cfg, P, N = env.cfg, env.spec.num_params, env.cfg.num_nodes
-    for name, shape in {"cached_updates": (N, P), "global_flat": (P,),
-                        "buffer_lengths": (N,)}.items():
-        if name in data and data[name].shape != shape:
-            raise ValueError(f"{name} has shape {data[name].shape}, the run needs {shape}")
-    if "buffers" in data and [len(w) for w in windows] != data["buffer_lengths"].tolist():
-        raise ValueError(f"buffer_lengths do not cut the {len(data['buffers'])} rows of buffers")
     steps = cfg.local_iterations * env.trace[:next_round].sum(axis=0, dtype=np.int64)
-    for name, rows, length, capacity in [
-        ("history", data["history"], next_round, state.history.capacity),
-        *((f"window {k}", w, steps[k], cfg.local_buffer_size) for k, w in enumerate(windows)),
-    ]:
-        want = (int(min(length, capacity)), P)
-        if rows.shape != want:
-            raise ValueError(f"{name} has shape {rows.shape}, round {next_round} of "
-                             f"the run needs {want}")
+    lengths = np.minimum(steps, cfg.local_buffer_size)
+    want = {"format": (), "next_round": (), "global_flat": (P,),
+            "history": (min(next_round, state.history.capacity), P),
+            "buffers": (int(lengths.sum()), P), "buffer_lengths": (N,)}
+    if VARIANTS[cfg.variant].rule == "cached" and next_round:  # from its first round on
+        want["cached_updates"] = (N, P)
+    if data.keys() != want.keys():
+        raise ValueError(f"its arrays {sorted(data)} are not the format's {sorted(want)}")
+    for name, shape in want.items():
+        if data[name].shape != shape:
+            raise ValueError(f"{name} has shape {data[name].shape}, round {next_round} of "
+                             f"the run needs {shape}")
+    if data["buffer_lengths"].tolist() != lengths.tolist():
+        raise ValueError(f"buffer_lengths are {data['buffer_lengths'].tolist()}, round "
+                         f"{next_round} of the run needs {lengths.tolist()}")
 
 
 def _load_checkpoint(
-    out_dir: Path, env: Environment, state: AggregatorState
+    out_dir: Path, env: Environment, state: AggregatorState, version: str
 ) -> tuple[list[RoundMetrics], list[np.ndarray]]:
     """Put a checkpoint's state into the run's fresh ``state``, replaying the
     weight bookkeeping over the trace; return its rows and its node windows.
 
-    A checkpoint file that cannot be read, whose arrays do not fit the run,
-    or whose saved bookkeeping differs from the replay raises a ValueError
-    naming it before anything is written.
+    A file without the stamp of :data:`CHECKPOINT_FORMAT` (the error also
+    names ``version``, the manifest's), one that cannot be read or one whose
+    arrays do not fit the run raises a ValueError naming it.
     """
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
@@ -393,43 +391,33 @@ def _load_checkpoint(
         # every read of a saved array is a fresh copy
         with np.load(path) as npz:
             data = {name: npz[name] for name in npz.files}
+    if "format" not in data or data["format"].tolist() != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path} is not of checkpoint format {CHECKPOINT_FORMAT}, the one pmfl "
+                         f"{__version__} resumes (manifest version {version}): start the run again")
+    with _reading(path):
         next_round = int(data["next_round"])
         if not 0 <= next_round <= env.cfg.rounds:
             raise ValueError(f"next_round is {next_round}, the run has {env.cfg.rounds} rounds")
-        global_flat, history = data["global_flat"], data["history"]
-        if "buffers" in data:
-            ends = np.cumsum(data["buffer_lengths"])[:-1]
-            windows = np.split(data["buffers"], ends)
-        else:  # written before the windows were one array
-            windows = [data[f"buffer_{k}"] for k in range(env.cfg.num_nodes)]
-        _check_shapes(data, windows, env, state, next_round)
-        for _ in replay_weights(state, env.trace[:next_round]):
-            pass
-        for name in _REPLAYED:
-            want = getattr(state, name)
-            saved = data.get(name, want)  # only checkpoints written before the replay
-            if (saved.dtype, saved.shape, saved.tobytes()) != (
-                    want.dtype, want.shape, want.tobytes()):
-                raise ValueError(f"{name} differs from its replay over the trace")
+        _check_shapes(data, env, state, next_round)
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
     with _reading(rows_path), open(rows_path) as fh:
-        raw = json.load(fh)["rows"]
-        if not isinstance(raw, list):
-            raise TypeError(f"rows is a {type(raw).__name__}, not a list")
-        # rows written before the replay also carry their weights; read past them
-        rows = [RoundMetrics(**{k: v for k, v in d.items() if k != "weights"}) for d in raw]
+        # an entry that is not an object of RoundMetrics' fields raises TypeError
+        rows = [RoundMetrics(**d) for d in json.load(fh)["rows"]]
     # one round, one row; the files are replaced one after the other, so a
     # run stopped in between leaves a pair that disagrees
-    if len(raw) != next_round:
+    if len(rows) != next_round:
         raise ValueError(
             f"{CHECKPOINT_FILE} (next_round {next_round}) and "
-            f"{CHECKPOINT_ROWS_FILE} ({len(raw)} rows) in {out_dir} disagree"
+            f"{CHECKPOINT_ROWS_FILE} ({len(rows)} rows) in {out_dir} disagree"
         )
 
+    for _ in replay_weights(state, env.trace[:next_round]):
+        pass
     state.round_idx = next_round
-    state.global_model = unflatten(env.spec, global_flat)
-    state.history.rows = history
+    state.global_model = unflatten(env.spec, data["global_flat"])
+    state.history.rows = data["history"]
     state.cached_updates = data.get("cached_updates")
+    windows = np.split(data["buffers"], np.cumsum(data["buffer_lengths"])[:-1])
     for window in windows:
         window.flags.writeable = False
     return rows, windows
@@ -441,8 +429,6 @@ def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetri
     cfg, t = env.cfg, state.round_idx
     indicators = env.trace[t].astype(np.int64)
     participants = np.flatnonzero(indicators == 1)
-    # row i is the update of node participants[i]; absent nodes send nothing
-    updates = np.asarray(updates, dtype=np.float64).reshape(participants.size, env.spec.num_params)
 
     update_weights(state, indicators)
     psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
@@ -549,7 +535,9 @@ class Run:
         if resume:
             path = out_dir / "manifest.json"
             with open(path) as fh, _reading(path):
-                cfg = ExperimentConfig.from_dict(json.load(fh)["requested_config"])
+                manifest = json.load(fh)
+                cfg = ExperimentConfig.from_dict(manifest["requested_config"])
+                version = manifest["version"]
         cfg.validate()
         out_dir.mkdir(parents=True, exist_ok=True)
         remove_stale_temporaries(out_dir, _RUN_FILES)
@@ -563,7 +551,7 @@ class Run:
         # every node's window, oldest row first; only finish_round replaces one
         self.windows = [np.empty((0, env.spec.num_params))] * resolved.num_nodes
         if resume:
-            self.rows, self.windows = _load_checkpoint(out_dir, env, state)
+            self.rows, self.windows = _load_checkpoint(out_dir, env, state, version)
             log.info("resuming %s at round %d", out_dir, state.round_idx)
         else:  # no file of the earlier run may pass for one of this run
             for name in _RUN_FILES:
@@ -578,9 +566,16 @@ class Run:
         export_trace_csv(env.trace, out_dir / "participation.csv")
         self.snapshot = _state_arrays(state, self.windows)
 
+    _half_played: int | None = None  # see done
+
     @property
     def done(self) -> bool:
-        """Whether the run has played every round."""
+        """Whether the run has played every round.  Refused, and so are the
+        next rounds and the close, once a round's server half has raised: it
+        may have moved the state part way."""
+        if self._half_played is not None:
+            raise ValueError(f"round {self._half_played} failed in its server half, so the "
+                             f"run cannot go on; fail() saves the round before it")
         return self.state.round_idx == self.env.cfg.rounds
 
     def _participants(self) -> np.ndarray:
@@ -599,16 +594,20 @@ class Run:
         """Play the server half of the next round on its (K_t, P) ``updates``
         and new ``windows``, what its jobs returned in job order; then install
         the windows, snapshot the state and write the periodic checkpoint.  A
-        round that raises installs nothing."""
-        participants, cfg = self._participants(), self.env.cfg
+        round that raises installs nothing, and one whose server half raises ends the run."""
+        participants, cfg, P = self._participants(), self.env.cfg, self.env.spec.num_params
+        # row i is the update of node participants[i]; absent nodes send nothing
+        updates = np.asarray(updates, dtype=np.float64).reshape(participants.size, P)
         installed = list(self.windows)
         for k, window in zip(participants, windows, strict=True):
             grown = min(len(installed[k]) + cfg.local_iterations, cfg.local_buffer_size)
-            if window.shape != (grown, self.env.spec.num_params) or window.flags.writeable:
+            if window.shape != (grown, P) or window.flags.writeable:
                 raise ValueError(f"node {k}'s new window has shape {window.shape}, "
                                  f"the round leaves it ({grown}, P) and read-only")
             installed[k] = window
+        self._half_played = self.state.round_idx
         self.rows.append(_play_round(self.env, self.state, updates))
+        self._half_played = None
         self.windows = installed
         self.snapshot = _state_arrays(self.state, installed)
         every = cfg.checkpoint_every

@@ -233,10 +233,12 @@ class TestRunCommand:
     _history_row_cut_out = _npz_damage(lambda a: a.update(history=a["history"][1:]))
     _window_row_cut_out = _npz_damage(_cut_a_window_row)
     _next_round_past_the_run = _npz_damage(lambda a: a.update(next_round=np.asarray(7)))
-    # checkpoints written before the weights were replayed saved them; no
-    # replay gives weights for two nodes, nor a weight of 0
+    # checkpoints written before the weights were replayed saved them; the
+    # format defines no such array, whatever it holds
     _weights_for_two_nodes = _npz_damage(lambda a: a.update(weights=np.ones(2)))
     _weights_unlike_the_replay = _npz_damage(lambda a: a.update(weights=np.zeros(4)))
+    _format_missing = _npz_damage(lambda a: a.pop("format"))
+    _format_changed = _npz_damage(lambda a: a.update(format=a["format"] + 1))
     _lengths_for_two_nodes = _npz_damage(
         lambda a: a.update(buffer_lengths=a["buffer_lengths"][:2]))
     _lengths_past_the_rows = _npz_damage(
@@ -254,6 +256,8 @@ class TestRunCommand:
         ("_weights_unlike_the_replay", CHECKPOINT_FILE),
         ("_lengths_for_two_nodes", CHECKPOINT_FILE),
         ("_lengths_past_the_rows", CHECKPOINT_FILE),
+        ("_format_missing", CHECKPOINT_FILE),
+        ("_format_changed", CHECKPOINT_FILE),
         ("_truncate", CHECKPOINT_ROWS_FILE),
     ])
     def test_resume_of_a_damaged_checkpoint_is_a_clean_error(

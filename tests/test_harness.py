@@ -95,7 +95,7 @@ def assert_same_sweeps(dir_a, dir_b):
 
 
 # what a checkpoint's npz holds for a run without cached updates
-SAVED_ARRAYS = ("next_round", "global_flat", "history", "buffers", "buffer_lengths")
+SAVED_ARRAYS = ("format", "next_round", "global_flat", "history", "buffers", "buffer_lengths")
 
 
 def read_csv(path):
@@ -444,7 +444,11 @@ class TestCheckpointing:
         assert sorted(data.files) == sorted([*SAVED_ARRAYS, "cached_updates"])
 
     def test_periodic_checkpoint_saves_no_weights(self, tmp_path, monkeypatch):
-        cfg = tiny_config(checkpoint_every=2)
+        for variant in ("pmfl", "cached_update"):
+            self._assert_checkpoints_hold_the_format(tmp_path / variant, monkeypatch, variant)
+
+    def _assert_checkpoints_hold_the_format(self, tmp_path, monkeypatch, variant):
+        cfg = tiny_config(checkpoint_every=2, variant=variant)
         real = harness._save_checkpoint
         kept = []
 
@@ -452,25 +456,33 @@ class TestCheckpointing:
             real(out_dir, arrays, rows)
             next_round = int(arrays["next_round"])
             snapshot = tmp_path / f"checkpoint_{next_round}"
-            snapshot.mkdir()
+            snapshot.mkdir(parents=True)
             for name in (CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE):
                 shutil.copy(out_dir / name, snapshot / name)
             kept.append((next_round, snapshot))
 
         monkeypatch.setattr(harness, "_save_checkpoint", wrapper)
         run_experiment(cfg, tmp_path / "run")
+        # and the failure checkpoint of a run stopped before its first round
+        _stopped_run(cfg, tmp_path / "stopped", 0)
         monkeypatch.undo()
 
-        assert [next_round for next_round, _ in kept] == [2, 4]
+        assert [next_round for next_round, _ in kept] == [2, 4, 0]
         for next_round, snapshot in kept:
             text = (snapshot / CHECKPOINT_ROWS_FILE).read_text()
             rows = json.loads(text, parse_constant=_refuse)["rows"]
             # one compact line with sorted keys, the form json's C encoder writes
             assert text == json.dumps({"rows": rows}, sort_keys=True) + "\n"
-            assert rows[-1]["train_loss"] is not None and rows[0]["train_loss"] is None
+            if rows:
+                assert rows[-1]["train_loss"] is not None and rows[0]["train_loss"] is None
             assert [r["round_idx"] for r in rows] == list(range(next_round))
             assert all("weights" not in r for r in rows)
-            assert sorted(np.load(snapshot / CHECKPOINT_FILE).files) == sorted(SAVED_ARRAYS)
+            # exactly the format's arrays and its stamp; the cached rule keeps
+            # its updates from its first round on
+            with np.load(snapshot / CHECKPOINT_FILE) as data:
+                cached = ["cached_updates"] if variant == "cached_update" and next_round else []
+                assert sorted(data.files) == sorted([*SAVED_ARRAYS, *cached])
+                assert data["format"].shape == () and data["format"] == harness.CHECKPOINT_FORMAT
             # the resume replays the weights of the rounds before it
             shutil.copy(tmp_path / "run" / "manifest.json", snapshot)
             resume_run(snapshot)
@@ -521,10 +533,11 @@ class TestCheckpointing:
         assert CHECKPOINT_FILE in str(exc.value)
         assert CHECKPOINT_ROWS_FILE in str(exc.value)
 
-    def test_checkpoint_with_last_participation_array_still_resumes(
+    def test_checkpoint_with_a_last_participation_array_is_refused(
         self, tmp_path, monkeypatch
     ):
-        # checkpoints used to carry each node's last attended round
+        # checkpoints used to carry each node's last attended round; the
+        # format defines no such array
         cfg = tiny_config(checkpoint_every=2)
         self._interrupt_at(monkeypatch, 4)
         with pytest.raises(RuntimeError, match="injected"):
@@ -534,10 +547,11 @@ class TestCheckpointing:
         arrays = dict(np.load(path))
         arrays["last_participation"] = np.full(cfg.num_nodes, -1, dtype=np.int64)
         np.savez(path, **arrays)
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
 
-        resume_run(tmp_path / "b")
-        run_experiment(tiny_config(), tmp_path / "a")
-        assert_same_outputs(tmp_path / "a", tmp_path / "b", exclude=("manifest.json",))
+        with pytest.raises(ValueError, match="last_participation"):
+            resume_run(tmp_path / "b")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == kept
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         run_experiment(tiny_config(), tmp_path)
@@ -656,6 +670,33 @@ class TestRun:
         for window, before in zip(windows, kept):
             np.testing.assert_array_equal(window, before)
         run.fail()
+        resume_run(tmp_path / "b")
+        run_experiment(cfg, tmp_path / "a")
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_a_round_that_fails_after_aggregation_ends_the_rounds(self, tmp_path, monkeypatch):
+        # evaluation raises after aggregate has moved the round and the
+        # global model, but before the row, the windows and the snapshot
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+        run = harness.Run(cfg, tmp_path / "b")
+        _step(run, 3)
+
+        def fail(*args):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(harness, "evaluate", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            _step(run, 1)
+        monkeypatch.undo()
+        assert run.state.round_idx == 4 and len(run.rows) == 3
+        assert int(run.snapshot["next_round"]) == 3
+        for refused in (lambda: run.done, run.jobs, lambda: run.finish_round(np.empty(0), []),
+                        run.close):
+            with pytest.raises(ValueError, match="round 3 failed"):
+                refused()
+        assert not (tmp_path / "b" / "metrics.csv").exists()
+        run.fail()
+        assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
         resume_run(tmp_path / "b")
         run_experiment(cfg, tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")

@@ -1,22 +1,20 @@
 """Windows of past models as one array each: buffer rows, the stacked
-reference pass of the contrastive term, and checkpoints written before the
-windows were arrays."""
+reference pass of the contrastive term, and the refusal of checkpoints
+written before the windows were arrays."""
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmfl.config import ExperimentConfig
+from pmfl.cli import main
 from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
-from pmfl.harness import resume_run, run_experiment
+from pmfl.harness import CHECKPOINT_FILE
 from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
 
 from oracles import looped_loss_and_grad, perturbed
-from test_harness import assert_same_outputs
 
 SPEC = ModelSpec(input_dim=5, encoder=(8,), projection=(6,), classifier=(4,))
 DATA = Path(__file__).resolve().parent / "data"
@@ -169,14 +167,17 @@ class TestStackedKernel:
 class TestOldCheckpoints:
     # written by the code that still kept each window as a list of models:
     # tiny_config with 3 local iterations, buffers of 4 and a checkpoint every
-    # 2 rounds, interrupted in round 4
+    # 2 rounds, interrupted in round 4; pmfl 0.1.0 wrote them, as it writes
+    # today's, but without the format stamp
     @pytest.mark.parametrize("variant", ["pmfl", "cached_update"])
-    def test_resume_to_the_same_bytes(self, tmp_path, variant):
-        run_dir = tmp_path / "resumed"
+    def test_resume_is_refused_and_writes_nothing(self, tmp_path, capsys, variant):
+        run_dir = tmp_path / "stopped"
         shutil.copytree(DATA / f"checkpoint_{variant}", run_dir)
-        resume_run(run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
 
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        cfg = ExperimentConfig.from_dict(manifest["requested_config"])
-        run_experiment(cfg, tmp_path / "straight")
-        assert_same_outputs(tmp_path / "straight", run_dir)
+        assert main(["run", "--out", str(run_dir), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pmfl run: error: ValueError: ")
+        assert str(run_dir / CHECKPOINT_FILE) in err and "0.1.0" in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
