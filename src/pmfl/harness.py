@@ -24,12 +24,12 @@ and :func:`resume_run` play one to its end.  A fresh run removes the
 directory's earlier one, and a resume takes its config from the manifest.
 :meth:`Run.jobs` gives the next round's ``local_train`` calls, each with the
 window it trains from; a job writes nothing, so it can be run again.
-:meth:`Run.finish_round` takes what the jobs return, plays the server half,
-and only then installs the new windows and keeps a snapshot
-(:func:`_state_arrays`), so a round that raises changes neither.  A round
-whose global model, deviation, accuracy or loss is not finite raises
-:class:`~pmfl.server.DivergenceError`.  A checkpoint writes the snapshot
-every ``checkpoint_every`` rounds, and on any failure after the opening
+:meth:`Run.finish_round` plays the server half on what the jobs return and
+a copy of the state, then installs state, row and windows together: a round
+that raises in either half leaves the run as it was.  A round whose global
+model, deviation, accuracy or loss is not finite raises
+:class:`~pmfl.server.DivergenceError`.  A checkpoint saves the state every
+``checkpoint_every`` rounds, and on any failure after the opening
 (:meth:`Run.fail`, which never masks the failure; Ctrl-C, SIGTERM and a
 failed end-of-run write included), so it holds the last completed round.
 
@@ -63,6 +63,7 @@ Output files per run:
 """
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import itertools
@@ -293,32 +294,27 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
 
 
 def _state_arrays(state: AggregatorState, windows: list[np.ndarray]) -> dict:
-    """The run state at a round boundary, as the arrays a checkpoint saves.
-    The global vector, the history and the run's list of windows are kept by
-    reference: rounds replace them and never write them.  ``buffers``, every
-    node's window, is joined into one array only when it is saved."""
+    """The run state at a round boundary, as the arrays a checkpoint saves,
+    by reference: rounds replace them and never write them.  ``buffers``
+    joins every node's window into one array, cut apart by ``buffer_lengths``."""
     arrays = {
+        "format": np.asarray(CHECKPOINT_FORMAT),
         "next_round": np.asarray(state.round_idx),
         "global_flat": state.global_model.vector,
         "history": state.history.rows,
-        "buffers": windows,
+        "buffers": np.concatenate(windows),
     }
     if state.cached_updates is not None:  # the cached rule, after its first round
-        arrays["cached_updates"] = state.cached_updates.copy()  # rounds write it in place
+        arrays["cached_updates"] = state.cached_updates
+    # last, as format 1 has always been written: the npz member order is in its bytes
+    arrays["buffer_lengths"] = np.array([len(w) for w in windows], dtype=np.int64)
     return arrays
 
 
 def _save_checkpoint(out_dir: Path, arrays: dict, rows: list[RoundMetrics]) -> None:
-    """Write a snapshot of :func:`_state_arrays` and the rows recorded before
-    it; a failed write of either file (a row that JSON cannot encode, a full
-    disk) leaves the previous pair as it was."""
-    windows = arrays["buffers"]
-    arrays = {
-        "format": np.asarray(CHECKPOINT_FORMAT),
-        **arrays,
-        "buffers": np.concatenate(windows),
-        "buffer_lengths": np.array([len(w) for w in windows], dtype=np.int64),
-    }
+    """Write :func:`_state_arrays` and the rows recorded before it; a failed
+    write of either file (a row that JSON cannot encode, a full disk) leaves
+    the previous pair as it was."""
     # savez appends ".npz" to a path without it, so it gets the open file
     with _write_checkpoint_rows(out_dir / CHECKPOINT_ROWS_FILE, rows), \
             atomic_open(out_dir / CHECKPOINT_FILE, "wb") as fh:
@@ -526,8 +522,8 @@ class Run:
     """One run, stepped a round at a time: a fresh run of ``cfg`` in ``out_dir``,
     or with ``cfg`` None the run there, resumed with its manifest's config.
     Opening it does the set-up, the resume or the removal of the directory's
-    earlier run, the manifest, partition and trace writes and the first
-    snapshot; a failure there writes no checkpoint."""
+    earlier run and the manifest, partition and trace writes; a failure there
+    writes no checkpoint."""
 
     def __init__(self, cfg: ExperimentConfig | None, out_dir):
         self.out_dir = out_dir = Path(out_dir)
@@ -564,18 +560,10 @@ class Run:
         _write_json(out_dir / "partition.json",
                     partition_manifest(env.shards, env.dists, env.assignment))
         export_trace_csv(env.trace, out_dir / "participation.csv")
-        self.snapshot = _state_arrays(state, self.windows)
-
-    _half_played: int | None = None  # see done
 
     @property
     def done(self) -> bool:
-        """Whether the run has played every round.  Refused, and so are the
-        next rounds and the close, once a round's server half has raised: it
-        may have moved the state part way."""
-        if self._half_played is not None:
-            raise ValueError(f"round {self._half_played} failed in its server half, so the "
-                             f"run cannot go on; fail() saves the round before it")
+        """Whether the run has played every round."""
         return self.state.round_idx == self.env.cfg.rounds
 
     def _participants(self) -> np.ndarray:
@@ -591,28 +579,31 @@ class Run:
                  env.train_buffers) for k in self._participants()]
 
     def finish_round(self, updates: np.ndarray, windows: list[np.ndarray]) -> None:
-        """Play the server half of the next round on its (K_t, P) ``updates``
-        and new ``windows``, what its jobs returned in job order; then install
-        the windows, snapshot the state and write the periodic checkpoint.  A
-        round that raises installs nothing, and one whose server half raises ends the run."""
+        """Play the server half of the next round on its (K_t, P) float64
+        ``updates`` and new ``windows``, what its jobs returned in job order,
+        on a copy of the state; then install the state, the row and the
+        windows together and write the periodic checkpoint.  A round that
+        raises leaves the run as it was."""
         participants, cfg, P = self._participants(), self.env.cfg, self.env.spec.num_params
         # row i is the update of node participants[i]; absent nodes send nothing
-        updates = np.asarray(updates, dtype=np.float64).reshape(participants.size, P)
+        K = participants.size
+        if not (isinstance(updates, np.ndarray) and updates.dtype == np.float64
+                and (updates.shape == (K, P) or K == updates.size == 0)):
+            raise ValueError(f"updates must be a float64 ({K}, {P}) array, in node order")
         installed = list(self.windows)
         for k, window in zip(participants, windows, strict=True):
             grown = min(len(installed[k]) + cfg.local_iterations, cfg.local_buffer_size)
-            if window.shape != (grown, P) or window.flags.writeable:
-                raise ValueError(f"node {k}'s new window has shape {window.shape}, "
-                                 f"the round leaves it ({grown}, P) and read-only")
+            if window.dtype != np.float64 or window.shape != (grown, P) or window.flags.writeable:
+                raise ValueError(f"node {k}'s new window is a {window.dtype} {window.shape} "
+                                 f"array, the round leaves it float64 ({grown}, P) and read-only")
             installed[k] = window
-        self._half_played = self.state.round_idx
-        self.rows.append(_play_round(self.env, self.state, updates))
-        self._half_played = None
-        self.windows = installed
-        self.snapshot = _state_arrays(self.state, installed)
+        state = copy.copy(self.state)  # the round replaces its arrays, never writes them
+        row = _play_round(self.env, state, updates.reshape(K, P))
+        self.state, self.windows = state, installed
+        self.rows.append(row)
         every = cfg.checkpoint_every
-        if every and self.state.round_idx % every == 0 and not self.done:
-            _save_checkpoint(self.out_dir, self.snapshot, self.rows)
+        if every and state.round_idx % every == 0 and not self.done:
+            _save_checkpoint(self.out_dir, _state_arrays(state, installed), self.rows)
 
     def close(self) -> RunResult:
         """Write the end-of-run artifacts and remove the checkpoint."""
@@ -625,13 +616,12 @@ class Run:
         return RunResult(self.out_dir, self.env.cfg.rounds, summary)
 
     def fail(self) -> None:
-        """Save the last snapshot as the checkpoint: the last completed
-        round, never a half-done one.  Called while an exception is handled,
-        it never replaces that exception: a failed write is only logged."""
+        """Save the state as the checkpoint: the last completed round, never
+        a half-done one.  Called while an exception is handled, it never
+        replaces that exception: a failed write is only logged."""
         in_flight = sys.exc_info()[1]
-        next_round = int(self.snapshot["next_round"])
         try:
-            _save_checkpoint(self.out_dir, self.snapshot, self.rows[:next_round])
+            _save_checkpoint(self.out_dir, _state_arrays(self.state, self.windows), self.rows)
         except Exception:
             if in_flight is None:
                 raise
@@ -639,7 +629,7 @@ class Run:
             return
         # the caller gets the traceback with the exception
         log.error("run failed; its checkpoint in %s resumes at round %d",
-                  self.out_dir, next_round)
+                  self.out_dir, self.state.round_idx)
 
 
 def _play_to_end(cfg: ExperimentConfig | None, out_dir) -> RunResult:
@@ -694,8 +684,10 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
 
     Each grid value is a setting or a raw value that
     :func:`pmfl.config.parse_value` reads, such as a ``--vary`` token; bad
-    names and values raise ``ValueError`` before any cell starts.  The cells
-    run on a pool of ``base.workers`` processes.  Returns one
+    names and values raise ``ValueError`` before any cell starts, and so does
+    ``workers``.  The cells run on a pool of ``base.workers`` processes, each
+    with ``workers`` at its default, so a cell's bytes do not depend on the
+    pool.  Returns one
     summary row per cell, in grid order, and writes ``sweep_summary.csv``.
     """
     if not grid:
@@ -705,6 +697,8 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
     for key, values in grid.items():
         if key not in fields:
             raise ValueError(f"unknown config field {key!r}")
+        if key == "workers":
+            raise ValueError("workers is the sweep's pool size, and each cell is one process")
         if not values:
             raise ValueError(f"sweep field {key!r} has no values")
         parsed[key] = [parse_value(fields[key], v) for v in values]
@@ -713,12 +707,13 @@ def run_sweep(base: ExperimentConfig, grid: dict[str, list], out_dir) -> list[di
     out_dir.mkdir(parents=True, exist_ok=True)
     remove_stale_temporaries(out_dir, ("sweep_summary.csv",))
     keys = sorted(grid)
+    cell_base = dataclasses.replace(base, workers=fields["workers"].default)
     cells = []
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         overrides = dict(zip(keys, combo))
         label = "__".join(f"{k}={overrides[k]}" for k in keys)
         cell_dir = out_dir / f"cell_{index:03d}__{label}".replace("/", "_")
-        cells.append((base, overrides, index, cell_dir))
+        cells.append((cell_base, overrides, index, cell_dir))
     # here, not at the top: see the module docstring
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

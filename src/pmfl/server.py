@@ -21,6 +21,9 @@ everyone attends with weight one.  ``literal`` subtracts the raw weighted sum,
 reproducing the published recursion verbatim for fidelity experiments; with
 updates defined as (local - global) the subtraction walks away from the local
 optima, so it is not the default.
+
+Rounds replace the state's arrays and history and never write them, so a
+round played on a shallow copy of the state leaves the original as it was.
 """
 from __future__ import annotations
 
@@ -81,7 +84,7 @@ def history_coefficient(round_idx: int, horizon: int) -> float:
 
 @dataclass
 class AggregatorState:
-    """Mutable server state for one run."""
+    """Server state for one run; a round rebinds its fields, never writing their arrays."""
 
     num_nodes: int
     global_model: ModelParams
@@ -138,24 +141,23 @@ def update_weights(state: AggregatorState, indicators: np.ndarray) -> None:
     if not (event | (a == 0)).all():
         raise ValueError("indicators must be 0/1")
 
-    state.rounds_waiting += 1
+    waiting = state.rounds_waiting + 1
     if state.cutoff is not None:
-        event = event | (state.rounds_waiting == state.cutoff)
-    closed = state.rounds_waiting[event].astype(np.float64)
-    first = state.event_counts[event] == 0
-    seen = state.event_counts[event].astype(np.float64)
-    prev = state.weights[event]
-    state.weights[event] = np.where(
-        first, closed, (seen * prev + closed) / (seen + 1.0)
-    )
-    state.event_counts[event] += 1
-    state.rounds_waiting[event] = 0
+        event = event | (waiting == state.cutoff)
+    closed = waiting[event].astype(np.float64)
+    counts, weights = state.event_counts.copy(), state.weights.copy()
+    first = counts[event] == 0
+    seen = counts[event].astype(np.float64)
+    weights[event] = np.where(first, closed, (seen * weights[event] + closed) / (seen + 1.0))
+    counts[event] += 1
+    waiting[event] = 0
+    state.rounds_waiting, state.event_counts, state.weights = waiting, counts, weights
 
 
 def replay_weights(state: AggregatorState, trace: np.ndarray) -> Iterator[np.ndarray]:
     """Put each row of ``trace`` through :func:`update_weights` and yield
-    ``state.weights`` after it (the same array, updated in place).  From a
-    fresh state this gives a run's bookkeeping round by round, bit for bit."""
+    the new ``state.weights`` after it.  From a fresh state this gives a
+    run's bookkeeping round by round, bit for bit."""
     for indicators in trace:
         update_weights(state, indicators)
         yield state.weights
@@ -194,8 +196,10 @@ def _advance(state: AggregatorState, new_flat: np.ndarray) -> ModelParams:
     if not np.isfinite(new_flat).all():
         raise DivergenceError(state.round_idx)
     new_global = unflatten(state.global_model.spec(), new_flat)
-    state.history.push(state.global_model)
-    state.global_model = new_global
+    history = LocalBuffer(state.history.capacity, state.history.spec)
+    history.rows = state.history.rows
+    history.push(state.global_model)
+    state.history, state.global_model = history, new_global
     state.round_idx += 1
     return new_global
 
@@ -233,10 +237,10 @@ def aggregate(
     row = VARIANTS[variant]
     u, part = _check_updates(state, updates, participants)
     if row.rule == "cached":
-        if state.cached_updates is None:
-            state.cached_updates = np.zeros((state.num_nodes, state.num_params))
-        state.cached_updates[part] = u
-        u = state.cached_updates
+        cached = state.cached_updates
+        cached = np.zeros((state.num_nodes, state.num_params)) if cached is None else cached.copy()
+        cached[part] = u
+        state.cached_updates = u = cached
     w = state.weights[part] if row.adaptive_weights else np.ones(len(u))
     weighted = w @ u
     base = flatten(state.global_model)

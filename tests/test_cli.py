@@ -553,6 +553,8 @@ class TestParser:
         (["sweep", "--rounds", "2.5", "--vary", "seed=1"], "pmfl sweep: error: rounds: "),
         (["synth-data", "--num-classes", "10", "--input-dim", "4"],
          "pmfl synth-data: error: "),
+        (["sweep", "--vary", "workers=1,2"],
+         "pmfl sweep: error: --vary: workers is the sweep's pool size"),
     ])
     def test_a_refused_value_is_one_error_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -82,14 +82,12 @@ def _refuse(constant: str):
 
 
 def assert_same_sweeps(dir_a, dir_b):
-    """Same cells with the same outputs, and the same ``sweep_summary.csv``."""
+    """Same cells with the same outputs, manifests included, and the same
+    ``sweep_summary.csv``."""
     cells = sorted(p.name for p in Path(dir_a).iterdir() if p.is_dir())
     assert cells == sorted(p.name for p in Path(dir_b).iterdir() if p.is_dir())
     for name in cells:
-        # manifests echo the configs, which differ in the worker count
-        assert_same_outputs(
-            Path(dir_a) / name, Path(dir_b) / name, exclude=("manifest.json",)
-        )
+        assert_same_outputs(Path(dir_a) / name, Path(dir_b) / name)
     summary = "sweep_summary.csv"
     assert (Path(dir_a) / summary).read_bytes() == (Path(dir_b) / summary).read_bytes()
 
@@ -574,6 +572,15 @@ def _step(run, count):
         run.finish_round(np.array([u for u, _ in trained]), [w for _, w in trained])
 
 
+def _state_bits(state) -> dict:
+    """The bytes of every array of a run's server state, and its round."""
+    arrays = {"rounds_waiting": state.rounds_waiting, "event_counts": state.event_counts,
+              "weights": state.weights, "cached_updates": state.cached_updates,
+              "history": state.history.rows, "global_model": state.global_model.vector}
+    return {"round_idx": state.round_idx,
+            **{name: None if a is None else a.tobytes() for name, a in arrays.items()}}
+
+
 def _stopped_run(cfg, out_dir, rounds):
     """A run of ``cfg`` stopped with its failure checkpoint after ``rounds``."""
     run = harness.Run(cfg, out_dir)
@@ -641,11 +648,11 @@ class TestRun:
         run_experiment(cfg, tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
-    def test_a_failed_round_changes_no_window_and_no_snapshot(self, tmp_path, monkeypatch):
+    def test_a_failed_round_changes_no_window_and_no_state(self, tmp_path, monkeypatch):
         cfg = tiny_config(local_iterations=3, local_buffer_size=4)
         run = harness.Run(cfg, tmp_path / "b")
         _step(run, 3)
-        windows, snapshot = run.windows, run.snapshot
+        windows, state, bits = run.windows, run.state, _state_bits(run.state)
         kept = [w.copy() for w in windows]
         real_job, real_round = harness.local_train, harness._play_round
         count = len(run.jobs())
@@ -666,7 +673,8 @@ class TestRun:
         with pytest.raises(RuntimeError, match="injected"):
             _step(run, 1)
         monkeypatch.undo()
-        assert run.windows is windows and run.snapshot is snapshot
+        assert run.windows is windows and run.state is state
+        assert _state_bits(state) == bits
         for window, before in zip(windows, kept):
             np.testing.assert_array_equal(window, before)
         run.fail()
@@ -674,12 +682,15 @@ class TestRun:
         run_experiment(cfg, tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
-    def test_a_round_that_fails_after_aggregation_ends_the_rounds(self, tmp_path, monkeypatch):
-        # evaluation raises after aggregate has moved the round and the
-        # global model, but before the row, the windows and the snapshot
-        cfg = tiny_config(local_iterations=3, local_buffer_size=4)
+    @pytest.mark.parametrize("variant", ["pmfl", "cached_update"])
+    def test_a_round_that_fails_after_aggregation_leaves_the_run_as_it_was(
+            self, tmp_path, monkeypatch, variant):
+        # evaluation raises after the weight update and the aggregation have
+        # played round 3 on the run's copy of its state
+        cfg = tiny_config(local_iterations=3, local_buffer_size=4, variant=variant)
         run = harness.Run(cfg, tmp_path / "b")
         _step(run, 3)
+        state, bits = run.state, _state_bits(run.state)
 
         def fail(*args):
             raise RuntimeError("injected failure")
@@ -688,27 +699,31 @@ class TestRun:
         with pytest.raises(RuntimeError, match="injected"):
             _step(run, 1)
         monkeypatch.undo()
-        assert run.state.round_idx == 4 and len(run.rows) == 3
-        assert int(run.snapshot["next_round"]) == 3
-        for refused in (lambda: run.done, run.jobs, lambda: run.finish_round(np.empty(0), []),
-                        run.close):
-            with pytest.raises(ValueError, match="round 3 failed"):
-                refused()
-        assert not (tmp_path / "b" / "metrics.csv").exists()
+        assert run.state is state and state.round_idx == 3 and len(run.rows) == 3
+        assert _state_bits(state) == bits and not run.done
         run.fail()
         assert int(np.load(tmp_path / "b" / CHECKPOINT_FILE)["next_round"]) == 3
-        resume_run(tmp_path / "b")
+        shutil.copytree(tmp_path / "b", tmp_path / "c")
+        _step(run, cfg.rounds - 3)  # stepping on, and a resume, end with the solo bytes
+        run.close()
+        resume_run(tmp_path / "c")
         run_experiment(cfg, tmp_path / "a")
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
+        assert_same_outputs(tmp_path / "a", tmp_path / "c")
 
     def test_finish_round_refuses_results_that_do_not_fit_the_round(self, tmp_path):
         run = harness.Run(tiny_config(), tmp_path / "b")
         trained = [harness.local_train(*job) for job in run.jobs()]
         updates, windows = np.array([u for u, _ in trained]), [w for _, w in trained]
-        assert len(windows) and len(windows[0])
+        assert updates.shape[0] == 2 and len(windows[0])
+        narrow = windows[0].astype(np.float32)
+        narrow.flags.writeable = False
         for bad in [(updates[1:], windows), (updates, windows[1:]),
+                    (updates.T.copy(), windows), (updates.ravel(), windows),  # rows scrambled
+                    (updates.astype(np.float32), windows), (updates.tolist(), windows),
                     (updates, [windows[0].copy(), *windows[1:]]),  # writable
-                    (updates, [windows[0][1:], *windows[1:]])]:
+                    (updates, [windows[0][1:], *windows[1:]]),
+                    (updates, [narrow, *windows[1:]])]:
             with pytest.raises(ValueError):
                 run.finish_round(*bad)
         assert run.state.round_idx == 0 and not run.rows
@@ -1106,3 +1121,5 @@ class TestSweep:
                 run_sweep(tiny_config(), {name: [1]}, tmp_path)
         with pytest.raises(ValueError, match="no values"):
             run_sweep(tiny_config(), {"seed": []}, tmp_path)
+        with pytest.raises(ValueError, match="workers is the sweep's pool size"):
+            run_sweep(tiny_config(), {"workers": [1, 2]}, tmp_path)

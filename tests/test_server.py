@@ -1,6 +1,8 @@
 """Aggregation: interval weights, smoothing schedule and every variant's rule."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -425,6 +427,39 @@ class TestParticipantsOnly:
         with pytest.raises(ValueError):
             call(state, updates, np.array(participants))
         assert state.round_idx == 0, problem
+
+
+class TestPureRounds:
+    """A round replaces the state's arrays and never writes them, so a round
+    played on a shallow copy leaves the original as it was."""
+
+    @staticmethod
+    def arrays(state: AggregatorState) -> dict:
+        return {"rounds_waiting": state.rounds_waiting, "event_counts": state.event_counts,
+                "weights": state.weights, "cached_updates": state.cached_updates,
+                "history": state.history.rows, "global_model": state.global_model.vector}
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_a_round_on_a_copy_leaves_the_original_bit_for_bit(self, variant):
+        rng = np.random.default_rng(23)
+        state = make_state(4, horizon=8, base=rng.standard_normal(DIM), cutoff=2,
+                           history_size=3)
+        # with participants, without any, everyone, then nobody twice: the cutoff fires
+        trace = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 0],
+                          [0, 0, 0, 0], [0, 0, 0, 0]])
+        for indicators in trace:
+            kept = self.arrays(state)
+            bits = {name: None if a is None else a.tobytes() for name, a in kept.items()}
+            played = copy.copy(state)
+            update_weights(played, indicators)
+            part = np.flatnonzero(indicators)
+            aggregate(played, rng.standard_normal((part.size, DIM)), part, variant)
+            assert state.round_idx == played.round_idx - 1
+            for name, now in self.arrays(state).items():
+                assert now is kept[name], name
+                assert (None if now is None else now.tobytes()) == bits[name], name
+            state = played
+        assert state.round_idx == len(trace) and len(state.history) == 2
 
 
 class TestStateValidation:
