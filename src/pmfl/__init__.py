@@ -22,6 +22,7 @@ from .contrastive import LocalBuffer, combined_loss_and_grad
 from .client import NodeState, local_train, nonparticipant_update
 from .data import DatasetSpec, LabeledDataset, export_csv, ingest_csv, synth_dataset
 from .harness import RunResult, build_environment, run_experiment, run_sweep, resume_run
+from .harness import node_weights
 from .heterogeneity import (
     FrequencyAssignment,
     assign_frequencies,

@@ -4,9 +4,9 @@ Everything a run needs (dataset, shards, frequencies, traces, initial model)
 is rebuilt deterministically from the config, so a checkpoint only has to
 carry the mutable state: the global model, the past global models, the node
 windows and the metric rows recorded so far.  The node weights are no part of
-it: they follow from the participation trace alone, so a resume replays
-:func:`~pmfl.server.update_weights` over the trace up to its round, and
-``weights.csv`` is written from a replay over the whole trace.  Reruns of the
+it, nor of any artifact: they follow from the participation trace alone, so a
+resume replays :func:`~pmfl.server.update_weights` over the trace up to its
+round, and :func:`node_weights` replays a finished run's.  Reruns of the
 same config are byte-identical, a resumed run finishes with the same bytes as
 an uninterrupted one, and a sweep writes the same bytes with any worker count.
 
@@ -40,8 +40,9 @@ global model, the history of past globals, every node's window as one array
 ``cached_updates``; ``checkpoint_rows.json`` holds each recorded round's
 scalar fields as one line of compact, sorted, strict JSON.  A resume refuses
 a missing or other stamp (a run stopped under an older layout starts again),
-a pair whose row counts disagree, a file that cannot be read, and arrays
-that are not exactly the format's or do not fit the run and its trace.
+rows that are not the rounds before ``next_round`` (as a pair replaced only
+in part leaves them), a file that cannot be read, and arrays that are not
+exactly the format's, dtypes included, or do not fit the run and its trace.
 A run starts by deleting the temporary files a killed run left of its outputs.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
@@ -51,9 +52,9 @@ executor itself, and ``import pmfl`` and a single run do without them.
 Output files per run:
 
 - ``metrics.csv``    one row per evaluated round (accuracy/loss on train/test)
-- ``weights.csv``    one row per round: mixing coefficient, participant count,
-                     update deviation and every node's aggregation weight
-                     (each distinct weight is formatted once)
+- ``weights.csv``    one row per round: mixing coefficient, participant count
+                     and update deviation (:func:`node_weights` gives the
+                     round's node weights)
 - ``summary.json``   final and top-5 statistics (results only, no config echo)
 - ``cdf.csv``        per-node accuracy/loss CDF of the final model
 - ``partition.json`` shard sizes, class histograms, participation frequencies
@@ -90,7 +91,7 @@ from .contrastive import TrainBuffers
 from .data import DatasetSpec, LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
-from .nn import ModelSpec, Workspace, flatten, init_params, unflatten
+from .nn import ModelParams, ModelSpec, Workspace, flatten, init_params, unflatten
 from .participation import ParticipationSchedule, export_trace_csv
 from .rng import stream
 from .server import (
@@ -227,53 +228,31 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "psi", "participants", "deviation", "train_accuracy",
-                         "train_loss", "test_accuracy", "test_loss"])
-        for r in rows:
-            if r.train_accuracy is not None:
-                writer.writerow(map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation,
-                                           r.train_accuracy, r.train_loss, r.test_accuracy,
-                                           r.test_loss)))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-class _WeightText(dict):
-    """The :func:`_fmt` text of a weight by its bit pattern, made on first
-    use: a run's weights take about 1,500 distinct values among its rounds ×
-    nodes cells.  Keyed by bits, so -0.0 stays apart from 0.0."""
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(float(np.int64(bits).view(np.float64)))
-        return text
+def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
+    _write_csv(path, ["round", "psi", "participants", "deviation", "train_accuracy",
+                      "train_loss", "test_accuracy", "test_loss"],
+               (map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation,
+                           r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss))
+                for r in rows if r.train_accuracy is not None))
 
 
-def _write_weights_csv(path, rows: list[RoundMetrics], weights, num_nodes: int) -> None:
-    """One line per row, with the node weights that ``weights`` gives beside
-    it (None for a row without any)."""
-    text = _WeightText()
-    # no field holds a comma, a quote or a line break, so each row is joined
-    # as csv.writer would write it, without its per-field quoting checks
-    with atomic_open(path, "w", newline="") as fh:
-        fh.write(",".join(["round", "psi", "participants", "deviation"]
-                          + [f"weight_{k}" for k in range(num_nodes)]) + "\r\n")
-        for r, w in zip(rows, weights, strict=True):
-            cells = [] if w is None else map(
-                text.__getitem__, np.asarray(w, np.float64).view(np.int64).tolist()
-            )
-            fh.write(",".join([str(r.round_idx), _fmt(r.psi), str(r.num_participants),
-                               _fmt(r.deviation), *cells]) + "\r\n")
+def _write_weights_csv(path, rows: list[RoundMetrics]) -> None:
+    _write_csv(path, ["round", "psi", "participants", "deviation"],
+               (map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation)) for r in rows))
 
 
 def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "cum_fraction"])
-        for value, frac in acc_cdf:
-            writer.writerow(["node_accuracy", _fmt(value), _fmt(frac)])
-        for value, frac in loss_cdf:
-            writer.writerow(["node_loss", _fmt(value), _fmt(frac)])
+    _write_csv(path, ["metric", "value", "cum_fraction"],
+               ([metric, _fmt(value), _fmt(frac)]
+                for metric, cdf in (("node_accuracy", acc_cdf), ("node_loss", loss_cdf))
+                for value, frac in cdf))
 
 
 def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
@@ -344,27 +323,27 @@ def _reading(path: Path):
 
 
 def _check_shapes(data: dict, env: Environment, state: AggregatorState, next_round: int) -> None:
-    """Refuse saved arrays that are not exactly those of the format, or whose
-    shapes do not fit the run and the first ``next_round`` rounds of its trace.
+    """Refuse saved arrays that are not exactly the format's, dtypes included,
+    or whose shapes do not fit the run and its first ``next_round`` rounds.
 
     The history holds one global per round up to its capacity, and a window
-    one model per local step of the node's participations up to its
-    capacity.
+    one model per local step of the node's participations up to its capacity.
     """
     cfg, P, N = env.cfg, env.spec.num_params, env.cfg.num_nodes
     steps = cfg.local_iterations * env.trace[:next_round].sum(axis=0, dtype=np.int64)
     lengths = np.minimum(steps, cfg.local_buffer_size)
-    want = {"format": (), "next_round": (), "global_flat": (P,),
-            "history": (min(next_round, state.history.capacity), P),
-            "buffers": (int(lengths.sum()), P), "buffer_lengths": (N,)}
+    i8, f8 = np.dtype(np.int64), np.dtype(np.float64)
+    want = {"format": ((), i8), "next_round": ((), i8), "global_flat": ((P,), f8),
+            "history": ((min(next_round, state.history.capacity), P), f8),
+            "buffers": ((int(lengths.sum()), P), f8), "buffer_lengths": ((N,), i8)}
     if VARIANTS[cfg.variant].rule == "cached" and next_round:  # from its first round on
-        want["cached_updates"] = (N, P)
+        want["cached_updates"] = ((N, P), f8)
     if data.keys() != want.keys():
         raise ValueError(f"its arrays {sorted(data)} are not the format's {sorted(want)}")
-    for name, shape in want.items():
-        if data[name].shape != shape:
-            raise ValueError(f"{name} has shape {data[name].shape}, round {next_round} of "
-                             f"the run needs {shape}")
+    for name, (shape, dtype) in want.items():
+        if (data[name].shape, data[name].dtype) != (shape, dtype):
+            raise ValueError(f"{name} is a {data[name].dtype} {data[name].shape} array, round "
+                             f"{next_round} of the run needs a {dtype} {shape} one")
     if data["buffer_lengths"].tolist() != lengths.tolist():
         raise ValueError(f"buffer_lengths are {data['buffer_lengths'].tolist()}, round "
                          f"{next_round} of the run needs {lengths.tolist()}")
@@ -378,7 +357,7 @@ def _load_checkpoint(
 
     A file without the stamp of :data:`CHECKPOINT_FORMAT` (the error also
     names ``version``, the manifest's), one that cannot be read or one whose
-    arrays do not fit the run raises a ValueError naming it.
+    arrays or rows do not fit the run raises a ValueError naming it.
     """
     path = out_dir / CHECKPOINT_FILE
     if not path.exists():
@@ -396,16 +375,14 @@ def _load_checkpoint(
             raise ValueError(f"next_round is {next_round}, the run has {env.cfg.rounds} rounds")
         _check_shapes(data, env, state, next_round)
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
+    counts = env.trace[:next_round].sum(axis=1, dtype=np.int64).tolist()
     with _reading(rows_path), open(rows_path) as fh:
         # an entry that is not an object of RoundMetrics' fields raises TypeError
         rows = [RoundMetrics(**d) for d in json.load(fh)["rows"]]
-    # one round, one row; the files are replaced one after the other, so a
-    # run stopped in between leaves a pair that disagrees
-    if len(rows) != next_round:
-        raise ValueError(
-            f"{CHECKPOINT_FILE} (next_round {next_round}) and "
-            f"{CHECKPOINT_ROWS_FILE} ({len(rows)} rows) in {out_dir} disagree"
-        )
+        # one row per round, in order: a pair that was replaced only in part fails
+        if [(r.round_idx, r.num_participants) for r in rows] != list(enumerate(counts)):
+            raise ValueError(f"its {len(rows)} rows are not the rounds before {CHECKPOINT_FILE}'s "
+                             f"next_round {next_round}, with the trace's participant counts")
 
     for _ in replay_weights(state, env.trace[:next_round]):
         pass
@@ -417,6 +394,34 @@ def _load_checkpoint(
     for window in windows:
         window.flags.writeable = False
     return rows, windows
+
+
+def _read_manifest(out_dir: Path) -> tuple[ExperimentConfig, str]:
+    """The requested config and the version in the manifest of the run in ``out_dir``."""
+    path = out_dir / "manifest.json"
+    with open(path) as fh, _reading(path):
+        manifest = json.load(fh)
+        return ExperimentConfig.from_dict(manifest["requested_config"]), manifest["version"]
+
+
+def node_weights(out_dir) -> np.ndarray:
+    """The (rounds, num_nodes) float64 node weights of the run in ``out_dir``,
+    bit for bit those each round aggregated with: :func:`~pmfl.server.replay_weights`
+    over its ``participation.csv`` with its manifest's config.  A damaged manifest,
+    or a trace that is not (rounds, num_nodes), raises a ValueError naming the file."""
+    cfg = _read_manifest(Path(out_dir))[0].resolved()
+    path = Path(out_dir) / "participation.csv"
+    with _reading(path), open(path) as fh:
+        lines = fh.read().splitlines()[1:]  # after the header
+        # ragged rows, or rows of another width, do not make the table
+        table = np.array([line.split(",") for line in lines], dtype=np.int64)
+        table = table.reshape(len(lines), cfg.num_nodes + 1)
+        if not np.array_equal(table[:, 0], np.arange(cfg.rounds)):
+            raise ValueError(f"its {len(lines)} rows are not rounds 0 to {cfg.rounds - 1}")
+        spec = model_spec_for(cfg)  # the weights never read the model
+        state = AggregatorState(cfg.num_nodes, ModelParams(spec, np.zeros(spec.num_params)),
+                                cfg.rounds, cutoff=cfg.cutoff_interval, history_size=0)
+        return np.array(list(replay_weights(state, table[:, 1:]))).reshape(table[:, 1:].shape)
 
 
 def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetrics:
@@ -482,11 +487,7 @@ def _write_results(
     """Evaluate the final model per node and write every end-of-run artifact."""
     cfg = env.cfg
     _write_metrics_csv(out_dir / "metrics.csv", rows)
-    # every round's weights, replayed into a throwaway state; the model gives its shape
-    scratch = AggregatorState(cfg.num_nodes, state.global_model, cfg.rounds,
-                              cutoff=cfg.cutoff_interval, history_size=0)
-    _write_weights_csv(out_dir / "weights.csv", rows, replay_weights(scratch, env.trace),
-                       cfg.num_nodes)
+    _write_weights_csv(out_dir / "weights.csv", rows)
     per_node = [evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
                 for n in env.nodes]
     acc_cdf = node_cdf([a for a, _ in per_node])
@@ -529,11 +530,7 @@ class Run:
         self.out_dir = out_dir = Path(out_dir)
         resume = cfg is None
         if resume:
-            path = out_dir / "manifest.json"
-            with open(path) as fh, _reading(path):
-                manifest = json.load(fh)
-                cfg = ExperimentConfig.from_dict(manifest["requested_config"])
-                version = manifest["version"]
+            cfg, version = _read_manifest(out_dir)
         cfg.validate()
         out_dir.mkdir(parents=True, exist_ok=True)
         remove_stale_temporaries(out_dir, _RUN_FILES)

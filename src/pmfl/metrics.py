@@ -95,7 +95,7 @@ def node_cdf(values) -> np.ndarray:
 class RoundMetrics:
     """The scalars recorded about one round; evaluation fields stay None on
     rounds where the model was not scored.  The round's node weights are
-    not kept: :func:`pmfl.server.replay_weights` gives them from the trace."""
+    not kept: :func:`pmfl.harness.node_weights` replays them from a run's trace."""
 
     round_idx: int
     num_participants: int

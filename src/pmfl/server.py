@@ -156,8 +156,8 @@ def update_weights(state: AggregatorState, indicators: np.ndarray) -> None:
 
 def replay_weights(state: AggregatorState, trace: np.ndarray) -> Iterator[np.ndarray]:
     """Put each row of ``trace`` through :func:`update_weights` and yield
-    the new ``state.weights`` after it.  From a fresh state this gives a
-    run's bookkeeping round by round, bit for bit."""
+    the new ``state.weights`` after it.  From a fresh state this gives a run's
+    weights round by round, bit for bit: a resume and ``node_weights`` use it."""
     for indicators in trace:
         update_weights(state, indicators)
         yield state.weights

@@ -465,28 +465,3 @@ def looped_export_trace_csv(trace, path) -> None:
         writer.writerow(["round"] + [f"node_{k}" for k in range(trace.shape[1])])
         for t in range(trace.shape[0]):
             writer.writerow([t] + [int(v) for v in trace[t]])
-
-
-def _looped_fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def looped_write_weights_csv(path, rows, weights, num_nodes: int) -> None:
-    """``weights.csv`` with every cell formatted on its own; ``weights`` holds
-    each row's node weights, None for a row without any."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "psi", "participants", "deviation"]
-            + [f"weight_{k}" for k in range(num_nodes)]
-        )
-        for r, w in zip(rows, weights, strict=True):
-            cells = [] if w is None else [_looped_fmt(v) for v in w]
-            writer.writerow(
-                [r.round_idx, _looped_fmt(r.psi), r.num_participants, _looped_fmt(r.deviation)]
-                + cells
-            )

@@ -243,6 +243,14 @@ class TestRunCommand:
         lambda a: a.update(buffer_lengths=a["buffer_lengths"][:2]))
     _lengths_past_the_rows = _npz_damage(
         lambda a: a.update(buffer_lengths=a["buffer_lengths"] + 1))
+    # right shapes, but not the dtypes the writer saves
+    _buffers_as_float32 = _npz_damage(lambda a: a.update(buffers=a["buffers"].astype(np.float32)))
+    _history_as_float32 = _npz_damage(lambda a: a.update(history=a["history"].astype(np.float32)))
+    _global_model_as_int64 = _npz_damage(
+        lambda a: a.update(global_flat=a["global_flat"].astype(np.int64)))
+    _next_round_as_float = _npz_damage(lambda a: a.update(next_round=np.asarray(4.0)))
+    _lengths_as_int32 = _npz_damage(
+        lambda a: a.update(buffer_lengths=a["buffer_lengths"].astype(np.int32)))
 
     @pytest.mark.parametrize("damage, name", [
         ("_truncate", CHECKPOINT_FILE),
@@ -258,6 +266,11 @@ class TestRunCommand:
         ("_lengths_past_the_rows", CHECKPOINT_FILE),
         ("_format_missing", CHECKPOINT_FILE),
         ("_format_changed", CHECKPOINT_FILE),
+        ("_buffers_as_float32", CHECKPOINT_FILE),
+        ("_history_as_float32", CHECKPOINT_FILE),
+        ("_global_model_as_int64", CHECKPOINT_FILE),
+        ("_next_round_as_float", CHECKPOINT_FILE),
+        ("_lengths_as_int32", CHECKPOINT_FILE),
         ("_truncate", CHECKPOINT_ROWS_FILE),
     ])
     def test_resume_of_a_damaged_checkpoint_is_a_clean_error(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -28,6 +29,7 @@ from pmfl.harness import (
     OUTPUT_FILES,
     build_environment,
     model_spec_for,
+    node_weights,
     resume_run,
     run_experiment,
     run_sweep,
@@ -38,7 +40,7 @@ from pmfl.participation import export_trace_csv
 from pmfl.rng import stream
 from pmfl.server import DivergenceError
 
-from oracles import expected_weight, looped_write_weights_csv
+from oracles import expected_weight
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -101,6 +103,67 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# sha256 of weights.csv as it was written with a column per node weight, for
+# tiny_config(checkpoint_every=2) of each variant
+NODE_COLUMN_WEIGHTS_CSV = {
+    "pmfl": "19b5f174e8acde81d8561f2688c5744944381bc527271e2d42b57e48b9613344",
+    "wo_mct": "bb8ff2cbc44e608a6de239fdb17668abcb2608654b3a18a18fd90eac3adb09c0",
+    "wo_awc": "5b54b32752028f7b7baf79574e69054bbe19c222b8ae4845d851283bda699478",
+    "wo_hgm": "14d092c0a2d73c528bcdd15f6943f6e2544ce74320bbced0e2ba8de671d8f348",
+    "uniform_average": "978f93908a570bd81c536855ff72caeb9b97d44279b3f1c4c0ef28407bcc764a",
+    "cached_update": "8b6ec38abb489ab61d8c9471d36dd157613ea3133ade70f5500d8f8002328c47",
+}
+
+
+def _drop_last_round(data: bytes) -> bytes:
+    return data[: data.rindex(b"\r\n", 0, -2) + 2]
+
+
+def _drop_last_node(data: bytes) -> bytes:
+    return b"".join(line[: line.rindex(b",")] + b"\r\n" for line in data.split(b"\r\n")[:-1])
+
+
+def _drop_requested_config(data: bytes) -> bytes:
+    doc = json.loads(data)
+    del doc["requested_config"]
+    return json.dumps(doc).encode()
+
+
+class TestNodeWeights:
+    @pytest.mark.parametrize("variant", sorted(NODE_COLUMN_WEIGHTS_CSV))
+    def test_rebuild_the_weights_csv_with_a_column_per_node(self, tmp_path, variant):
+        run_experiment(tiny_config(checkpoint_every=2, variant=variant), tmp_path)
+        weights = node_weights(tmp_path)
+        header, *lines = (tmp_path / "weights.csv").read_bytes().decode().split("\r\n")[:-1]
+        rebuilt = [header + "".join(f",weight_{k}" for k in range(weights.shape[1]))] + [
+            line + "".join("," + repr(w) for w in row.tolist())
+            for line, row in zip(lines, weights, strict=True)
+        ]
+        text = "".join(line + "\r\n" for line in rebuilt)
+        assert hashlib.sha256(text.encode()).hexdigest() == NODE_COLUMN_WEIGHTS_CSV[variant]
+
+    def test_a_run_without_rounds_has_no_weights(self, tmp_path):
+        run_experiment(tiny_config(rounds=0, global_buffer_size=1), tmp_path)
+        weights = node_weights(tmp_path)
+        assert weights.shape == (0, 4) and weights.dtype == np.float64
+
+    @pytest.mark.parametrize("name, damage", [
+        ("participation.csv", lambda data: data[: len(data) // 2]),
+        ("participation.csv", _drop_last_round),
+        ("participation.csv", _drop_last_node),
+        ("manifest.json", lambda data: data[: len(data) // 2]),
+        ("manifest.json", _drop_requested_config),
+    ], ids=["trace_cut", "trace_round_dropped", "trace_node_dropped", "manifest_cut",
+            "manifest_without_config"])
+    def test_refuses_a_damaged_run(self, tmp_path, name, damage):
+        run_experiment(tiny_config(), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="is damaged") as exc:
+            node_weights(tmp_path)
+        assert str(path) in str(exc.value)
+
+
 class TestEnvironment:
     def test_is_a_pure_function_of_the_config(self):
         cfg = tiny_config().resolved()
@@ -152,22 +215,23 @@ class TestRunArtifacts:
     def test_weights_csv_has_one_row_per_round(self, tmp_path):
         run_experiment(tiny_config(), tmp_path)
         rows = read_csv(tmp_path / "weights.csv")
-        assert rows[0] == ["round", "psi", "participants", "deviation"] + [
-            f"weight_{k}" for k in range(4)
-        ]
+        assert rows[0] == ["round", "psi", "participants", "deviation"]
         assert len(rows) == 1 + 6
         assert [r[0] for r in rows[1:]] == [str(t) for t in range(6)]
+        env = build_environment(tiny_config().resolved())
+        assert [int(r[2]) for r in rows[1:]] == env.trace.sum(axis=1).tolist()
 
     def test_weight_columns_match_interval_oracle(self, tmp_path):
         cfg = tiny_config(rounds=30, mean_frequency=0.3, cutoff_interval=5)
         run_experiment(cfg, tmp_path)
         trace_rows = read_csv(tmp_path / "participation.csv")[1:]
         trace = np.array([[int(v) for v in r[1:]] for r in trace_rows])
-        weight_rows = read_csv(tmp_path / "weights.csv")[1:]
-        for t, row in enumerate(weight_rows):
+        weights = node_weights(tmp_path)
+        assert weights.shape == (30, cfg.num_nodes) and weights.dtype == np.float64
+        for t, row in enumerate(weights):
             for k in range(cfg.num_nodes):
                 want = expected_weight(trace[: t + 1, k], 5)
-                assert float(row[4 + k]) == pytest.approx(want, rel=1e-12), (t, k)
+                assert row[k] == pytest.approx(want, rel=1e-12), (t, k)
 
     def test_psi_column_tracks_schedule(self, tmp_path):
         run_experiment(tiny_config(rounds=5), tmp_path)
@@ -506,13 +570,21 @@ class TestCheckpointing:
             monkeypatch.undo()
             return calls[harness], calls[server]
 
-        # weights.csv is written from a replay over every round
-        assert calls_during(lambda: run_experiment(cfg, tmp_path / "a")) == (6, 6)
-        # a resume from round 4 also replays the 4 rounds before it
-        assert calls_during(lambda: resume_run(tmp_path / "b")) == (6 - 4, 4 + 6)
+        # a run replays nothing
+        assert calls_during(lambda: run_experiment(cfg, tmp_path / "a")) == (6, 0)
+        # a resume from round 4 replays the 4 rounds before it
+        assert calls_during(lambda: resume_run(tmp_path / "b")) == (6 - 4, 4)
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
-    @pytest.mark.parametrize("edit", ["drop_json_row"])
+    # the rows of a tiny run stopped in round 4, edited
+    ROW_EDITS = {
+        "drop_json_row": lambda rows: rows.pop(),
+        "other_rounds": lambda rows: (rows[0].update(round_idx=7), rows[1].update(round_idx=9)),
+        "rounds_swapped": lambda rows: (rows[0].update(round_idx=1), rows[1].update(round_idx=0)),
+        "other_participant_count": lambda rows: rows[2].update(num_participants=99),
+    }
+
+    @pytest.mark.parametrize("edit", list(ROW_EDITS))
     def test_checkpoint_pair_that_disagrees_is_refused(
         self, tmp_path, monkeypatch, edit
     ):
@@ -523,13 +595,15 @@ class TestCheckpointing:
         monkeypatch.undo()
         path = tmp_path / CHECKPOINT_ROWS_FILE
         doc = json.loads(path.read_text())
-        del doc["rows"][-1]
+        self.ROW_EDITS[edit](doc["rows"])
         path.write_text(json.dumps(doc))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ValueError, match="is damaged") as exc:
             resume_run(tmp_path)
+        assert str(path) in str(exc.value)
         assert CHECKPOINT_FILE in str(exc.value)
-        assert CHECKPOINT_ROWS_FILE in str(exc.value)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_checkpoint_with_a_last_participation_array_is_refused(
         self, tmp_path, monkeypatch
@@ -799,43 +873,10 @@ _BAD_ROWS = [
 FAILING_WRITES = {
     "summary.json": lambda p: harness._write_json(p, {"a": 1.0, "b": float("nan")}),
     "metrics.csv": lambda p: harness._write_metrics_csv(p, _BAD_ROWS),
-    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS, [None, None], 0),
+    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS),
     "cdf.csv": lambda p: harness._write_cdf_csv(p, np.array([[0.5, 1.0]]), [("x", 1.0)]),
     "participation.csv": lambda p: export_trace_csv(np.array([[0, 1], [1, np.nan]]), p),
 }
-
-
-def _weight_rows(num_nodes: int, rounds: int, seed: int):
-    """Rows and, beside them, weights that repeat values across rounds as a
-    run's do, with -0.0, NaN, ±inf and a row without weights among them."""
-    rng = np.random.default_rng(seed)
-    pool = np.concatenate([rng.random(37), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]])
-    rows, weights = [], []
-    for t in range(rounds):
-        weights.append(None if t == 2 else rng.choice(pool, num_nodes))
-        rows.append(RoundMetrics(
-            t, int(rng.integers(num_nodes + 1)),
-            psi=None if t % 3 == 0 else float(rng.random()),
-            deviation=None if t % 4 == 1 else float(rng.random()),
-        ))
-    return rows, weights
-
-
-class TestMatchesTheLoopedWeightsWriter:
-    """weights.csv with each distinct value formatted once against the
-    writer that formatted every cell."""
-
-    @pytest.mark.parametrize("num_nodes, rows, weights", [
-        (1, *_weight_rows(1, 5, 0)),
-        (30, *_weight_rows(30, 40, 1)),
-        (250, *_weight_rows(250, 12, 2)),
-        (3, [], []),
-        (3, [RoundMetrics(0, 0)], [None]),
-    ], ids=["1_node", "30_nodes", "250_nodes", "no_rows", "no_weights"])
-    def test_same_bytes(self, tmp_path, num_nodes, rows, weights):
-        harness._write_weights_csv(tmp_path / "got.csv", rows, weights, num_nodes)
-        looped_write_weights_csv(tmp_path / "want.csv", rows, weights, num_nodes)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestAtomicWrites:
