@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .contrastive import TrainBuffers, combined_loss_and_grad
-from .nn import Minibatch, ModelParams, param_delta, sgd_step
+from .nn import Minibatch, ModelParams, labeled_pair, param_delta, sgd_step
 from .rng import stream
 
 
@@ -35,12 +35,7 @@ class NodeState:
     root_seed: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
+        self.features, self.labels = labeled_pair(self.features, self.labels)
         if not self.labels.size:
             raise ValueError("a node needs at least one sample")
         # shards are fixed for the whole run

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .atomic import write_json
+from .data import DatasetSpec
 from .participation import PATTERNS
 from .server import AGGREGATION_MODES, VARIANTS
 
@@ -57,15 +58,15 @@ class ExperimentConfig:
     projection_dims: tuple[int, ...] = (16,)
     classifier_hidden_dims: tuple[int, ...] = ()
     # dataset
-    dataset_source: str = "synthetic"
-    dataset_num_classes: int = 10
-    dataset_input_dim: int = 32
-    dataset_samples_per_class: int = 500
-    dataset_test_fraction: float = 0.25
-    dataset_noise_scale: float = 1.0
-    dataset_class_separation: float = 3.0
-    dataset_seed: int = 0
-    dataset_standardize: bool = False
+    dataset_source: str = DatasetSpec.source
+    dataset_num_classes: int = DatasetSpec.num_classes
+    dataset_input_dim: int = DatasetSpec.input_dim
+    dataset_samples_per_class: int = DatasetSpec.samples_per_class
+    dataset_test_fraction: float = DatasetSpec.test_fraction
+    dataset_noise_scale: float = DatasetSpec.noise_scale
+    dataset_class_separation: float = DatasetSpec.class_separation
+    dataset_seed: int = DatasetSpec.seed
+    dataset_standardize: bool = DatasetSpec.standardize
     # harness
     eval_every: int = 10
     checkpoint_every: int = 0  # 0: only on failure
@@ -134,19 +135,12 @@ class ExperimentConfig:
         check(self.pattern in PATTERNS, "pattern", f"must be one of {PATTERNS}")
         check(0 < self.markov_p01 <= 1, "markov_p01", "must lie in (0, 1]")
         check(self.cycle_length >= 1, "cycle_length", "must be >= 1")
-        check(self.dataset_num_classes >= 2, "dataset_num_classes", "must be >= 2")
-        check(self.dataset_input_dim >= 1, "dataset_input_dim", "must be >= 1")
-        check(
-            self.dataset_samples_per_class >= 1,
-            "dataset_samples_per_class",
-            "must be >= 1",
-        )
-        check(
-            0 <= self.dataset_test_fraction < 1,
-            "dataset_test_fraction",
-            "must lie in [0, 1)",
-        )
-        check(self.dataset_noise_scale >= 0, "dataset_noise_scale", "must be >= 0")
+        try:
+            dataset_spec_for(self)
+        except ValueError as exc:  # "<name> <why>" of the spec's field <name>
+            name, why = str(exc).split(" ", 1)
+            # a non-finite value is already reported above
+            check(f"dataset_{name}: {why}" in problems, f"dataset_{name}", why)
         check(self.eval_every >= 1, "eval_every", "must be >= 1")
         check(self.checkpoint_every >= 0, "checkpoint_every", "must be >= 0")
         check(self.workers >= 1, "workers", "must be >= 1")
@@ -178,6 +172,13 @@ class ExperimentConfig:
         cfg = cls(**parse_fields(cls, values))
         cfg.validate()
         return cfg
+
+
+def dataset_spec_for(cfg: ExperimentConfig) -> DatasetSpec:
+    # each ``dataset_<name>`` config field is the spec's field ``<name>``
+    return DatasetSpec(**{
+        f.name: getattr(cfg, "dataset_" + f.name) for f in dataclasses.fields(DatasetSpec)
+    })
 
 
 def parse_fields(cls, values: dict) -> dict:

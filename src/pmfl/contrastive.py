@@ -124,6 +124,7 @@ class TrainBuffers:
         self.current = ModelParams(spec, self.stack[0])
         self.workspace = Workspace(spec, capacity + 3, batch_size)
         self._models: dict[int, ModelParams] = {}
+        self.staged: tuple = (None, None)
 
     def stage(
         self,
@@ -133,9 +134,11 @@ class TrainBuffers:
         mu_reference: ModelParams | None,
     ) -> None:
         """Copy in the current model, the reference (the global model when
-        there is none), the global model and the window's (len, P) ``rows``."""
+        there is none), the global model and the window's (len, P) ``rows``;
+        :attr:`staged` keeps the global model and the reference given."""
         if len(rows) > self.capacity:
             raise ValueError(f"{len(rows)} window rows exceed the capacity {self.capacity}")
+        self.staged = (global_params, mu_reference)
         self.stack[0] = params.vector
         self.stack[1] = (global_params if mu_reference is None else mu_reference).vector
         self.stack[2] = global_params.vector
@@ -190,7 +193,8 @@ def combined_loss_and_grad(
 
     ``buffers`` must hold these arguments, staged by
     :meth:`TrainBuffers.stage` and pushed since, with ``params`` its
-    current model; without it they are staged into fresh buffers.  The
+    current model and the very ``global_params`` and ``mu_reference``
+    staged; without it they are staged into fresh buffers.  The
     gradient returned lives in the buffers' workspace, so the next call
     overwrites it.
 
@@ -206,8 +210,9 @@ def combined_loss_and_grad(
     if buffers is None:
         buffers = TrainBuffers(params.spec(), len(buffer), n)
         buffers.stage(params, global_params, buffer, mu_reference)
-    elif params.vector is not buffers.current.vector or len(buffer) != buffers.length:
-        raise ValueError("buffers hold another model or window than the arguments")
+    elif (params.vector is not buffers.current.vector or len(buffer) != buffers.length
+          or global_params is not buffers.staged[0] or mu_reference is not buffers.staged[1]):
+        raise ValueError("buffers hold other models or another window than the arguments")
     params, ws = buffers.current, buffers.workspace
     if contrastive_weight == 0.0:
         return cross_entropy_and_grad(params, batch, ws)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
+from .nn import _check_labels, labeled_pair
 from .rng import stream
 
 
@@ -25,16 +26,8 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        self.features, self.labels = labeled_pair(self.features, self.labels)
+        _check_labels(self.labels, self.num_classes)
 
     @property
     def num_samples(self) -> int:

@@ -86,9 +86,9 @@ from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
 from .client import NodeState, local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
-from .config import ExperimentConfig, parse_value
+from .config import ExperimentConfig, dataset_spec_for, parse_value
 from .contrastive import TrainBuffers
-from .data import DatasetSpec, LabeledDataset, load_dataset
+from .data import LabeledDataset, load_dataset
 from .heterogeneity import assign_frequencies, dirichlet_partition, partition_manifest
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
 from .nn import ModelParams, ModelSpec, Workspace, flatten, init_params, unflatten
@@ -132,13 +132,6 @@ def model_spec_for(cfg: ExperimentConfig) -> ModelSpec:
         projection=tuple(cfg.projection_dims),
         classifier=tuple(cfg.classifier_hidden_dims) + (cfg.dataset_num_classes,),
     )
-
-
-def dataset_spec_for(cfg: ExperimentConfig) -> DatasetSpec:
-    # each ``dataset_<name>`` config field is the spec's field ``<name>``
-    return DatasetSpec(**{
-        f.name: getattr(cfg, "dataset_" + f.name) for f in dataclasses.fields(DatasetSpec)
-    })
 
 
 @dataclass
@@ -379,10 +372,14 @@ def _load_checkpoint(
     with _reading(rows_path), open(rows_path) as fh:
         # an entry that is not an object of RoundMetrics' fields raises TypeError
         rows = [RoundMetrics(**d) for d in json.load(fh)["rows"]]
-        # one row per round, in order: a pair that was replaced only in part fails
-        if [(r.round_idx, r.num_participants) for r in rows] != list(enumerate(counts)):
+        kinds = [[type(v) for v in vars(r).values()] for r in rows]
+        # one row per round, in order, of the types a run records (two counts, then
+        # floats or None): a pair that was replaced only in part fails
+        if [(r.round_idx, r.num_participants) for r in rows] != list(enumerate(counts)) or any(
+                k[:2] != [int, int] or not set(k[2:]) <= {float, type(None)} for k in kinds):
             raise ValueError(f"its {len(rows)} rows are not the rounds before {CHECKPOINT_FILE}'s "
-                             f"next_round {next_round}, with the trace's participant counts")
+                             f"next_round {next_round}, with the trace's participant counts "
+                             "and the types a run records")
 
     for _ in replay_weights(state, env.trace[:next_round]):
         pass

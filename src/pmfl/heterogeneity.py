@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import _check_labels
+
 log = logging.getLogger(__name__)
 
 FREQUENCY_FLOOR = 0.02
@@ -24,8 +26,8 @@ FREQUENCY_FLOOR = 0.02
 
 @dataclass
 class FrequencyAssignment:
-    """Per-node participation frequencies plus the class-mixing vector that
-    produced them (kept for manifests and rank checks)."""
+    """Per-node participation frequencies and the class-mixing vector behind them,
+    both in ``partition.json``; only the tests' rank checks read ``scores``."""
 
     frequencies: np.ndarray  # (num_nodes,)
     mixing: np.ndarray  # (num_classes,) Dirichlet weights over classes
@@ -50,8 +52,7 @@ def dirichlet_partition(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-D array")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+    _check_labels(labels, num_classes)
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
     if alpha <= 0:

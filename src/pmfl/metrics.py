@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrastive import _cos_rows
-from .nn import ModelParams, Workspace, _nll, dense
+from .nn import ModelParams, Workspace, _nll, dense, labeled_pair
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +53,7 @@ def evaluate(
     the same operations, each written into ``workspace`` (a fresh one when
     None), whose rows must hold the whole set.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    features, labels = labeled_pair(features, labels)
     n = features.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")

@@ -184,14 +184,21 @@ class Minibatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be 2-D (batch, input_dim)")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
-            raise ValueError("labels must be 1-D and match the batch size")
+        self.features, self.labels = labeled_pair(self.features, self.labels)
         if self.features.shape[0] < 1:
             raise ValueError("batch must hold at least one row")
+
+
+def labeled_pair(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` as a 2-D float64 array and ``labels`` as a 1-D int64
+    one, holding one label per row."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2 or labels.ndim != 1:
+        raise ValueError("features must be 2-D and labels 1-D")
+    if features.shape[0] != labels.shape[0]:
+        raise ValueError("features and labels disagree on sample count")
+    return features, labels
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:

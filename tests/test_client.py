@@ -306,6 +306,11 @@ class TestStagedLoop:
             combined_loss_and_grad(w, batch, g, window, **kwargs)  # not the staged row
         with pytest.raises(ValueError):
             combined_loss_and_grad(buffers.current, batch, g, np.empty((0, 1)), **kwargs)
+        with pytest.raises(ValueError):  # staged without a reference
+            combined_loss_and_grad(buffers.current, batch, g, buffers.window, mu_reference=g,
+                                   **kwargs)
+        with pytest.raises(ValueError):  # staged with another global model
+            combined_loss_and_grad(buffers.current, batch, w, buffers.window, **kwargs)
         combined_loss_and_grad(buffers.current, batch, g, buffers.window, **kwargs)
 
     def test_a_warm_participation_allocates_little(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pmfl.config import ExperimentConfig, dataset_spec_for
 from pmfl.data import (
     DatasetSpec,
     LabeledDataset,
@@ -155,6 +156,15 @@ class TestLoadDataset:
         a = load_dataset(spec)
         b = synth_dataset(spec)
         np.testing.assert_array_equal(a[0].features, b[0].features)
+
+    def test_a_default_run_trains_on_the_default_synth_data(self):
+        # what ``pmfl run`` loads without flags is what ``pmfl synth-data`` writes
+        ran = load_dataset(dataset_spec_for(ExperimentConfig()))
+        written = synth_dataset(DatasetSpec())
+        for a, b in zip(ran, written, strict=True):
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert a.num_classes == b.num_classes
 
     def test_csv_route_splits_deterministically(self, tmp_path):
         full, _ = synth_dataset(DatasetSpec(num_classes=3, input_dim=4,

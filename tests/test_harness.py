@@ -582,6 +582,8 @@ class TestCheckpointing:
         "other_rounds": lambda rows: (rows[0].update(round_idx=7), rows[1].update(round_idx=9)),
         "rounds_swapped": lambda rows: (rows[0].update(round_idx=1), rows[1].update(round_idx=0)),
         "other_participant_count": lambda rows: rows[2].update(num_participants=99),
+        "float_round": lambda rows: rows[1].update(round_idx=1.0),
+        "string_psi": lambda rows: rows[2].update(psi="0.3"),
     }
 
     @pytest.mark.parametrize("edit", list(ROW_EDITS))
