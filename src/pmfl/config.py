@@ -266,7 +266,7 @@ def _parse_widths(raw) -> tuple[int, ...]:
 
 
 def _parse_cutoff(raw) -> int | None:
-    if raw is None or raw in (math.inf, -math.inf) or str(raw).lower() in ("inf", "none", "null"):
+    if raw is None or raw == math.inf or str(raw).lower() in ("inf", "none", "null"):
         return None
     return _parse_int(raw)
 

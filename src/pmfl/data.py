@@ -141,6 +141,8 @@ def ingest_csv(path, standardize: bool = False) -> LabeledDataset:
                 feat = [float(v) for v in row[:-1]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad feature value ({exc})") from None
+            if not all(map(math.isfinite, feat)):
+                raise ValueError(f"{path}:{lineno}: bad feature value (not finite)")
             try:
                 raw_label = float(row[-1])
             except ValueError:

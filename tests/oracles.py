@@ -362,23 +362,27 @@ def looped_loss_and_grad(
         mu = _looped_cos_rows(forward_representation(mu_reference, X), z_glob)
 
     s_glob = _looped_cos_rows(z, z_glob)
-    s_hist = np.stack([_looped_cos_rows(z, h) for h in hist], axis=1)  # (n, buffered)
-    pos_mask = s_hist >= mu[:, None]
+    s_hist = [_looped_cos_rows(z, h) for h in hist]
+    pos_mask = [s >= mu for s in s_hist]
 
     tau = temperature
     e_glob = np.exp(s_glob / tau)
-    e_hist = np.exp(s_hist / tau)
-    pos = e_glob + np.where(pos_mask, e_hist, 0.0).sum(axis=1)
-    neg = np.where(pos_mask, 0.0, e_hist).sum(axis=1)
+    e_hist = [np.exp(s / tau) for s in s_hist]
+    # the snapshot terms are added one after another, oldest first
+    pos_hist, neg = np.zeros(n), np.zeros(n)
+    for positive, e in zip(pos_mask, e_hist):
+        pos_hist = pos_hist + np.where(positive, e, 0.0)
+        neg = neg + np.where(positive, 0.0, e)
+    pos = e_glob + pos_hist
     l_con = np.log1p(neg / pos)
     loss = ce + contrastive_weight * float(l_con.mean())
 
     dpos = -neg / (pos * (pos + neg))
     dneg = 1.0 / (pos + neg)
     dz = (dpos * e_glob / tau)[:, None] * _looped_dcos_rows(z, z_glob, s_glob)
-    for j, h in enumerate(hist):
-        coeff = np.where(pos_mask[:, j], dpos, dneg) * e_hist[:, j] / tau
-        dz += coeff[:, None] * _looped_dcos_rows(z, h, s_hist[:, j])
+    for h, s, positive, e in zip(hist, s_hist, pos_mask, e_hist):
+        coeff = np.where(positive, dpos, dneg) * e / tau
+        dz += coeff[:, None] * _looped_dcos_rows(z, h, s)
     dz *= contrastive_weight / n
 
     return loss, cached_backward(params, inputs, pres, dlogits, dz_extra=dz)

@@ -260,7 +260,7 @@ class TestStagedLoop:
 
     @pytest.mark.parametrize("contrastive_weight", [0.6, 0.0])
     @pytest.mark.parametrize("batch_size", [7, 11])
-    @pytest.mark.parametrize("capacity", [0, 1, 4, 12])
+    @pytest.mark.parametrize("capacity", [0, 1, 4, 8, 12])
     def test_matches_the_looped_loop_bit_for_bit(self, capacity, batch_size, contrastive_weight):
         rng = np.random.default_rng((capacity, batch_size))
         cfg = ExperimentConfig(

@@ -189,8 +189,9 @@ class TestSerialization:
     def test_cutoff_numeric_coercion(self):
         assert ExperimentConfig.from_dict({"cutoff_interval": "25"}).cutoff_interval == 25
         assert ExperimentConfig.from_dict({"cutoff_interval": 25.0}).cutoff_interval == 25
-        with pytest.raises(ValueError, match="cutoff_interval"):
-            ExperimentConfig.from_dict({"cutoff_interval": 25.5})
+        for refused in (25.5, -math.inf):
+            with pytest.raises(ValueError, match="cutoff_interval"):
+                ExperimentConfig.from_dict({"cutoff_interval": refused})
 
     def test_file_round_trip_with_overrides(self, tmp_path):
         path = tmp_path / "config.json"

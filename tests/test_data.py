@@ -134,6 +134,10 @@ class TestCsv:
         path.write_text("1.0,2.0,banana\n")
         with pytest.raises(ValueError, match=r"bad\.csv:1.*bad label"):
             ingest_csv(path)
+        for spelling in ("nan", "inf", "-Infinity"):
+            path.write_text(f"1.0,2.0,0\n1.0,{spelling},1\n")
+            with pytest.raises(ValueError, match=r"bad\.csv:2.*bad feature value \(not finite"):
+                ingest_csv(path)
 
     def test_rejects_empty_and_negative_labels(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -103,13 +103,26 @@ def _assert_window_matches(capacity: int, with_reference: bool, rows: int) -> No
 
 class TestStackedKernel:
     @pytest.mark.parametrize("with_reference", [True, False])
-    @pytest.mark.parametrize("capacity", [1, 4, 12])
+    @pytest.mark.parametrize("capacity", [1, 4, 7, 8, 12])
     def test_matches_the_looped_kernel_bit_for_bit(self, capacity, with_reference):
         _assert_window_matches(capacity, with_reference, rows=32)
 
     @pytest.mark.parametrize("rows", [5, 1])
     def test_short_tail_batch(self, rows):
         _assert_window_matches(4, True, rows)
+
+    def test_one_row_batches_on_a_long_window(self):
+        # (snapshots, 1) columns: the terms still add one after another
+        rng = np.random.default_rng(9)
+        params = init_params(SPEC, rng)
+        buf = LocalBuffer(12, SPEC)
+        for _ in range(12):
+            buf.push(perturbed(params, rng, 0.3))
+        for _ in range(32):
+            _assert_matches_the_looped_kernel(
+                params, _batch(rng, 1), perturbed(params, rng, 0.2), buf.rows, 0.5, 0.7,
+                perturbed(params, rng, 0.1),
+            )
 
     def test_window_holding_the_global_model_and_the_reference(self):
         rng = np.random.default_rng(5)
