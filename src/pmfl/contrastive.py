@@ -254,20 +254,20 @@ def combined_loss_and_grad(
     spread_z = ws.spread(z, shape, 2)  # z against each of the others
     sims = ws.view("sims", *shape[:2])
     _cos_rows(spread_z, others, nz, no, out=sims, mask=ws.view("mask", *shape))
-    mask = sims >= mu  # (1 + buffered, n), like every per-model array here
-    mask[0] = True  # the global model is always a positive
+    positive = sims >= mu  # (1 + buffered, n), like every per-model array here
+    positive[0] = True  # the global model is always a positive
     tau = temperature
     e = np.exp(sims / tau)
     # snapshot terms are added one row after another, oldest first, so zero
     # rows appended change no bit (a reduce would sum a one-row batch pairwise)
-    pos = e[0] + np.add.accumulate(np.where(mask[1:], e[1:], 0.0))[-1]
-    neg = np.add.accumulate(np.where(mask, 0.0, e))[-1]
+    pos = e[0] + np.add.accumulate(np.where(positive[1:], e[1:], 0.0))[-1]
+    neg = np.add.accumulate(np.where(positive, 0.0, e))[-1]
     l_con = np.log1p(neg / pos)
     loss = ce + contrastive_weight * float(np.add.reduce(l_con) / n)  # l_con.mean()
 
     dpos = -neg / (pos * (pos + neg))
     dneg = 1.0 / (pos + neg)
-    coeff = np.divide(np.where(mask, dpos, dneg) * e, tau, out=ws.view("coeff", *shape[:2]))
+    coeff = np.divide(np.where(positive, dpos, dneg) * e, tau, out=ws.view("coeff", *shape[:2]))
 
     # the gradient of each cosine in z, other / (|z| |other|) - sim z / |z|^2,
     # with every per-row factor spread to full shape first; it is zero where
