@@ -114,8 +114,9 @@ class ExperimentConfig:
         check(self.local_buffer_size >= 0, "local_buffer_size", "must be >= 0")
         check(self.global_lr > 0, "global_lr", "must be > 0")
         check(self.global_buffer_size >= 0, "global_buffer_size", "must be >= 0")
+        smooths = self.variant in VARIANTS and VARIANTS[self.variant].history
         check(
-            not (self.global_buffer_size > 1 and self.rounds < 2),
+            not (smooths and self.global_buffer_size > 1 and self.rounds < 2),
             "global_buffer_size",
             "history smoothing needs rounds >= 2",
         )

@@ -111,17 +111,20 @@ def synth_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
         np.concatenate(test_y) if n_test else np.zeros(0, dtype=np.int64),
         spec.num_classes,
     )
-    if spec.standardize:
-        mean = train.features.mean(axis=0)
-        std = train.features.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        train = LabeledDataset((train.features - mean) / std, train.labels, spec.num_classes)
-        if test.num_samples:
-            test = LabeledDataset((test.features - mean) / std, test.labels, spec.num_classes)
-    return train, test
+    return _standardized(train, test) if spec.standardize else (train, test)
 
 
-def ingest_csv(path, standardize: bool = False) -> LabeledDataset:
+def _standardized(train: LabeledDataset, test: LabeledDataset):
+    """(train, test), each feature shifted and scaled by the train split's
+    mean and standard deviation; a constant feature is only shifted."""
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    return tuple(LabeledDataset((d.features - mean) / std, d.labels, d.num_classes)
+                 for d in (train, test))
+
+
+def ingest_csv(path) -> LabeledDataset:
     """Read ``feature..., label`` rows; malformed input fails with its line number."""
     features, labels = [], []
     dim = None
@@ -157,11 +160,6 @@ def ingest_csv(path, standardize: bool = False) -> LabeledDataset:
     y = np.asarray(labels, dtype=np.int64)
     if y.min() < 0:
         raise ValueError(f"{path}: labels must be >= 0")
-    if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        x = (x - mean) / std
     return LabeledDataset(x, y, int(y.max()) + 1)
 
 
@@ -177,7 +175,7 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Resolve a spec to (train, test): synthetic generation or CSV + split."""
     if spec.source == "synthetic":
         return synth_dataset(spec)
-    full = ingest_csv(spec.source, standardize=spec.standardize)
+    full = ingest_csv(spec.source)
     rng = stream(spec.seed, "csv-split")
     order = rng.permutation(full.num_samples)
     n_test = int(round(spec.test_fraction * full.num_samples))
@@ -190,4 +188,4 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     test = LabeledDataset(
         full.features[test_idx], full.labels[test_idx], full.num_classes
     )
-    return train, test
+    return _standardized(train, test) if spec.standardize else (train, test)

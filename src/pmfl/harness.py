@@ -34,15 +34,16 @@ model, deviation, accuracy or loss is not finite raises
 failed end-of-run write included), so it holds the last completed round.
 
 A checkpoint is two files, both written whole before either replaces its
-target.  ``checkpoint.npz`` holds the stamp ``format``, ``next_round``, the
-global model, the history of past globals, every node's window as one array
-``buffers`` cut apart by ``buffer_lengths`` and, for the cached rule,
-``cached_updates``; ``checkpoint_rows.json`` holds each recorded round's
-scalar fields as one line of compact, sorted, strict JSON.  A resume refuses
-a missing or other stamp (a run stopped under an older layout starts again),
-rows that are not the rounds before ``next_round`` (as a pair replaced only
-in part leaves them), a file that cannot be read, and arrays that are not
-exactly the format's, dtypes included, or do not fit the run and its trace.
+target, and holds nothing the trace gives back.  ``checkpoint.npz`` holds
+the stamp ``format``, ``next_round``, the global model, the history of past
+globals, every node's window in one array ``buffers`` and, for the cached
+rule, ``cached_updates``; ``checkpoint_rows.json`` holds each recorded
+round's :class:`~pmfl.metrics.RoundMetrics` as one line of compact, sorted,
+strict JSON.  A resume refuses a missing or other stamp (a run stopped under
+an older layout starts again), rows that are not one per round before
+``next_round`` (as a pair replaced only in part leaves them), a file that
+cannot be read, and arrays that are not exactly the format's, dtypes
+included, or do not fit the run and its trace.
 A run starts by deleting the temporary files a killed run left of its outputs.
 
 A sweep runs its cells on a pool of spawned processes.  ``run_sweep`` is the
@@ -109,7 +110,7 @@ log = logging.getLogger(__name__)
 CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_ROWS_FILE = "checkpoint_rows.json"
 # the checkpoint.npz layout this code writes and resumes; a new layout takes the next number
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 OUTPUT_FILES = (
     "metrics.csv",
@@ -228,17 +229,26 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_metrics_csv(path, rows: list[RoundMetrics]) -> None:
+def _round_facts(trace: np.ndarray):
+    """Each round's (round, psi, participants), what the (rounds, num_nodes)
+    trace gives; psi is None in a run of fewer than 2 rounds."""
+    for t, indicators in enumerate(trace):
+        psi = history_coefficient(t, len(trace)) if len(trace) >= 2 else None
+        yield t, psi, int(np.count_nonzero(indicators))
+
+
+def _write_metrics_csv(path, trace: np.ndarray, rows: list[RoundMetrics]) -> None:
     _write_csv(path, ["round", "psi", "participants", "deviation", "train_accuracy",
                       "train_loss", "test_accuracy", "test_loss"],
-               (map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation,
-                           r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss))
-                for r in rows if r.train_accuracy is not None))
+               (map(_fmt, (*facts, *vars(r).values()))
+                for facts, r in zip(_round_facts(trace), rows, strict=True)
+                if r.train_accuracy is not None))
 
 
-def _write_weights_csv(path, rows: list[RoundMetrics]) -> None:
+def _write_weights_csv(path, trace: np.ndarray, rows: list[RoundMetrics]) -> None:
     _write_csv(path, ["round", "psi", "participants", "deviation"],
-               (map(_fmt, (r.round_idx, r.psi, r.num_participants, r.deviation)) for r in rows))
+               (map(_fmt, (*facts, r.deviation))
+                for facts, r in zip(_round_facts(trace), rows, strict=True)))
 
 
 def _write_cdf_csv(path, acc_cdf: np.ndarray, loss_cdf: np.ndarray) -> None:
@@ -268,7 +278,7 @@ def _write_model(out_dir: Path, spec: ModelSpec, flat: np.ndarray) -> None:
 def _state_arrays(state: AggregatorState, windows: list[np.ndarray]) -> dict:
     """The run state at a round boundary, as the arrays a checkpoint saves,
     by reference: rounds replace them and never write them.  ``buffers``
-    joins every node's window into one array, cut apart by ``buffer_lengths``."""
+    joins every node's window into one array; the trace gives their lengths."""
     arrays = {
         "format": np.asarray(CHECKPOINT_FORMAT),
         "next_round": np.asarray(state.round_idx),
@@ -278,8 +288,6 @@ def _state_arrays(state: AggregatorState, windows: list[np.ndarray]) -> dict:
     }
     if state.cached_updates is not None:  # the cached rule, after its first round
         arrays["cached_updates"] = state.cached_updates
-    # last, as format 1 has always been written: the npz member order is in its bytes
-    arrays["buffer_lengths"] = np.array([len(w) for w in windows], dtype=np.int64)
     return arrays
 
 
@@ -315,9 +323,12 @@ def _reading(path: Path):
         raise ValueError(f"{path} is damaged: {type(exc).__name__}: {exc}") from exc
 
 
-def _check_shapes(data: dict, env: Environment, state: AggregatorState, next_round: int) -> None:
+def _check_shapes(
+    data: dict, env: Environment, state: AggregatorState, next_round: int
+) -> np.ndarray:
     """Refuse saved arrays that are not exactly the format's, dtypes included,
-    or whose shapes do not fit the run and its first ``next_round`` rounds.
+    or whose shapes do not fit the run and its first ``next_round`` rounds;
+    return the node windows' lengths, which cut ``buffers`` apart.
 
     The history holds one global per round up to its capacity, and a window
     one model per local step of the node's participations up to its capacity.
@@ -328,7 +339,7 @@ def _check_shapes(data: dict, env: Environment, state: AggregatorState, next_rou
     i8, f8 = np.dtype(np.int64), np.dtype(np.float64)
     want = {"format": ((), i8), "next_round": ((), i8), "global_flat": ((P,), f8),
             "history": ((min(next_round, state.history.capacity), P), f8),
-            "buffers": ((int(lengths.sum()), P), f8), "buffer_lengths": ((N,), i8)}
+            "buffers": ((int(lengths.sum()), P), f8)}
     if VARIANTS[cfg.variant].rule == "cached" and next_round:  # from its first round on
         want["cached_updates"] = ((N, P), f8)
     if data.keys() != want.keys():
@@ -337,9 +348,7 @@ def _check_shapes(data: dict, env: Environment, state: AggregatorState, next_rou
         if (data[name].shape, data[name].dtype) != (shape, dtype):
             raise ValueError(f"{name} is a {data[name].dtype} {data[name].shape} array, round "
                              f"{next_round} of the run needs a {dtype} {shape} one")
-    if data["buffer_lengths"].tolist() != lengths.tolist():
-        raise ValueError(f"buffer_lengths are {data['buffer_lengths'].tolist()}, round "
-                         f"{next_round} of the run needs {lengths.tolist()}")
+    return lengths
 
 
 def _load_checkpoint(
@@ -366,20 +375,16 @@ def _load_checkpoint(
         next_round = int(data["next_round"])
         if not 0 <= next_round <= env.cfg.rounds:
             raise ValueError(f"next_round is {next_round}, the run has {env.cfg.rounds} rounds")
-        _check_shapes(data, env, state, next_round)
+        lengths = _check_shapes(data, env, state, next_round)
     rows_path = out_dir / CHECKPOINT_ROWS_FILE
-    counts = env.trace[:next_round].sum(axis=1, dtype=np.int64).tolist()
     with _reading(rows_path), open(rows_path) as fh:
-        # an entry that is not an object of RoundMetrics' fields raises TypeError
+        # an entry that is not an object of exactly RoundMetrics' fields raises TypeError
         rows = [RoundMetrics(**d) for d in json.load(fh)["rows"]]
-        kinds = [[type(v) for v in vars(r).values()] for r in rows]
-        # one row per round, in order, of the types a run records (two counts, then
-        # floats or None): a pair that was replaced only in part fails
-        if [(r.round_idx, r.num_participants) for r in rows] != list(enumerate(counts)) or any(
-                k[:2] != [int, int] or not set(k[2:]) <= {float, type(None)} for k in kinds):
+        # one row per round, of floats or None: a pair replaced only in part fails
+        if len(rows) != next_round or not all(
+                type(v) in (float, type(None)) for r in rows for v in vars(r).values()):
             raise ValueError(f"its {len(rows)} rows are not the rounds before {CHECKPOINT_FILE}'s "
-                             f"next_round {next_round}, with the trace's participant counts "
-                             "and the types a run records")
+                             f"next_round {next_round}, each of floats or nulls")
 
     for _ in replay_weights(state, env.trace[:next_round]):
         pass
@@ -387,7 +392,7 @@ def _load_checkpoint(
     state.global_model = unflatten(env.spec, data["global_flat"])
     state.history.rows = data["history"]
     state.cached_updates = data.get("cached_updates")
-    windows = np.split(data["buffers"], np.cumsum(data["buffer_lengths"])[:-1])
+    windows = np.split(data["buffers"], np.cumsum(lengths)[:-1])
     for window in windows:
         window.flags.writeable = False
     return rows, windows
@@ -429,24 +434,20 @@ def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetri
     participants = np.flatnonzero(indicators == 1)
 
     update_weights(state, indicators)
-    psi = history_coefficient(t, cfg.rounds) if cfg.rounds >= 2 else None
     deviation = update_deviation(updates) if participants.size else None
 
     new_global = aggregate(state, updates, participants, cfg.variant, cfg.aggregation_mode)
 
-    row = RoundMetrics(t, int(participants.size), psi, deviation)
+    train = test = (None, None)
     if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
         # one call, so one matmul per layer, over each whole set: gemm's bits
         # for a row depend on how many rows share the call, so a set is never
         # split into chunks nor joined to the other
-        row.train_accuracy, row.train_loss = evaluate(
-            new_global, env.train.features, env.train.labels, env.eval_workspace
-        )
+        train = evaluate(new_global, env.train.features, env.train.labels, env.eval_workspace)
         if env.test.num_samples:
-            row.test_accuracy, row.test_loss = evaluate(
-                new_global, env.test.features, env.test.labels, env.eval_workspace
-            )
-    for name, value in vars(row).items():  # the deviation, accuracies and losses
+            test = evaluate(new_global, env.test.features, env.test.labels, env.eval_workspace)
+    row = RoundMetrics(deviation, *train, *test)
+    for name, value in vars(row).items():
         if value is not None and not math.isfinite(value):
             raise DivergenceError(t, name)
     return row
@@ -460,8 +461,7 @@ def _summarize(
     test_acc = [r.test_accuracy for r in evaluated if r.test_accuracy is not None]
     last = evaluated[-1] if evaluated else None
     quarter_start = (3 * cfg.rounds) // 4
-    tail_devs = [r.deviation for r in rows
-                 if r.round_idx >= quarter_start and r.deviation is not None]
+    tail_devs = [r.deviation for r in rows[quarter_start:] if r.deviation is not None]
     return {
         "rounds_completed": cfg.rounds,
         "num_params": int(num_params),
@@ -483,8 +483,8 @@ def _write_results(
 ) -> dict:
     """Evaluate the final model per node and write every end-of-run artifact."""
     cfg = env.cfg
-    _write_metrics_csv(out_dir / "metrics.csv", rows)
-    _write_weights_csv(out_dir / "weights.csv", rows)
+    _write_metrics_csv(out_dir / "metrics.csv", env.trace, rows)
+    _write_weights_csv(out_dir / "weights.csv", env.trace, rows)
     per_node = [evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
                 for n in env.nodes]
     acc_cdf = node_cdf([a for a, _ in per_node])

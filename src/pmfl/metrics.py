@@ -92,15 +92,14 @@ def node_cdf(values) -> np.ndarray:
 
 @dataclass
 class RoundMetrics:
-    """The scalars recorded about one round; evaluation fields stay None on
-    rounds where the model was not scored.  The round's node weights are
-    not kept: :func:`pmfl.harness.node_weights` replays them from a run's trace."""
+    """The five values one round measures; the deviation is None in a round
+    without participants, the evaluation fields on rounds where the model was
+    not scored.  What the config and the trace give is not kept: the round's
+    index, mixing coefficient, participant count and node weights
+    (:func:`pmfl.harness.node_weights` replays those)."""
 
-    round_idx: int
-    num_participants: int
-    psi: float | None = None
-    deviation: float | None = None
-    train_accuracy: float | None = None
-    train_loss: float | None = None
-    test_accuracy: float | None = None
-    test_loss: float | None = None
+    deviation: float | None
+    train_accuracy: float | None
+    train_loss: float | None
+    test_accuracy: float | None
+    test_loss: float | None

@@ -1,4 +1,6 @@
-"""Deterministic random fixtures for finite-difference gradient checks.
+"""Shared test fixtures: the tiny run config and output comparisons the
+run-level suites share, and deterministic random cases for finite-difference
+gradient checks.
 
 Central differences are a valid reference only away from the rectifier kinks,
 the zero-norm representation pole and the positive/negative partition
@@ -9,13 +11,62 @@ the analytic gradient against a reference that is undefined there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, _cos_rows
+from pmfl.harness import OUTPUT_FILES
 from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
 
 from oracles import cached_forward, perturbed
+
+
+def tiny_config(**overrides) -> ExperimentConfig:
+    base = dict(
+        num_nodes=4,
+        rounds=6,
+        seed=1,
+        local_iterations=2,
+        batch_size=8,
+        encoder_dims=(6,),
+        projection_dims=(4,),
+        classifier_hidden_dims=(),
+        dataset_num_classes=3,
+        dataset_input_dim=6,
+        dataset_samples_per_class=30,
+        dataset_test_fraction=0.2,
+        dataset_noise_scale=0.8,
+        mean_frequency=0.6,
+        frequency_mode="uniform",
+        eval_every=2,
+        local_buffer_size=2,
+        global_buffer_size=3,
+        cutoff_interval=4,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def assert_same_outputs(dir_a, dir_b, exclude=()):
+    for name in OUTPUT_FILES:
+        if name in exclude:
+            continue
+        a = (Path(dir_a) / name).read_bytes()
+        b = (Path(dir_b) / name).read_bytes()
+        assert a == b, f"{name} differs"
+
+
+def assert_same_sweeps(dir_a, dir_b):
+    """Same cells with the same outputs, manifests included, and the same
+    ``sweep_summary.csv``."""
+    cells = sorted(p.name for p in Path(dir_a).iterdir() if p.is_dir())
+    assert cells == sorted(p.name for p in Path(dir_b).iterdir() if p.is_dir())
+    for name in cells:
+        assert_same_outputs(Path(dir_a) / name, Path(dir_b) / name)
+    summary = "sweep_summary.csv"
+    assert (Path(dir_a) / summary).read_bytes() == (Path(dir_b) / summary).read_bytes()
 
 PREACT_MARGIN = 1e-3
 ZNORM_MARGIN = 0.1

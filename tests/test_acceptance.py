@@ -38,7 +38,7 @@ from pmfl.nn import (
 from pmfl.participation import ParticipationSchedule
 from pmfl.server import AggregatorState, history_coefficient, update_weights
 
-from fixtures import gradcheck_case
+from fixtures import assert_same_outputs, assert_same_sweeps, gradcheck_case, tiny_config
 from oracles import (
     ContrastiveContext,
     contrastive_loss,
@@ -47,7 +47,6 @@ from oracles import (
     max_rel_err,
     perturbed,
 )
-from test_harness import assert_same_outputs, assert_same_sweeps, tiny_config
 from test_participation import bernoulli_sigma, markov_sigma
 
 # Sized so the full three-variant, ten-seed battery finishes in a few

@@ -13,7 +13,7 @@ import pytest
 
 from pmfl import client, contrastive, data, harness, nn, participation, server
 
-from test_harness import tiny_config
+from fixtures import tiny_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (

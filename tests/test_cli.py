@@ -20,7 +20,7 @@ from pmfl.config import save_config
 from pmfl.data import DatasetSpec, export_csv, synth_dataset
 from pmfl.harness import CHECKPOINT_FILE, CHECKPOINT_ROWS_FILE, run_experiment
 
-from test_harness import assert_same_outputs, tiny_config
+from fixtures import assert_same_outputs, tiny_config
 
 TINY_FLAGS = [
     "--num-nodes", "4",
@@ -57,10 +57,12 @@ def _npz_damage(edit):
 
 
 def _cut_a_window_row(arrays):
-    # the last row of buffers belongs to the last window that has any
-    lengths = arrays["buffer_lengths"]
-    lengths[np.flatnonzero(lengths)[-1]] -= 1
     arrays["buffers"] = arrays["buffers"][:-1]
+
+
+def _format_1(arrays):
+    # format 1 saved each window's length besides the windows
+    arrays.update(format=np.asarray(1), buffer_lengths=np.zeros(4, dtype=np.int64))
 
 
 class TestRunCommand:
@@ -239,18 +241,16 @@ class TestRunCommand:
     _weights_unlike_the_replay = _npz_damage(lambda a: a.update(weights=np.zeros(4)))
     _format_missing = _npz_damage(lambda a: a.pop("format"))
     _format_changed = _npz_damage(lambda a: a.update(format=a["format"] + 1))
+    _format_1_checkpoint = _npz_damage(_format_1)
+    # the trace gives the windows' lengths; format 2 defines no array of them
     _lengths_for_two_nodes = _npz_damage(
-        lambda a: a.update(buffer_lengths=a["buffer_lengths"][:2]))
-    _lengths_past_the_rows = _npz_damage(
-        lambda a: a.update(buffer_lengths=a["buffer_lengths"] + 1))
+        lambda a: a.update(buffer_lengths=np.zeros(2, dtype=np.int64)))
     # right shapes, but not the dtypes the writer saves
     _buffers_as_float32 = _npz_damage(lambda a: a.update(buffers=a["buffers"].astype(np.float32)))
     _history_as_float32 = _npz_damage(lambda a: a.update(history=a["history"].astype(np.float32)))
     _global_model_as_int64 = _npz_damage(
         lambda a: a.update(global_flat=a["global_flat"].astype(np.int64)))
     _next_round_as_float = _npz_damage(lambda a: a.update(next_round=np.asarray(4.0)))
-    _lengths_as_int32 = _npz_damage(
-        lambda a: a.update(buffer_lengths=a["buffer_lengths"].astype(np.int32)))
 
     @pytest.mark.parametrize("damage, name", [
         ("_truncate", CHECKPOINT_FILE),
@@ -263,14 +263,13 @@ class TestRunCommand:
         ("_weights_for_two_nodes", CHECKPOINT_FILE),
         ("_weights_unlike_the_replay", CHECKPOINT_FILE),
         ("_lengths_for_two_nodes", CHECKPOINT_FILE),
-        ("_lengths_past_the_rows", CHECKPOINT_FILE),
         ("_format_missing", CHECKPOINT_FILE),
         ("_format_changed", CHECKPOINT_FILE),
+        ("_format_1_checkpoint", CHECKPOINT_FILE),
         ("_buffers_as_float32", CHECKPOINT_FILE),
         ("_history_as_float32", CHECKPOINT_FILE),
         ("_global_model_as_int64", CHECKPOINT_FILE),
         ("_next_round_as_float", CHECKPOINT_FILE),
-        ("_lengths_as_int32", CHECKPOINT_FILE),
         ("_truncate", CHECKPOINT_ROWS_FILE),
     ])
     def test_resume_of_a_damaged_checkpoint_is_a_clean_error(
@@ -296,6 +295,8 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert err.startswith("pmfl run: error: ValueError: ")
         assert str(tmp_path / name) in err
+        if damage.startswith("_format"):  # refused by the stamp, before any array is read
+            assert f"is not of checkpoint format {harness.CHECKPOINT_FORMAT}" in err
         # the damaged checkpoint stays as it was, and nothing else is written
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

@@ -56,6 +56,15 @@ class TestValidation:
         ExperimentConfig(rounds=1, global_buffer_size=0).validate()
         ExperimentConfig(rounds=1, global_buffer_size=1).validate()
 
+    @pytest.mark.parametrize("variant", ["wo_hgm", "uniform_average", "cached_update"])
+    def test_a_variant_without_smoothing_runs_one_round(self, tmp_path, variant):
+        # it never smooths, so its history setting needs no second round
+        cfg = ExperimentConfig(variant=variant, rounds=1, global_buffer_size=3, num_nodes=4)
+        cfg.validate()
+        assert run_experiment(cfg, tmp_path).rounds_completed == 1
+        # a one-round run has no mixing coefficient
+        assert (tmp_path / "weights.csv").read_text().splitlines()[1].startswith("0,,")
+
     def test_cutoff_none_is_valid(self):
         ExperimentConfig(cutoff_interval=None).validate()
         with pytest.raises(ValueError, match="cutoff_interval"):

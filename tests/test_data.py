@@ -1,6 +1,8 @@
 """Synthetic data generation and CSV round trips."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,23 @@ class TestLoadDataset:
         # the split is a partition of the original rows
         joined = np.concatenate([train_a.features, test_a.features])
         assert {tuple(r) for r in joined} == {tuple(r) for r in full.features}
+
+    def test_csv_route_standardizes_with_the_train_split_alone(self, tmp_path):
+        # the rows are split first, so the test rows lend the moments nothing
+        full, _ = synth_dataset(DatasetSpec(num_classes=4, input_dim=5, samples_per_class=100,
+                                            test_fraction=0.0, seed=3))
+        path = tmp_path / "full.csv"
+        export_csv(full, path)
+        spec = DatasetSpec(source=str(path), num_classes=4, input_dim=5,
+                           test_fraction=0.5, seed=5)
+        raw_train, raw_test = load_dataset(spec)
+        train, test = load_dataset(dataclasses.replace(spec, standardize=True))
+        np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(train.features.std(axis=0), 1.0, atol=1e-12)
+        mean, std = raw_train.features.mean(axis=0), raw_train.features.std(axis=0)
+        np.testing.assert_array_equal(test.features, (raw_test.features - mean) / std)
+        np.testing.assert_array_equal(train.labels, raw_train.labels)
+        np.testing.assert_array_equal(test.labels, raw_test.labels)
 
 
 class TestLabeledDataset:

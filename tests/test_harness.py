@@ -40,42 +40,8 @@ from pmfl.participation import export_trace_csv
 from pmfl.rng import stream
 from pmfl.server import DivergenceError
 
+from fixtures import assert_same_outputs, assert_same_sweeps, tiny_config
 from oracles import expected_weight
-
-
-def tiny_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        num_nodes=4,
-        rounds=6,
-        seed=1,
-        local_iterations=2,
-        batch_size=8,
-        encoder_dims=(6,),
-        projection_dims=(4,),
-        classifier_hidden_dims=(),
-        dataset_num_classes=3,
-        dataset_input_dim=6,
-        dataset_samples_per_class=30,
-        dataset_test_fraction=0.2,
-        dataset_noise_scale=0.8,
-        mean_frequency=0.6,
-        frequency_mode="uniform",
-        eval_every=2,
-        local_buffer_size=2,
-        global_buffer_size=3,
-        cutoff_interval=4,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def assert_same_outputs(dir_a, dir_b, exclude=()):
-    for name in OUTPUT_FILES:
-        if name in exclude:
-            continue
-        a = (Path(dir_a) / name).read_bytes()
-        b = (Path(dir_b) / name).read_bytes()
-        assert a == b, f"{name} differs"
 
 
 def _refuse(constant: str):
@@ -83,19 +49,10 @@ def _refuse(constant: str):
     raise ValueError(f"{constant} is not strict JSON")
 
 
-def assert_same_sweeps(dir_a, dir_b):
-    """Same cells with the same outputs, manifests included, and the same
-    ``sweep_summary.csv``."""
-    cells = sorted(p.name for p in Path(dir_a).iterdir() if p.is_dir())
-    assert cells == sorted(p.name for p in Path(dir_b).iterdir() if p.is_dir())
-    for name in cells:
-        assert_same_outputs(Path(dir_a) / name, Path(dir_b) / name)
-    summary = "sweep_summary.csv"
-    assert (Path(dir_a) / summary).read_bytes() == (Path(dir_b) / summary).read_bytes()
-
-
 # what a checkpoint's npz holds for a run without cached updates
-SAVED_ARRAYS = ("format", "next_round", "global_flat", "history", "buffers", "buffer_lengths")
+SAVED_ARRAYS = ("format", "next_round", "global_flat", "history", "buffers")
+# what each row of checkpoint_rows.json holds: the values a round measures
+ROW_FIELDS = ["deviation", "test_accuracy", "test_loss", "train_accuracy", "train_loss"]
 
 
 def read_csv(path):
@@ -381,7 +338,7 @@ class TestCheckpointing:
         # newer than the periodic checkpoint of round 2, older than the crash
         assert int(data["next_round"]) == 3
         rows = json.loads((tmp_path / CHECKPOINT_ROWS_FILE).read_text())["rows"]
-        assert [r["round_idx"] for r in rows] == [0, 1, 2]
+        assert len(rows) == 3
 
     def _fail_in_local_train(self, monkeypatch, round_idx, participant, exc):
         real = harness.local_train
@@ -493,9 +450,12 @@ class TestCheckpointing:
             run_experiment(cfg, tmp_path / "b")
         data = np.load(tmp_path / "b" / CHECKPOINT_FILE)
         assert sorted(data.files) == sorted(SAVED_ARRAYS)
-        lengths = data["buffer_lengths"]
-        assert lengths.shape == (cfg.num_nodes,) and 0 < lengths.sum() <= 4 * cfg.num_nodes
-        assert data["buffers"].shape == (lengths.sum(), model_spec_for(cfg).num_params)
+        # every node's window after round 2, in node order, with no lengths saved
+        monkeypatch.undo()
+        run = harness.Run(cfg, tmp_path / "stepped")
+        _step(run, 3)
+        assert 0 < len(data["buffers"]) <= 4 * cfg.num_nodes
+        np.testing.assert_array_equal(data["buffers"], np.concatenate(run.windows))
         self._resume_matches_uninterrupted(tmp_path, monkeypatch, cfg)
 
         # the cached rule's last updates are saved too
@@ -537,8 +497,9 @@ class TestCheckpointing:
             assert text == json.dumps({"rows": rows}, sort_keys=True) + "\n"
             if rows:
                 assert rows[-1]["train_loss"] is not None and rows[0]["train_loss"] is None
-            assert [r["round_idx"] for r in rows] == list(range(next_round))
-            assert all("weights" not in r for r in rows)
+            # one row per round, of the five measured values alone
+            assert len(rows) == next_round
+            assert all(sorted(r) == ROW_FIELDS for r in rows)
             # exactly the format's arrays and its stamp; the cached rule keeps
             # its updates from its first round on
             with np.load(snapshot / CHECKPOINT_FILE) as data:
@@ -579,11 +540,10 @@ class TestCheckpointing:
     # the rows of a tiny run stopped in round 4, edited
     ROW_EDITS = {
         "drop_json_row": lambda rows: rows.pop(),
-        "other_rounds": lambda rows: (rows[0].update(round_idx=7), rows[1].update(round_idx=9)),
-        "rounds_swapped": lambda rows: (rows[0].update(round_idx=1), rows[1].update(round_idx=0)),
-        "other_participant_count": lambda rows: rows[2].update(num_participants=99),
-        "float_round": lambda rows: rows[1].update(round_idx=1.0),
+        "string_loss": lambda rows: rows[1].update(train_loss="0.3"),
+        # rows hold no psi: the trace gives it
         "string_psi": lambda rows: rows[2].update(psi="0.3"),
+        "missing_key": lambda rows: (rows[1].pop("deviation"), rows[1].pop("train_loss")),
     }
 
     @pytest.mark.parametrize("edit", list(ROW_EDITS))
@@ -604,7 +564,10 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="is damaged") as exc:
             resume_run(tmp_path)
         assert str(path) in str(exc.value)
-        assert CHECKPOINT_FILE in str(exc.value)
+        # a row without exactly RoundMetrics' fields is refused before it meets the npz
+        assert {"missing_key": "missing 2 required positional arguments",
+                "string_psi": "unexpected keyword argument 'psi'"}.get(
+                    edit, CHECKPOINT_FILE) in str(exc.value)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_checkpoint_with_a_last_participation_array_is_refused(
@@ -869,13 +832,14 @@ class TestRun:
 
 # each writes part of its output, then meets a value it cannot format
 _BAD_ROWS = [
-    RoundMetrics(0, 1, psi=0.5, train_accuracy=1.0),
-    RoundMetrics(1, 1, psi="not a number", train_accuracy=1.0),
+    RoundMetrics(0.5, 1.0, 0.1, None, None),
+    RoundMetrics("not a number", 1.0, 0.1, None, None),
 ]
+_TRACE = np.array([[1, 0], [1, 1]])
 FAILING_WRITES = {
     "summary.json": lambda p: harness._write_json(p, {"a": 1.0, "b": float("nan")}),
-    "metrics.csv": lambda p: harness._write_metrics_csv(p, _BAD_ROWS),
-    "weights.csv": lambda p: harness._write_weights_csv(p, _BAD_ROWS),
+    "metrics.csv": lambda p: harness._write_metrics_csv(p, _TRACE, _BAD_ROWS),
+    "weights.csv": lambda p: harness._write_weights_csv(p, _TRACE, _BAD_ROWS),
     "cdf.csv": lambda p: harness._write_cdf_csv(p, np.array([[0.5, 1.0]]), [("x", 1.0)]),
     "participation.csv": lambda p: export_trace_csv(np.array([[0, 1], [1, np.nan]]), p),
 }
@@ -910,9 +874,10 @@ class TestAtomicWrites:
         real = harness._play_round
 
         def play(env, state, updates):
+            t = state.round_idx
             row = real(env, state, updates)
-            if row.round_idx == 2:
-                row.psi = float("nan")
+            if t == 2:
+                row.deviation = float("nan")
             return row
 
         monkeypatch.setattr(harness, "_play_round", play)
@@ -1058,7 +1023,7 @@ class TestDivergence:
             assert int(np.load(tmp_path / CHECKPOINT_FILE)["next_round"]) == 18
             rows = json.loads((tmp_path / CHECKPOINT_ROWS_FILE).read_text(),
                               parse_constant=_refuse)["rows"]
-            assert [r["round_idx"] for r in rows] == list(range(18))
+            assert len(rows) == 18
 
 
 def _fresh_blas_env(script: str, preset: dict) -> dict:

@@ -28,7 +28,7 @@ from pmfl.harness import (
     run_experiment,
 )
 
-from test_harness import assert_same_outputs, tiny_config
+from fixtures import assert_same_outputs, tiny_config
 
 # phases that are calls the round loop or the end-of-run phase makes; each
 # stops right after the call, once it has changed what it changes
