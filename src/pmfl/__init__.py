@@ -31,7 +31,6 @@ from .heterogeneity import (
 from .metrics import RoundMetrics, evaluate, node_cdf, top5_mean, update_deviation
 from .nn import (
     Layer,
-    Minibatch,
     ModelParams,
     ModelSpec,
     cross_entropy_and_grad,

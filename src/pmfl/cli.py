@@ -77,7 +77,7 @@ def _cmd_run(parser, args) -> int:
         cfg = _build_config(parser, args)
     try:
         result = resume_run(out) if args.resume else run_experiment(cfg, out)
-    except FileNotFoundError as exc:  # --resume of a run with no manifest or checkpoint
+    except OSError as exc:  # --resume of a run with no manifest or checkpoint, --out a file
         _fail(parser, str(exc))
     except ValueError as exc:  # a diverged run, a failed partition, a bad checkpoint
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -97,6 +97,8 @@ def _cmd_sweep(parser, args) -> int:
         rows = run_sweep(base, grid, args.out)
     except ValueError as exc:  # a bad --vary name or value; no cell has started
         _fail(parser, f"--vary: {exc}")
+    except OSError as exc:  # --out names a file
+        _fail(parser, str(exc))
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"sweep complete: {len(rows)} cells, {len(failures)} failed -> {args.out}")
     for row in rows:

@@ -8,6 +8,9 @@ feeds the contrastive term this round and in later rounds the node attends.
 The partition threshold reference is frozen at round start (the newest window
 row from before this round), so mid-round snapshots do not move the goalposts.
 
+A node's shard is a :class:`~pmfl.data.LabeledDataset` cut from the training
+split, and so is each minibatch, from the shard: no step checks labels.
+
 :func:`local_train` writes none of its arguments: it takes the node's window
 as a read-only array and returns the window it leaves as a new one, beside
 the update.  The steps run in a :class:`~pmfl.contrastive.TrainBuffers` that
@@ -21,30 +24,22 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .contrastive import TrainBuffers, combined_loss_and_grad
-from .nn import Minibatch, ModelParams, labeled_pair, param_delta, sgd_step
+from .data import LabeledDataset
+from .nn import ModelParams, param_delta, sgd_step
 from .rng import stream
 
 
 @dataclass
 class NodeState:
-    """One federated node: its shard and stream identity."""
+    """One federated node: its shard, a read-only set, and stream identity."""
 
     node_id: int
-    features: np.ndarray
-    labels: np.ndarray
+    data: LabeledDataset
     root_seed: int
 
     def __post_init__(self):
-        self.features, self.labels = labeled_pair(self.features, self.labels)
-        if not self.labels.size:
+        if not self.data.num_samples:
             raise ValueError("a node needs at least one sample")
-        # shards are fixed for the whole run
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.labels.shape[0])
 
     def round_rng(self, round_idx: int) -> np.random.Generator:
         return stream(self.root_seed, "train", self.node_id, round_idx)
@@ -83,16 +78,16 @@ def local_train(node: NodeState, global_params: ModelParams, cfg: ExperimentConf
         raise ValueError(f"buffers for a window of {buffers.capacity} and {buffers.batch_size} "
                          f"rows cannot train a window of {capacity} on batches of {cfg.batch_size}")
 
-    batches = _epoch_batches(node.round_rng(round_idx), node.num_samples, cfg.batch_size,
+    batches = _epoch_batches(node.round_rng(round_idx), node.data.num_samples, cfg.batch_size,
                              cfg.local_iterations)
     mu_reference = ModelParams(buffers.spec, window[-1]) if len(window) else None
     buffers.stage(global_params, global_params, window, mu_reference)
     w = buffers.current  # starts as a copy of the global model, stepped in place
     for batch_idx in batches:
-        batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = combined_loss_and_grad(
-            w, batch, global_params, buffers.window, temperature=cfg.temperature,
-            contrastive_weight=cfg.contrastive_weight, mu_reference=mu_reference, buffers=buffers,
+            w, node.data.rows(batch_idx), global_params, buffers.window,
+            temperature=cfg.temperature, contrastive_weight=cfg.contrastive_weight,
+            mu_reference=mu_reference, buffers=buffers,
         )
         buffers.push()  # the window holds models older than the current one
         sgd_step(w, grad, cfg.local_lr, out=w, ws=buffers.workspace)

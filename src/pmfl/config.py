@@ -170,6 +170,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
+        if not isinstance(values, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(values).__name__}")
         cfg = cls(**parse_fields(cls, values))
         cfg.validate()
         return cfg

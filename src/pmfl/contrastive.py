@@ -24,8 +24,8 @@ import logging
 
 import numpy as np
 
+from .data import LabeledDataset
 from .nn import (
-    Minibatch,
     ModelParams,
     ModelSpec,
     Workspace,
@@ -175,7 +175,7 @@ class TrainBuffers:
 
 def combined_loss_and_grad(
     params: ModelParams,
-    batch: Minibatch,
+    batch: LabeledDataset,
     global_params: ModelParams,
     buffer: np.ndarray,
     temperature: float,
@@ -232,7 +232,7 @@ def combined_loss_and_grad(
     # arrays go into the backward pass
     z = reps[0]
     logits = dense(params.classifier, z, ws, (pres[n_rep:], outs[n_rep:]))
-    ce = _cross_entropy_head(logits, batch.labels, ws)
+    ce = _cross_entropy_head(logits, batch, ws)
     pres = [p[0] for p in pres[:n_rep]] + pres[n_rep:]
     outs = [h[0] for h in outs[:n_rep]] + outs[n_rep:]
     if not buffered:

@@ -1,4 +1,9 @@
-"""Datasets: a synthetic Gaussian-mixture generator and CSV ingest/export.
+"""Labelled sets, a synthetic Gaussian-mixture generator and CSV ingest/export.
+
+A :class:`LabeledDataset` is every labelled set: a split, a node's shard, a
+minibatch or an evaluation set.  It is checked once, when made from outside
+data, and is read-only, so a subset cut with :meth:`~LabeledDataset.rows`
+is not checked again.
 
 The synthetic set places one Gaussian per class with its mean on a scaled
 coordinate simplex (class c sits at separation * e_c), fixed isotropic noise,
@@ -15,19 +20,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .nn import _check_labels, labeled_pair
 from .rng import stream
 
 
-@dataclass
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    features: np.ndarray  # (n, input_dim) float64
-    labels: np.ndarray  # (n,) int64
+    """(n, input_dim) float64 ``features`` and (n,) int64 ``labels`` in
+    ``[0, num_classes)``, both read-only copies of what the caller gave,
+    so no later write reaches the checked labels."""
+
+    features: np.ndarray
+    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.features, self.labels = labeled_pair(self.features, self.labels)
-        _check_labels(self.labels, self.num_classes)
+        features = np.array(self.features, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ValueError("features must be 2-D, with one label per row")
+        _check_labels(labels, self.num_classes)
+        features.flags.writeable = labels.flags.writeable = False
+        vars(self).update(features=features, labels=labels)  # past the frozen __setattr__
+
+    def rows(self, index) -> LabeledDataset:
+        """The rows at ``index`` (an index array, mask or slice), with the
+        same classes; their labels were checked with these, so not again."""
+        features, labels = self.features[index], self.labels[index]
+        features.flags.writeable = labels.flags.writeable = False
+        subset = object.__new__(LabeledDataset)
+        vars(subset).update(features=features, labels=labels, num_classes=self.num_classes)
+        return subset
 
     @property
     def num_samples(self) -> int:
@@ -103,14 +133,8 @@ def synth_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
         test_y.append(np.full(n_test, c, dtype=np.int64))
         train_y.append(np.full(n_train, c, dtype=np.int64))
 
-    train = LabeledDataset(
-        np.concatenate(train_x), np.concatenate(train_y), spec.num_classes
-    )
-    test = LabeledDataset(
-        np.concatenate(test_x) if n_test else np.zeros((0, spec.input_dim)),
-        np.concatenate(test_y) if n_test else np.zeros(0, dtype=np.int64),
-        spec.num_classes,
-    )
+    train = LabeledDataset(np.concatenate(train_x), np.concatenate(train_y), spec.num_classes)
+    test = LabeledDataset(np.concatenate(test_x), np.concatenate(test_y), spec.num_classes)
     return _standardized(train, test) if spec.standardize else (train, test)
 
 
@@ -152,15 +176,13 @@ def ingest_csv(path) -> LabeledDataset:
                 raise ValueError(f"{path}:{lineno}: bad label {row[-1]!r}") from None
             if not raw_label.is_integer():
                 raise ValueError(f"{path}:{lineno}: label {row[-1]!r} is not integral")
+            if not 0 <= raw_label < 2**63:  # int64 holds it
+                raise ValueError(f"{path}:{lineno}: label {row[-1]!r} must be >= 0 and < 2**63")
             features.append(feat)
             labels.append(int(raw_label))
     if not features:
         raise ValueError(f"{path}: no data rows")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.min() < 0:
-        raise ValueError(f"{path}: labels must be >= 0")
-    return LabeledDataset(x, y, int(y.max()) + 1)
+    return LabeledDataset(features, labels, max(labels) + 1)
 
 
 def export_csv(dataset: LabeledDataset, path) -> None:
@@ -182,10 +204,5 @@ def load_dataset(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
         raise ValueError("test_fraction leaves no training rows")
-    train = LabeledDataset(
-        full.features[train_idx], full.labels[train_idx], full.num_classes
-    )
-    test = LabeledDataset(
-        full.features[test_idx], full.labels[test_idx], full.num_classes
-    )
+    train, test = full.rows(train_idx), full.rows(test_idx)
     return _standardized(train, test) if spec.standardize else (train, test)

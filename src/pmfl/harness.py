@@ -190,8 +190,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     )
     trace = schedule.trace_matrix(cfg.rounds)
     spec = model_spec_for(cfg)
-    nodes = [NodeState(k, train.features[shards[k]], train.labels[shards[k]], cfg.seed)
-             for k in range(cfg.num_nodes)]
+    nodes = [NodeState(k, train.rows(shards[k]), cfg.seed) for k in range(cfg.num_nodes)]
     return Environment(
         cfg=cfg,
         train=train,
@@ -443,9 +442,9 @@ def _play_round(env: Environment, state: AggregatorState, updates) -> RoundMetri
         # one call, so one matmul per layer, over each whole set: gemm's bits
         # for a row depend on how many rows share the call, so a set is never
         # split into chunks nor joined to the other
-        train = evaluate(new_global, env.train.features, env.train.labels, env.eval_workspace)
+        train = evaluate(new_global, env.train, env.eval_workspace)
         if env.test.num_samples:
-            test = evaluate(new_global, env.test.features, env.test.labels, env.eval_workspace)
+            test = evaluate(new_global, env.test, env.eval_workspace)
     row = RoundMetrics(deviation, *train, *test)
     for name, value in vars(row).items():
         if value is not None and not math.isfinite(value):
@@ -485,8 +484,7 @@ def _write_results(
     cfg = env.cfg
     _write_metrics_csv(out_dir / "metrics.csv", env.trace, rows)
     _write_weights_csv(out_dir / "weights.csv", env.trace, rows)
-    per_node = [evaluate(state.global_model, n.features, n.labels, env.eval_workspace)
-                for n in env.nodes]
+    per_node = [evaluate(state.global_model, n.data, env.eval_workspace) for n in env.nodes]
     acc_cdf = node_cdf([a for a, _ in per_node])
     loss_cdf = node_cdf([l for _, l in per_node])
     _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import _check_labels
+from .data import _check_labels
 
 log = logging.getLogger(__name__)
 

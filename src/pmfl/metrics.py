@@ -5,9 +5,10 @@ from their mean direction; perfectly aligned updates give zero, orthogonal
 ones one unit each.  It is the per-round consistency signal the contrastive
 term is supposed to push down; its K_t cosines come from one row-wise pass.
 
-Evaluation runs the model through :func:`pmfl.nn.dense` and the log-softmax
-head of the training loss, in a :class:`pmfl.nn.Workspace`; a run keeps one
-sized for its largest evaluation set.
+Evaluation scores a model on a :class:`pmfl.data.LabeledDataset`, a split
+or a shard, through :func:`pmfl.nn.dense` and the log-softmax head of the
+training loss, in a :class:`pmfl.nn.Workspace`; a run keeps one sized for
+its largest evaluation set.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrastive import _cos_rows
-from .nn import ModelParams, Workspace, _nll, dense, labeled_pair
+from .data import LabeledDataset
+from .nn import ModelParams, Workspace, _nll, dense
 
 log = logging.getLogger(__name__)
 
@@ -41,32 +43,27 @@ def update_deviation(updates: np.ndarray) -> float:
 
 
 def evaluate(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    workspace: Workspace | None = None,
+    params: ModelParams, data: LabeledDataset, workspace: Workspace | None = None
 ) -> tuple[float, float]:
     """(argmax accuracy, mean cross-entropy) of the model on a labelled set.
 
     The values are those of :func:`pmfl.nn.forward_logits`, ``argmax`` and
     the reference ``cross_entropy`` of ``tests/oracles.py``, bit for bit:
     the same operations, each written into ``workspace`` (a fresh one when
-    None), whose rows must hold the whole set.
+    None), whose rows must hold the whole set.  An empty set, or one with
+    more classes than the model, is refused.
     """
-    features, labels = labeled_pair(features, labels)
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("cannot evaluate on an empty set")
+    n = data.num_samples
     ws = Workspace(params.spec(), 1, n) if workspace is None else workspace
     if n > ws.rows:
         raise ValueError(f"evaluation workspace holds {ws.rows} rows, the set has {n}")
-    logits = dense(params.layers(), features, ws)
+    logits = dense(params.layers(), data.features, ws)
 
     # ties break to the lowest class index
     pred = np.argmax(logits, axis=1, out=ws.view("pred", n))
-    acc = int(np.count_nonzero(pred == labels)) / n
-    loss, _ = _nll(logits, labels, ws)  # in place, once argmax has read the logits
-    return acc, loss
+    hits = int(np.count_nonzero(pred == data.labels))
+    loss, _ = _nll(logits, data, ws)  # in place, once argmax has read the logits
+    return hits / n, loss
 
 
 def top5_mean(values) -> float:

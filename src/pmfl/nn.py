@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import LabeledDataset
+
 BLOCKS = ("encoder", "projection", "classifier")
 
 
@@ -174,31 +176,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self._spec, self.vector.copy())
-
-
-@dataclass
-class Minibatch:
-    """A batch of rows: ``features`` (batch, input_dim), integer ``labels``."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features, self.labels = labeled_pair(self.features, self.labels)
-        if self.features.shape[0] < 1:
-            raise ValueError("batch must hold at least one row")
-
-
-def labeled_pair(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``features`` as a 2-D float64 array and ``labels`` as a 1-D int64
-    one, holding one label per row."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or labels.ndim != 1:
-        raise ValueError("features must be 2-D and labels 1-D")
-    if features.shape[0] != labels.shape[0]:
-        raise ValueError("features and labels disagree on sample count")
-    return features, labels
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
@@ -389,47 +366,42 @@ def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x, len(params.layers()), rectify_last=False)
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-
-
-def _nll(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood of ``labels`` under softmax(``logits``)
+def _nll(logits: np.ndarray, data: LabeledDataset, ws: Workspace) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of ``data``'s labels under softmax(``logits``)
     and the labels' flat indices; the (n, classes) ``logits`` become their
     log-softmax in place.  The loss is the reference ``cross_entropy`` of
     ``tests/oracles.py`` bit for bit: the ufunc reductions and
     ``add.reduce(x) / n`` are the arithmetic of its ``max``, ``sum`` and
-    ``mean`` in fewer Python calls.
+    ``mean`` in fewer Python calls.  A set empty or of more classes is refused.
     """
     n, classes = logits.shape
-    _check_labels(labels, classes)
+    if n == 0:
+        raise ValueError("cannot score an empty set")
+    if data.num_classes > classes:
+        raise ValueError(f"the set has {data.num_classes} classes, the model {classes}")
     row_max = np.maximum.reduce(logits, axis=-1, keepdims=True, out=ws.view("row_max", n, 1))
     shifted = np.subtract(logits, ws.spread(row_max, logits.shape), out=logits)
     exp = np.exp(shifted, out=ws.view(0, n, classes))  # once the spread row_max is read
     row_sum = np.add.reduce(exp, axis=-1, keepdims=True, out=ws.view("row_sum", n, 1))
     np.log(row_sum, out=row_sum)
     log_probs = np.subtract(shifted, ws.spread(row_sum, logits.shape), out=shifted)
-    index = np.add(ws.row_starts[:n], labels, out=ws.view("index", n))
-    # the labels were checked, and a mode other than "raise" writes ``out`` unbuffered
+    index = np.add(ws.row_starts[:n], data.labels, out=ws.view("index", n))
+    # labels lie below the set's class count; a mode but "raise" writes ``out`` unbuffered
     picked = np.take(log_probs.reshape(-1), index, out=ws.view("picked", n), mode="clip")
     return float(-(np.add.reduce(picked) / n)), index
 
 
-def _cross_entropy_head(logits: np.ndarray, labels: np.ndarray, ws: Workspace) -> float:
-    """Mean cross-entropy of ``labels``; the logits become its gradient in place."""
-    loss, index = _nll(logits, labels, ws)
+def _cross_entropy_head(logits: np.ndarray, data: LabeledDataset, ws: Workspace) -> float:
+    """Mean cross-entropy of ``data``'s labels; the logits become its gradient in place."""
+    loss, index = _nll(logits, data, ws)
     np.exp(logits, out=logits)
     logits.reshape(-1)[index] -= 1.0
-    logits /= len(labels)
+    logits /= len(logits)
     return loss
 
 
 def cross_entropy_and_grad(
-    params: ModelParams, batch: Minibatch, workspace: Workspace | None = None
+    params: ModelParams, batch: LabeledDataset, workspace: Workspace | None = None
 ) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient in all three blocks.
 
@@ -437,11 +409,11 @@ def cross_entropy_and_grad(
     gradient returned is its :attr:`Workspace.grad`, which the next call
     overwrites.
     """
-    n = batch.labels.shape[0]
+    n = batch.num_samples
     ws = Workspace(params.spec(), 1, n) if workspace is None else workspace
     acts = ws.activations(n)
     logits = dense(params.layers(), batch.features, ws, acts)
-    loss = _cross_entropy_head(logits, batch.labels, ws)
+    loss = _cross_entropy_head(logits, batch, ws)
     return loss, _backward(params, batch.features, *acts, logits, ws)
 
 

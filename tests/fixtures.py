@@ -17,8 +17,9 @@ import numpy as np
 
 from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, _cos_rows
+from pmfl.data import LabeledDataset
 from pmfl.harness import OUTPUT_FILES
-from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
+from pmfl.nn import ModelParams, ModelSpec, forward_representation, init_params
 
 from oracles import cached_forward, perturbed
 
@@ -76,7 +77,7 @@ PARTITION_MARGIN = 1e-3
 @dataclass
 class GradCase:
     params: ModelParams
-    batch: Minibatch
+    batch: LabeledDataset
     global_params: ModelParams
     buffer: np.ndarray  # the window's (len, P) rows, oldest first
     mu_reference: ModelParams
@@ -119,9 +120,10 @@ def gradcheck_case(case_seed: int, with_contrastive: bool) -> GradCase:
         for layer in params.layers():
             # lively biases keep most rectifier units away from their kink
             layer.bias[:] = rng.uniform(0.05, 0.4, size=layer.bias.shape)
-        batch = Minibatch(
+        batch = LabeledDataset(
             rng.standard_normal((3, spec.input_dim)),
             rng.integers(0, n_classes, size=3),
+            n_classes,
         )
         buffer = LocalBuffer(4, spec)
         for scale in (0.15, 0.3):

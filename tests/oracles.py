@@ -17,10 +17,9 @@ import numpy as np
 from pmfl.client import NodeState, _epoch_batches
 from pmfl.contrastive import LocalBuffer
 from pmfl.config import ExperimentConfig
+from pmfl.data import LabeledDataset, _check_labels
 from pmfl.nn import (
-    Minibatch,
     ModelParams,
-    _check_labels,
     cross_entropy_and_grad,
     flatten,
     forward_representation,
@@ -329,7 +328,7 @@ def _looped_dcos_rows(z: np.ndarray, other: np.ndarray, sims: np.ndarray) -> np.
 
 def looped_loss_and_grad(
     params: ModelParams,
-    batch: Minibatch,
+    batch: LabeledDataset,
     global_params: ModelParams,
     buffer: np.ndarray,
     temperature: float,
@@ -400,16 +399,15 @@ def looped_local_train(
     the node's window, a push after every step and a fresh model from every
     SGD step.  Returns the update and the buffer's rows."""
     batches = _epoch_batches(
-        node.round_rng(round_idx), node.num_samples, cfg.batch_size, cfg.local_iterations
+        node.round_rng(round_idx), node.data.num_samples, cfg.batch_size, cfg.local_iterations
     )
     buffer = LocalBuffer(cfg.local_buffer_size, global_params.spec())
     buffer.rows = window.copy()
     mu_reference = ModelParams(global_params.spec(), window[-1]) if len(window) else None
     w = global_params
     for batch_idx in batches:
-        batch = Minibatch(node.features[batch_idx], node.labels[batch_idx])
         _, grad = looped_loss_and_grad(
-            w, batch, global_params, buffer.rows, cfg.temperature,
+            w, node.data.rows(batch_idx), global_params, buffer.rows, cfg.temperature,
             cfg.contrastive_weight, mu_reference,
         )
         buffer.push(w)

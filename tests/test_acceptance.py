@@ -24,9 +24,9 @@ import pytest
 from pmfl.client import NodeState, _epoch_batches, local_train
 from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
+from pmfl.data import LabeledDataset
 from pmfl.harness import run_experiment, run_sweep
 from pmfl.nn import (
-    Minibatch,
     ModelSpec,
     cross_entropy_and_grad,
     flatten,
@@ -244,8 +244,7 @@ def test_04_contrastive_loss_identities():
     buffer.push(perturbed(global_params, rng, 0.1))
     node = NodeState(
         node_id=0,
-        features=rng.standard_normal((40, 5)),
-        labels=rng.integers(0, 3, size=40),
+        data=LabeledDataset(rng.standard_normal((40, 5)), rng.integers(0, 3, size=40), 3),
         root_seed=11,
     )
     cfg = ExperimentConfig(
@@ -256,10 +255,8 @@ def test_04_contrastive_loss_identities():
 
     plain_rng = node.round_rng(7)
     w = global_params.copy()
-    for batch_idx in _epoch_batches(plain_rng, node.num_samples, 16, 4):
-        _, grad = cross_entropy_and_grad(
-            w, Minibatch(node.features[batch_idx], node.labels[batch_idx])
-        )
+    for batch_idx in _epoch_batches(plain_rng, node.data.num_samples, 16, 4):
+        _, grad = cross_entropy_and_grad(w, node.data.rows(batch_idx))
         w = sgd_step(w, grad, 0.1)
     np.testing.assert_array_equal(update, param_delta(w, global_params))
 

@@ -300,7 +300,8 @@ class TestRunCommand:
         # the damaged checkpoint stays as it was, and nothing else is written
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("damage", ["_truncate", "_drop_requested_config"])
+    @pytest.mark.parametrize("damage", ["_truncate", "_drop_requested_config",
+                                        "_list_requested_config"])
     def test_resume_with_a_damaged_manifest_is_a_clean_error(
         self, tmp_path, monkeypatch, capsys, damage
     ):
@@ -330,6 +331,12 @@ class TestRunCommand:
     def _drop_requested_config(path):
         manifest = json.loads(path.read_text())
         del manifest["requested_config"]
+        path.write_text(json.dumps(manifest))
+
+    @staticmethod
+    def _list_requested_config(path):
+        manifest = json.loads(path.read_text())
+        manifest["requested_config"] = [1, 2]
         path.write_text(json.dumps(manifest))
 
 
@@ -578,6 +585,19 @@ class TestParser:
         stderr = capsys.readouterr().err
         assert stderr.count("\n") == 1 and stderr.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--resume"], ["sweep", "--vary", "seed=1"]])
+    def test_an_out_that_is_a_file_is_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        flags = [] if "--resume" in argv else TINY_FLAGS  # a resume takes no other flag
+        with pytest.raises(SystemExit) as err:
+            main(argv[:1] + ["--out", str(out)] + argv[1:] + flags)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1 and stderr.startswith(f"pmfl {argv[0]}: error: ")
+        assert str(out) in stderr
+        assert out.read_text() == "kept\n"
 
     def test_a_syntax_error_keeps_the_usage(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -9,8 +9,8 @@ import pytest
 from pmfl.client import NodeState, local_train, nonparticipant_update
 from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, TrainBuffers, combined_loss_and_grad
+from pmfl.data import LabeledDataset
 from pmfl.nn import (
-    Minibatch,
     ModelParams,
     ModelSpec,
     cross_entropy_and_grad,
@@ -30,8 +30,8 @@ def make_node(seed, n=10, node_id=0, root_seed=99):
     rng = np.random.default_rng(seed)
     return NodeState(
         node_id=node_id,
-        features=rng.standard_normal((n, SPEC.input_dim)),
-        labels=rng.integers(0, SPEC.num_classes, size=n),
+        data=LabeledDataset(rng.standard_normal((n, SPEC.input_dim)),
+                            rng.integers(0, SPEC.num_classes, size=n), SPEC.num_classes),
         root_seed=root_seed,
     )
 
@@ -80,20 +80,21 @@ class TestNodeState:
     def test_shard_arrays_are_frozen(self):
         node = make_node(0)
         with pytest.raises(ValueError):
-            node.features[0, 0] = 1.0
+            node.data.features[0, 0] = 1.0
         with pytest.raises(ValueError):
-            node.labels[0] = 1
+            node.data.labels[0] = 1
 
     def test_shape_validation(self):
+        # a shard is a LabeledDataset, which checks its shapes when it is made
         with pytest.raises(ValueError):
-            NodeState(0, np.zeros(3), np.zeros(3, dtype=int), 0)
+            NodeState(0, LabeledDataset(np.zeros(3), np.zeros(3, dtype=int), 2), 0)
         with pytest.raises(ValueError):
-            NodeState(0, np.zeros((3, 2)), np.zeros(4, dtype=int), 0)
+            NodeState(0, LabeledDataset(np.zeros((3, 2)), np.zeros(4, dtype=int), 2), 0)
 
     def test_empty_shard_is_refused(self):
         # a partition never hands out an empty shard, and no round could train one
         with pytest.raises(ValueError, match="at least one sample"):
-            NodeState(1, np.zeros((0, 3)), np.zeros(0, dtype=int), 99)
+            NodeState(1, LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2), 99)
 
     def test_round_rng_is_round_and_node_keyed(self):
         node = make_node(0, node_id=3, root_seed=42)
@@ -123,7 +124,7 @@ class TestLocalTrain:
         # empty capacity-0 window: the combined objective degrades to plain CE
         perm = stream(99, "train", node.node_id, 5).permutation(8)
         _, grad = cross_entropy_and_grad(
-            w0, Minibatch(node.features[perm], node.labels[perm])
+            w0, node.data.rows(perm)
         )
         # delta is (w0 - lr g) - w0, so spell the same difference here; the
         # plain -lr*g form differs in the last bits
@@ -168,7 +169,7 @@ class TestLocalTrain:
         rng = stream(99, "train", node.node_id, 2)
         w = w0.copy()
         for idx in epoch_batches_oracle(rng, 11, 4, 7):
-            _, grad = cross_entropy_and_grad(w, Minibatch(node.features[idx], node.labels[idx]))
+            _, grad = cross_entropy_and_grad(w, node.data.rows(idx))
             w = sgd_step(w, grad, 0.05)
         np.testing.assert_array_equal(delta, param_delta(w, w0))
 
@@ -195,7 +196,7 @@ class TestLocalTrain:
         for idx in epoch_batches_oracle(rng, 9, 4, iterations):
             _, grad = combined_loss_and_grad(
                 w,
-                Minibatch(node.features[idx], node.labels[idx]),
+                node.data.rows(idx),
                 w0,
                 buf.rows,
                 temperature=cfg.temperature,
@@ -241,7 +242,7 @@ class TestLocalTrain:
         cfg = ExperimentConfig(local_iterations=iterations, batch_size=4,
                                local_buffer_size=capacity)
         buffers = TrainBuffers(SPEC, capacity, 4)
-        arguments = [node.features, node.labels, w0.vector, window]
+        arguments = [node.data.features, node.data.labels, w0.vector, window]
         kept = [a.copy() for a in arguments]
         delta, new = local_train(node, w0, cfg, 0, window, buffers)
         for argument, before in zip(arguments, kept):
@@ -300,7 +301,7 @@ class TestStagedLoop:
         node, window = make_node(0), window_of(g)
         buffers = TrainBuffers(SPEC, 2, 8)
         buffers.stage(w, g, window, None)
-        batch = Minibatch(node.features[:8], node.labels[:8])
+        batch = node.data.rows(slice(8))
         kwargs = dict(temperature=0.5, contrastive_weight=0.5, buffers=buffers)
         with pytest.raises(ValueError):
             combined_loss_and_grad(w, batch, g, window, **kwargs)  # not the staged row
@@ -318,7 +319,8 @@ class TestStagedLoop:
         spec = ModelSpec(input_dim=32, encoder=(32, 32), projection=(16,), classifier=(10,))
         rng = np.random.default_rng(3)
         global_params = init_params(spec, rng)
-        node = NodeState(0, rng.standard_normal((100, 32)), rng.integers(0, 10, 100), 7)
+        node = NodeState(
+            0, LabeledDataset(rng.standard_normal((100, 32)), rng.integers(0, 10, 100), 10), 7)
         window = window_of(*[perturbed(global_params, rng, 0.1) for _ in range(5)], spec=spec)
         cfg = ExperimentConfig(local_iterations=5, batch_size=32, local_buffer_size=5)
         buffers = TrainBuffers(spec, 5, 32)
@@ -344,7 +346,7 @@ class TestStagedLoop:
         for _ in range(5):
             window.push(perturbed(global_params, rng, 0.1))
         reference = ModelParams(spec, window.rows[-1])
-        batch = Minibatch(rng.standard_normal((32, 32)), rng.integers(0, 10, 32))
+        batch = LabeledDataset(rng.standard_normal((32, 32)), rng.integers(0, 10, 32), 10)
         buffers = TrainBuffers(spec, 5, 32)
         buffers.stage(perturbed(global_params, rng, 0.05), global_params, window.rows, reference)
 

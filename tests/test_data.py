@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from pmfl import data
+from pmfl.client import local_train
 from pmfl.config import ExperimentConfig, dataset_spec_for
 from pmfl.data import (
     DatasetSpec,
@@ -15,8 +18,12 @@ from pmfl.data import (
     load_dataset,
     synth_dataset,
 )
+from pmfl.harness import build_environment, run_experiment
 from pmfl.metrics import evaluate
-from pmfl.nn import ModelSpec, unflatten
+from pmfl.nn import ModelSpec, init_params, unflatten
+from pmfl.rng import stream
+
+from fixtures import tiny_config
 
 
 class TestDatasetSpec:
@@ -81,8 +88,8 @@ class TestSynthDataset:
         model_spec = ModelSpec(input_dim=6, encoder=(), projection=(), classifier=(6,))
         params = unflatten(model_spec, np.zeros(model_spec.num_params))
         params.classifier[0].weight[:] = np.eye(6)
-        acc_train, _ = evaluate(params, train.features, train.labels)
-        acc_test, _ = evaluate(params, test.features, test.labels)
+        acc_train, _ = evaluate(params, train)
+        acc_test, _ = evaluate(params, test)
         assert acc_train == 1.0
         assert acc_test == 1.0
 
@@ -136,6 +143,9 @@ class TestCsv:
         path.write_text("1.0,2.0,banana\n")
         with pytest.raises(ValueError, match=r"bad\.csv:1.*bad label"):
             ingest_csv(path)
+        path.write_text("1.0,2.0,0\n3.0,4.0,1e300\n")  # integral, but no int64 holds it
+        with pytest.raises(ValueError, match=r"bad\.csv:2.*'1e300' must be >= 0 and < 2\*\*63"):
+            ingest_csv(path)
         for spelling in ("nan", "inf", "-Infinity"):
             path.write_text(f"1.0,2.0,0\n1.0,{spelling},1\n")
             with pytest.raises(ValueError, match=r"bad\.csv:2.*bad feature value \(not finite"):
@@ -146,8 +156,8 @@ class TestCsv:
         path.write_text("\n\n")
         with pytest.raises(ValueError, match="no data rows"):
             ingest_csv(path)
-        path.write_text("1.0,2.0,-1\n")
-        with pytest.raises(ValueError, match=">= 0"):
+        path.write_text("1.0,2.0,0\n1.0,2.0,-1\n")
+        with pytest.raises(ValueError, match=r"d\.csv:2: label '-1' must be >= 0"):
             ingest_csv(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -221,3 +231,75 @@ class TestLabeledDataset:
         d = LabeledDataset(np.zeros((5, 3)), np.zeros(5, dtype=int), 2)
         assert d.num_samples == 5
         assert d.input_dim == 3
+
+    def test_is_read_only_and_frozen(self):
+        d = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 1, 0]), 2)
+        for subset in (d, d.rows(np.array([2, 0]))):
+            with pytest.raises(ValueError):
+                subset.features[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                subset.labels[0] = 1
+            for name in ("features", "labels", "num_classes"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(subset, name, getattr(subset, name))
+
+    def test_owns_its_arrays(self):
+        # a later write to the caller's arrays cannot reach the checked labels
+        features, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+        d = LabeledDataset(features, labels, 2)
+        features[0, 0], labels[0] = 7.0, 5
+        np.testing.assert_array_equal(d.features, 0.0)
+        np.testing.assert_array_equal(d.labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("index", [np.array([4, 0, 2, 2]), np.array([], dtype=np.intp),
+                                       slice(1, 4), np.arange(5) % 2 == 0],
+                             ids=["indices", "none", "slice", "mask"])
+    def test_rows_equal_fancy_indexing(self, index):
+        rng = np.random.default_rng(5)
+        d = LabeledDataset(rng.standard_normal((5, 3)), rng.integers(0, 3, 5), 4)
+        subset = d.rows(index)
+        np.testing.assert_array_equal(subset.features, d.features[index])
+        np.testing.assert_array_equal(subset.labels, d.labels[index])
+        assert subset.features.dtype == np.float64 and subset.labels.dtype == np.int64
+        assert subset.num_classes == 4
+
+
+@pytest.fixture
+def label_checks(monkeypatch):
+    """The sizes of the label sets checked, under every name a pmfl module
+    binds the check to."""
+    sizes = []
+    real = data._check_labels
+
+    def counted(labels, num_classes):
+        sizes.append(len(labels))
+        return real(labels, num_classes)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pmfl") and getattr(module, "_check_labels", None) is real:
+            monkeypatch.setattr(module, "_check_labels", counted)
+    return sizes
+
+
+class TestLabelsAreCheckedOnce:
+    """A set is checked when it is made from outside data; its shards,
+    batches and evaluations are not checked again."""
+
+    def test_local_train_and_evaluate_check_no_labels(self, label_checks):
+        cfg = tiny_config(local_iterations=5).resolved()
+        env = build_environment(cfg)
+        params = init_params(env.spec, stream(3, "model"))
+        label_checks.clear()
+        _, window = local_train(env.nodes[0], params, cfg, 0, np.empty((0, env.spec.num_params)))
+        local_train(env.nodes[1], params, cfg, 1, window)
+        for labelled in (env.train, env.test, *(n.data for n in env.nodes)):
+            evaluate(params, labelled, env.eval_workspace)
+        assert label_checks == []
+
+    def test_a_desk_run_checks_the_train_and_test_labels_and_the_partition_once(
+        self, tmp_path, label_checks
+    ):
+        run_experiment(ExperimentConfig(), tmp_path)
+        checked = list(label_checks)
+        train, test = synth_dataset(DatasetSpec())
+        assert checked == [train.num_samples, test.num_samples, train.num_samples]

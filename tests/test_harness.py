@@ -86,6 +86,10 @@ def _drop_requested_config(data: bytes) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _list_requested_config(data: bytes) -> bytes:
+    return json.dumps({**json.loads(data), "requested_config": [1, 2]}).encode()
+
+
 class TestNodeWeights:
     @pytest.mark.parametrize("variant", sorted(NODE_COLUMN_WEIGHTS_CSV))
     def test_rebuild_the_weights_csv_with_a_column_per_node(self, tmp_path, variant):
@@ -110,8 +114,9 @@ class TestNodeWeights:
         ("participation.csv", _drop_last_node),
         ("manifest.json", lambda data: data[: len(data) // 2]),
         ("manifest.json", _drop_requested_config),
+        ("manifest.json", _list_requested_config),
     ], ids=["trace_cut", "trace_round_dropped", "trace_node_dropped", "manifest_cut",
-            "manifest_without_config"])
+            "manifest_without_config", "manifest_config_not_an_object"])
     def test_refuses_a_damaged_run(self, tmp_path, name, damage):
         run_experiment(tiny_config(), tmp_path)
         path = tmp_path / name
@@ -139,7 +144,7 @@ class TestEnvironment:
         env = build_environment(cfg)
         assert env.trace.shape == (6, 4)
         assert len(env.nodes) == 4
-        assert sum(n.num_samples for n in env.nodes) == env.train.num_samples
+        assert sum(n.data.num_samples for n in env.nodes) == env.train.num_samples
         assert env.spec == model_spec_for(cfg)
         assert env.spec.num_classes == 3
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pmfl import ExperimentConfig
+from pmfl.data import LabeledDataset
 from pmfl.harness import build_environment
 from pmfl import metrics
 from pmfl.metrics import evaluate, node_cdf, top5_mean, update_deviation
@@ -107,45 +108,40 @@ class TestEvaluateBuffers:
     def _sets(self, env):
         train, test = env.train, env.test
         shards = [env.nodes[k] for k in (3, 0, 17)]
-        sets = [
-            (train.features, train.labels),
-            *[(n.features, n.labels) for n in shards],
-            (test.features, test.labels),
-        ]
+        sets = [train, *[n.data for n in shards], test]
         # mixed order, each set several times
         return [sets[i] for i in (0, 1, 4, 0, 2, 4, 3, 0, 1, 4, 2)]
 
     def test_matches_forward_logits_and_cross_entropy_bit_for_bit(self, desk_env):
         env = desk_env
         buffers = Workspace(env.spec, 1, max(env.train.num_samples, env.test.num_samples))
-        for call, (X, y) in enumerate(self._sets(env)):
+        for call, data in enumerate(self._sets(env)):
             params = init_params(env.spec, stream(70, "model", call % 3))
-            logits = forward_logits(params, X)
+            logits, y = forward_logits(params, data.features), data.labels
             want = (float((np.argmax(logits, axis=1) == y).mean()), cross_entropy(logits, y))
-            got = evaluate(params, X, y, buffers)
+            got = evaluate(params, data, buffers)
             assert got == want, f"call {call} on {len(y)} rows"
             assert [type(v) for v in got] == [float, float]
-            assert evaluate(params, X, y) == want  # with a workspace of its own
+            assert evaluate(params, data) == want  # with a workspace of its own
 
     def test_a_set_larger_than_the_buffers_is_refused(self, desk_env):
         env = desk_env
         params = init_params(env.spec, stream(71, "model"))
         buffers = Workspace(env.spec, 1, env.test.num_samples)
         with pytest.raises(ValueError):
-            evaluate(params, env.train.features, env.train.labels, buffers)
+            evaluate(params, env.train, buffers)
 
     def test_a_warm_train_set_evaluation_allocates_almost_nothing(self, desk_env):
         env = desk_env
-        X, y = env.train.features, env.train.labels
         buffers = Workspace(env.spec, 1, env.train.num_samples)
-        evaluate(init_params(env.spec, stream(72, "model", 0)), X, y, buffers)
+        evaluate(init_params(env.spec, stream(72, "model", 0)), env.train, buffers)
 
         def peak_bytes(**kw):
             # a fresh model, as every round brings one
             params = init_params(env.spec, stream(72, "model", 1))
             tracemalloc.start()
             try:
-                evaluate(params, X, y, **kw)
+                evaluate(params, env.train, **kw)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -174,7 +170,7 @@ class TestEvaluationHead:
         with np.errstate(all="ignore"):
             want = (float((np.argmax(logits, axis=1) == labels).mean()),
                     cross_entropy(logits, labels))
-            got = evaluate(params, np.zeros((n, 1)), labels)
+            got = evaluate(params, LabeledDataset(np.zeros((n, 1)), labels, classes))
         assert got[0] == want[0]
         assert _bits(got[1]) == _bits(want[1]), (got, want)
 
@@ -236,10 +232,9 @@ class TestEvaluationHead:
         env = desk_env
         params = init_params(env.spec, stream(73, "model"))
         for node in env.nodes:
-            X, y = node.features, node.labels
-            logits = forward_logits(params, X)
+            logits, y = forward_logits(params, node.data.features), node.data.labels
             want = (float((np.argmax(logits, axis=1) == y).mean()), cross_entropy(logits, y))
-            got = evaluate(params, X, y, env.eval_workspace)
+            got = evaluate(params, node.data, env.eval_workspace)
             assert [_bits(v) for v in got] == [_bits(v) for v in want], f"node {node.node_id}"
 
 
@@ -260,15 +255,15 @@ class TestEvaluate:
             [5.0, 0.0, 0.0],   # pred 0
         ])
         y = np.array([0, 1, 2, 1])
-        acc, loss = evaluate(params, X, y)
+        acc, loss = evaluate(params, LabeledDataset(X, y, 3))
         assert acc == 0.75
         assert loss > 0.0
 
     def test_ties_break_to_lowest_class(self):
         params = self._params()
-        acc, _ = evaluate(params, np.zeros((1, 3)), np.array([0]))
+        acc, _ = evaluate(params, LabeledDataset(np.zeros((1, 3)), np.array([0]), 3))
         assert acc == 1.0
-        acc, _ = evaluate(params, np.zeros((1, 3)), np.array([2]))
+        acc, _ = evaluate(params, LabeledDataset(np.zeros((1, 3)), np.array([2]), 3))
         assert acc == 0.0
 
     def test_loss_matches_cross_entropy_oracle(self):
@@ -278,13 +273,21 @@ class TestEvaluate:
         rng = np.random.default_rng(43)
         X = rng.standard_normal((12, 3))
         y = rng.integers(0, 3, size=12)
-        _, loss = evaluate(params, X, y)
+        _, loss = evaluate(params, LabeledDataset(X, y, 3))
         want = np.mean([scalar_cross_entropy(x.tolist(), int(c)) for x, c in zip(X, y)])
         assert loss == pytest.approx(want, rel=1e-12)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(self._params(), np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="empty set"):
+            evaluate(self._params(), LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 3))
+
+    def test_a_set_with_more_classes_than_the_model_is_refused(self):
+        # its labels all fit the model's three logits, but nothing past the
+        # class count bounds them once the set is made
+        data = LabeledDataset(np.zeros((2, 3)), np.array([0, 2]), 4)
+        with pytest.raises(ValueError, match="4 classes, the model 3"):
+            evaluate(self._params(), data)
+        evaluate(self._params(), LabeledDataset(data.features, data.labels, 3))  # as many
 
 
 class TestTop5Mean:

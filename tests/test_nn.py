@@ -7,9 +7,10 @@ import pickle
 import numpy as np
 import pytest
 
+from pmfl.contrastive import TrainBuffers, combined_loss_and_grad
+from pmfl.data import LabeledDataset
 from pmfl.nn import (
     Layer,
-    Minibatch,
     ModelSpec,
     Workspace,
     cross_entropy_and_grad,
@@ -339,18 +340,55 @@ class TestSgd:
 
 
 class TestMinibatch:
+    """A minibatch is a LabeledDataset, which the loss kernels read."""
+
+    @staticmethod
+    def _kernels(batch):
+        """Each kernel's loss call on ``batch``; the contrastive one with a
+        window and with it staged, as local_train calls it."""
+        case = gradcheck_case(0, with_contrastive=True)
+        args = (case.params, batch, case.global_params, case.buffer, 0.5, 0.5, case.mu_reference)
+        buffers = TrainBuffers(case.params.spec(), len(case.buffer), 4)
+        buffers.stage(case.params, case.global_params, case.buffer, case.mu_reference)
+        staged = (buffers.current, *args[1:])
+        return [lambda: cross_entropy_and_grad(case.params, batch),
+                lambda: combined_loss_and_grad(*args),
+                lambda: combined_loss_and_grad(*staged, buffers=buffers)]
+
     def test_validates_shapes(self):
+        # a set of no rows is made (a split may be empty); the kernels refuse
+        # it, below
         with pytest.raises(ValueError):
-            Minibatch(np.zeros(3), np.zeros(3, dtype=int))
+            LabeledDataset(np.zeros(3), np.zeros(3, dtype=int), 2)
         with pytest.raises(ValueError):
-            Minibatch(np.zeros((3, 2)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError):
-            Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
 
     def test_casts_dtypes(self):
-        b = Minibatch([[1, 2]], [1])
+        b = LabeledDataset([[1, 2]], [1], 2)
         assert b.features.dtype == np.float64
         assert b.labels.dtype == np.int64
+
+    def test_the_kernels_refuse_an_empty_batch(self):
+        case = gradcheck_case(0, with_contrastive=True)
+        empty = LabeledDataset(np.zeros((0, case.params.spec().input_dim)), np.zeros(0), 2)
+        plain, fresh, staged = self._kernels(empty)
+        for kernel in (plain, staged):
+            with pytest.raises(ValueError, match="empty set"):
+                kernel()
+        with pytest.raises(ValueError, match="batch_size >= 1"):  # buffers for no rows
+            fresh()
+
+    def test_the_kernels_refuse_more_classes_than_the_model(self):
+        case = gradcheck_case(0, with_contrastive=True)
+        classes = case.params.spec().num_classes
+        batch = case.batch
+        # the labels fit the model; the class count is what bounds them
+        too_many = LabeledDataset(batch.features, batch.labels, classes + 1)
+        for kernel in self._kernels(too_many):
+            with pytest.raises(ValueError, match=f"{classes + 1} classes, the model {classes}"):
+                kernel()
+        for kernel in self._kernels(LabeledDataset(batch.features, batch.labels, classes)):
+            kernel()
 
 
 class TestLayerHelpers:

@@ -11,8 +11,9 @@ import pytest
 
 from pmfl.cli import main
 from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
+from pmfl.data import LabeledDataset
 from pmfl.harness import CHECKPOINT_FILE
-from pmfl.nn import Minibatch, ModelParams, ModelSpec, forward_representation, init_params
+from pmfl.nn import ModelParams, ModelSpec, forward_representation, init_params
 
 from oracles import looped_loss_and_grad, perturbed
 
@@ -83,8 +84,11 @@ def _assert_matches_the_looped_kernel(*args):
     np.testing.assert_array_equal(grad.vector, want_grad.vector)
 
 
-def _batch(rng, rows: int) -> Minibatch:
-    return Minibatch(rng.standard_normal((rows, SPEC.input_dim)), rng.integers(0, 4, size=rows))
+def _batch(rng, rows: int, zeroed: int = 0) -> LabeledDataset:
+    """``rows`` random rows, the first ``zeroed`` of them zero, and their labels."""
+    features = rng.standard_normal((rows, SPEC.input_dim))
+    features[:zeroed] = 0.0  # before the set is made: its arrays are read-only
+    return LabeledDataset(features, rng.integers(0, 4, size=rows), 4)
 
 
 def _assert_window_matches(capacity: int, with_reference: bool, rows: int) -> None:
@@ -140,8 +144,7 @@ class TestStackedKernel:
     def test_representations_with_zero_norm(self, with_reference):
         rng = np.random.default_rng(6)
         params = init_params(SPEC, rng)  # zero biases: a zero row maps to z = 0
-        batch = _batch(rng, 16)
-        batch.features[:3] = 0.0
+        batch = _batch(rng, 16, zeroed=3)
         dead = perturbed(params, rng, 0.3)
         dead.projection[-1].weight[:] = 0.0
         dead.projection[-1].bias[:] = -1.0  # every representation rectified away
