@@ -113,13 +113,13 @@ def _cmd_sweep(parser, args) -> int:
 
 
 def _cmd_synth_data(parser, args) -> int:
+    out = Path(args.out)
     try:
         spec = DatasetSpec(**parse_fields(DatasetSpec, _collect_overrides(args, _SYNTH_FIELDS)))
         train, test = synth_dataset(spec)
-    except ValueError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # a refused setting, --out a file
         _fail(parser, str(exc))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     export_csv(train, out / "train.csv")
     if test.num_samples:
         export_csv(test, out / "test.csv")

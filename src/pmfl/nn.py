@@ -372,7 +372,7 @@ def _nll(logits: np.ndarray, data: LabeledDataset, ws: Workspace) -> tuple[float
     log-softmax in place.  The loss is the reference ``cross_entropy`` of
     ``tests/oracles.py`` bit for bit: the ufunc reductions and
     ``add.reduce(x) / n`` are the arithmetic of its ``max``, ``sum`` and
-    ``mean`` in fewer Python calls.  A set empty or of more classes is refused.
+    ``mean`` in fewer Python calls.  It refuses an empty set or one of more classes.
     """
     n, classes = logits.shape
     if n == 0:

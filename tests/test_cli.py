@@ -586,11 +586,13 @@ class TestParser:
         assert stderr.count("\n") == 1 and stderr.startswith(message)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["run"], ["run", "--resume"], ["sweep", "--vary", "seed=1"]])
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--resume"], ["sweep", "--vary", "seed=1"],
+                                      ["synth-data"]])
     def test_an_out_that_is_a_file_is_one_error_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         out.write_text("kept\n")
-        flags = [] if "--resume" in argv else TINY_FLAGS  # a resume takes no other flag
+        # a resume takes no other flag, and synth-data no run flag
+        flags = [] if argv[-1] in ("--resume", "synth-data") else TINY_FLAGS
         with pytest.raises(SystemExit) as err:
             main(argv[:1] + ["--out", str(out)] + argv[1:] + flags)
         assert err.value.code == 2
