@@ -1,4 +1,4 @@
-"""Node-side state and the local training loop.
+"""The local training loop of one node.
 
 A participating node starts from the broadcast global model, runs a fixed
 number of one-minibatch gradient steps on the combined objective, and ships
@@ -8,8 +8,8 @@ feeds the contrastive term this round and in later rounds the node attends.
 The partition threshold reference is frozen at round start (the newest window
 row from before this round), so mid-round snapshots do not move the goalposts.
 
-A node's shard is a :class:`~pmfl.data.LabeledDataset` cut from the training
-split, and so is each minibatch, from the shard: no step checks labels.
+A node is its index and its shard, a :class:`~pmfl.data.LabeledDataset`, and draws a
+round's minibatches from the stream of (seed, node, round): no step checks their labels.
 
 :func:`local_train` writes none of its arguments: it takes the node's window
 as a read-only array and returns the window it leaves as a new one, beside
@@ -18,8 +18,6 @@ the window is staged into once and copied out of once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ExperimentConfig
@@ -27,22 +25,6 @@ from .contrastive import TrainBuffers, combined_loss_and_grad
 from .data import LabeledDataset
 from .nn import ModelParams, param_delta, sgd_step
 from .rng import stream
-
-
-@dataclass
-class NodeState:
-    """One federated node: its shard, a read-only set, and stream identity."""
-
-    node_id: int
-    data: LabeledDataset
-    root_seed: int
-
-    def __post_init__(self):
-        if not self.data.num_samples:
-            raise ValueError("a node needs at least one sample")
-
-    def round_rng(self, round_idx: int) -> np.random.Generator:
-        return stream(self.root_seed, "train", self.node_id, round_idx)
 
 
 def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int, count: int):
@@ -61,16 +43,18 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int, count: int
         pos += take
 
 
-def local_train(node: NodeState, global_params: ModelParams, cfg: ExperimentConfig,
-                round_idx: int, window: np.ndarray, buffers: TrainBuffers | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Train from the node's ``window`` of past models, (len, P) rows oldest
-    first, in ``buffers`` (fresh ones without it; they must fit
-    ``cfg.local_buffer_size`` and ``cfg.batch_size``); return the flat update
-    and the new window, a new read-only array."""
+def local_train(data: LabeledDataset, node_id: int, global_params: ModelParams,
+                cfg: ExperimentConfig, round_idx: int, window: np.ndarray,
+                buffers: TrainBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Train node ``node_id`` on its shard ``data`` from its ``window`` of past
+    models, (len, P) rows oldest first, in ``buffers`` (fresh ones without it;
+    they must fit ``cfg.local_buffer_size`` and ``cfg.batch_size``); return the
+    flat update and the new window, a new read-only array."""
     if cfg.local_iterations < 0 or cfg.local_lr <= 0 or cfg.batch_size < 1:
         raise ValueError("local training needs local_iterations >= 0, local_lr > 0 "
                          "and batch_size >= 1")
+    if not data.num_samples:
+        raise ValueError("a node needs at least one sample")
     capacity = cfg.local_buffer_size
     if buffers is None:
         buffers = TrainBuffers(global_params.spec(), capacity, cfg.batch_size)
@@ -78,14 +62,14 @@ def local_train(node: NodeState, global_params: ModelParams, cfg: ExperimentConf
         raise ValueError(f"buffers for a window of {buffers.capacity} and {buffers.batch_size} "
                          f"rows cannot train a window of {capacity} on batches of {cfg.batch_size}")
 
-    batches = _epoch_batches(node.round_rng(round_idx), node.data.num_samples, cfg.batch_size,
-                             cfg.local_iterations)
+    batches = _epoch_batches(stream(cfg.seed, "train", node_id, round_idx), data.num_samples,
+                             cfg.batch_size, cfg.local_iterations)
     mu_reference = ModelParams(buffers.spec, window[-1]) if len(window) else None
     buffers.stage(global_params, global_params, window, mu_reference)
     w = buffers.current  # starts as a copy of the global model, stepped in place
     for batch_idx in batches:
         _, grad = combined_loss_and_grad(
-            w, node.data.rows(batch_idx), global_params, buffers.window,
+            w, data.rows(batch_idx), global_params, buffers.window,
             temperature=cfg.temperature, contrastive_weight=cfg.contrastive_weight,
             mu_reference=mu_reference, buffers=buffers,
         )

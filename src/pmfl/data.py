@@ -3,7 +3,7 @@
 A :class:`LabeledDataset` is every labelled set: a split, a node's shard, a
 minibatch or an evaluation set.  It is checked once, when made from outside
 data, and is read-only, so a subset cut with :meth:`~LabeledDataset.rows`
-is not checked again.
+is not checked again, and neither are the standardized splits.
 
 The synthetic set places one Gaussian per class with its mean on a scaled
 coordinate simplex (class c sits at separation * e_c), fixed isotropic noise,
@@ -53,11 +53,7 @@ class LabeledDataset:
     def rows(self, index) -> LabeledDataset:
         """The rows at ``index`` (an index array, mask or slice), with the
         same classes; their labels were checked with these, so not again."""
-        features, labels = self.features[index], self.labels[index]
-        features.flags.writeable = labels.flags.writeable = False
-        subset = object.__new__(LabeledDataset)
-        vars(subset).update(features=features, labels=labels, num_classes=self.num_classes)
-        return subset
+        return _checked(self.features[index], self.labels[index], self.num_classes)
 
     @property
     def num_samples(self) -> int:
@@ -66,6 +62,14 @@ class LabeledDataset:
     @property
     def input_dim(self) -> int:
         return int(self.features.shape[1])
+
+
+def _checked(features: np.ndarray, labels: np.ndarray, num_classes: int) -> LabeledDataset:
+    """The read-only set of arrays nothing else writes, its labels checked with these classes."""
+    features.flags.writeable = labels.flags.writeable = False
+    subset = object.__new__(LabeledDataset)
+    vars(subset).update(features=features, labels=labels, num_classes=num_classes)
+    return subset
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def _standardized(train: LabeledDataset, test: LabeledDataset):
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return tuple(LabeledDataset((d.features - mean) / std, d.labels, d.num_classes)
+    return tuple(_checked((d.features - mean) / std, d.labels, d.num_classes)
                  for d in (train, test))
 
 

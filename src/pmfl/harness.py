@@ -85,7 +85,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open, remove_stale_temporaries
 from .atomic import write_json as _write_json
-from .client import NodeState, local_train
+from .client import local_train
 from .client import nonparticipant_update  # noqa: F401  (the benchmark wraps it here)
 from .config import ExperimentConfig, dataset_spec_for, parse_value
 from .contrastive import TrainBuffers
@@ -142,18 +142,17 @@ class Environment:
     cfg: ExperimentConfig  # resolved
     train: LabeledDataset
     test: LabeledDataset
-    shards: list[np.ndarray]
+    nodes: list[LabeledDataset]  # node k is its index and nodes[k], its shard
     dists: np.ndarray
     assignment: object
     trace: np.ndarray  # (rounds, num_nodes)
-    nodes: list[NodeState]
     spec: ModelSpec
     eval_workspace: Workspace  # sized for the train set, the test set and every shard
     train_buffers: TrainBuffers  # every participation's local steps run in these
 
 
 def build_environment(cfg: ExperimentConfig) -> Environment:
-    """Instantiate dataset, shards, frequencies, traces and nodes from a
+    """Instantiate dataset, node shards, frequencies and traces from a
     resolved config.  Pure function of the config."""
     train, test = load_dataset(dataset_spec_for(cfg))
     if train.input_dim != cfg.dataset_input_dim:
@@ -190,16 +189,14 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     )
     trace = schedule.trace_matrix(cfg.rounds)
     spec = model_spec_for(cfg)
-    nodes = [NodeState(k, train.rows(shards[k]), cfg.seed) for k in range(cfg.num_nodes)]
     return Environment(
         cfg=cfg,
         train=train,
         test=test,
-        shards=shards,
+        nodes=[train.rows(shard) for shard in shards],
         dists=dists,
         assignment=assignment,
         trace=trace,
-        nodes=nodes,
         spec=spec,
         eval_workspace=Workspace(spec, 1, max(train.num_samples, test.num_samples)),
         train_buffers=TrainBuffers(spec, cfg.local_buffer_size, cfg.batch_size),
@@ -413,12 +410,16 @@ def node_weights(out_dir) -> np.ndarray:
     cfg = _read_manifest(Path(out_dir))[0].resolved()
     path = Path(out_dir) / "participation.csv"
     with _reading(path), open(path) as fh:
-        lines = fh.read().splitlines()[1:]  # after the header
-        # ragged rows, or rows of another width, do not make the table
-        table = np.array([line.split(",") for line in lines], dtype=np.int64)
-        table = table.reshape(len(lines), cfg.num_nodes + 1)
+        fh.readline()  # the header
+        if fh.readline():  # loadtxt warns on a file of no rows, what a run of no rounds leaves
+            fh.seek(0)
+            table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        else:
+            table = np.empty((0, cfg.num_nodes + 1), dtype=np.int64)
+        # ragged rows do not parse, nor do rows of another width make the table
+        table = table.reshape(len(table), cfg.num_nodes + 1)
         if not np.array_equal(table[:, 0], np.arange(cfg.rounds)):
-            raise ValueError(f"its {len(lines)} rows are not rounds 0 to {cfg.rounds - 1}")
+            raise ValueError(f"its {len(table)} rows are not rounds 0 to {cfg.rounds - 1}")
         spec = model_spec_for(cfg)  # the weights never read the model
         state = AggregatorState(cfg.num_nodes, ModelParams(spec, np.zeros(spec.num_params)),
                                 cfg.rounds, cutoff=cfg.cutoff_interval, history_size=0)
@@ -481,14 +482,13 @@ def _write_results(
     out_dir: Path, env: Environment, state: AggregatorState, rows: list[RoundMetrics]
 ) -> dict:
     """Evaluate the final model per node and write every end-of-run artifact."""
-    cfg = env.cfg
     _write_metrics_csv(out_dir / "metrics.csv", env.trace, rows)
     _write_weights_csv(out_dir / "weights.csv", env.trace, rows)
-    per_node = [evaluate(state.global_model, n.data, env.eval_workspace) for n in env.nodes]
+    per_node = [evaluate(state.global_model, shard, env.eval_workspace) for shard in env.nodes]
     acc_cdf = node_cdf([a for a, _ in per_node])
     loss_cdf = node_cdf([l for _, l in per_node])
     _write_cdf_csv(out_dir / "cdf.csv", acc_cdf, loss_cdf)
-    summary = _summarize(cfg, rows, env.trace, env.spec.num_params)
+    summary = _summarize(env.cfg, rows, env.trace, env.spec.num_params)
     _write_json(out_dir / "summary.json", summary)
     _write_model(out_dir, env.spec, flatten(state.global_model))
     return summary
@@ -550,7 +550,7 @@ class Run:
             "outputs": list(OUTPUT_FILES),
         })
         _write_json(out_dir / "partition.json",
-                    partition_manifest(env.shards, env.dists, env.assignment))
+                    partition_manifest(env.nodes, env.dists, env.assignment))
         export_trace_csv(env.trace, out_dir / "participation.csv")
 
     @property
@@ -567,8 +567,8 @@ class Run:
         """``local_train``'s arguments for each participant of the next round,
         in node order, each with the window the node trains from."""
         env, t = self.env, self.state.round_idx
-        return [(env.nodes[k], self.state.global_model, env.cfg, t, self.windows[k],
-                 env.train_buffers) for k in self._participants()]
+        return [(env.nodes[k], k, self.state.global_model, env.cfg, t, self.windows[k],
+                 env.train_buffers) for k in self._participants().tolist()]
 
     def finish_round(self, updates: np.ndarray, windows: list[np.ndarray]) -> None:
         """Play the server half of the next round on its (K_t, P) float64

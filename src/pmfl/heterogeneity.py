@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_labels
+from .data import LabeledDataset, _check_labels
 
 log = logging.getLogger(__name__)
 
@@ -26,12 +26,10 @@ FREQUENCY_FLOOR = 0.02
 
 @dataclass
 class FrequencyAssignment:
-    """Per-node participation frequencies and the class-mixing vector behind them,
-    both in ``partition.json``; only the tests' rank checks read ``scores``."""
+    """Per-node participation frequencies and their class-mixing vector, both in partition.json."""
 
     frequencies: np.ndarray  # (num_nodes,)
     mixing: np.ndarray  # (num_classes,) Dirichlet weights over classes
-    scores: np.ndarray  # (num_nodes,) raw <mixing, D_k> before normalization
 
 
 def dirichlet_partition(
@@ -117,12 +115,9 @@ def assign_frequencies(
         raise ValueError("target_mean must lie in (0, 1]")
 
     if mode == "uniform":
-        freqs = np.full(num_nodes, float(target_mean))
-        freqs = np.maximum(freqs, FREQUENCY_FLOOR)
         return FrequencyAssignment(
-            frequencies=freqs,
+            frequencies=np.full(num_nodes, max(float(target_mean), FREQUENCY_FLOOR)),
             mixing=np.full(num_classes, 1.0 / num_classes),
-            scores=freqs.copy(),
         )
     if mode != "dirichlet":
         raise ValueError(f"unknown frequency mode {mode!r}")
@@ -143,25 +138,25 @@ def assign_frequencies(
         )
         freqs = np.minimum(freqs, 1.0)
     freqs = np.maximum(freqs, FREQUENCY_FLOOR)
-    return FrequencyAssignment(frequencies=freqs, mixing=mixing, scores=scores)
+    return FrequencyAssignment(frequencies=freqs, mixing=mixing)
 
 
 def partition_manifest(
-    shards: list[np.ndarray],
+    nodes: list[LabeledDataset],
     dists: np.ndarray,
     assignment: FrequencyAssignment,
 ) -> dict:
-    """JSON-ready record of shard sizes, class histograms and frequencies."""
+    """JSON-ready record of the node sets' sizes, class histograms and frequencies."""
     return {
-        "num_nodes": len(shards),
+        "num_nodes": len(nodes),
         "frequency_mixing": [float(v) for v in assignment.mixing],
         "nodes": [
             {
                 "node": k,
-                "samples": int(shards[k].size),
+                "samples": nodes[k].num_samples,
                 "class_proportions": [float(v) for v in dists[k]],
                 "frequency": float(assignment.frequencies[k]),
             }
-            for k in range(len(shards))
+            for k in range(len(nodes))
         ],
     }

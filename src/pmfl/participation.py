@@ -5,9 +5,9 @@ two-state Markov chain whose stay/leave probabilities derive from the node's
 frequency, and a deterministic cyclic on/off window with a random offset.
 Every node draws from its own named RNG stream, so traces are reproducible
 and independent of how many nodes exist or in which order they are generated.
-:func:`export_trace_csv` checks and converts the whole (rounds, nodes) matrix
-in one pass, refusing a value that is not an integer, and formats each row
-in one operation.
+:func:`export_trace_csv` checks the whole (rounds, nodes) matrix in one pass,
+refusing a value that is not an integer, then converts and formats a block of
+rows at a time, so a long trace is never held whole as Python integers.
 
 Note the Markov construction: with entry probability ``p01`` and exit
 probability ``(1 - p_k) * p01`` the chain's stationary participation rate is
@@ -24,6 +24,7 @@ from .atomic import atomic_open
 from .rng import stream
 
 PATTERNS = ("bernoulli", "markovian", "cyclic")
+EXPORT_BLOCK_ROWS = 512  # trace rows converted to Python integers at a time
 
 
 def markov_exit_probability(p_k: float, p01: float) -> float:
@@ -97,17 +98,18 @@ class ParticipationSchedule:
 def export_trace_csv(trace: np.ndarray, path) -> None:
     """Write a (rounds, nodes) indicator matrix as round-per-row CSV.
 
-    The whole matrix is converted to integers in one pass, so a value that
-    is not an integer (NaN, say) is refused with a ``ValueError`` before
-    anything is written; each row is then one format operation.
+    The whole matrix is checked in one pass, so a value that is not an integer
+    (NaN, say) is refused with a ``ValueError`` before anything is written; then
+    each block of rows is converted to integers, each row one format operation.
     """
     trace = np.asarray(trace)
     if trace.dtype.kind == "f" and not (np.isfinite(trace) & (trace == np.trunc(trace))).all():
         raise ValueError("a participation trace holds integers only")
     rounds, nodes = trace.shape
-    table = np.column_stack([np.arange(rounds), trace.astype(np.int64)])
     row = ",".join(["%d"] * (nodes + 1)) + "\r\n"  # csv.writer's line end
     with atomic_open(path, "w", newline="") as fh:
         fh.write(",".join(["round"] + [f"node_{k}" for k in range(nodes)]) + "\r\n")
-        for values in table.tolist():
-            fh.write(row % tuple(values))
+        for start in range(0, rounds, EXPORT_BLOCK_ROWS):
+            block = trace[start : start + EXPORT_BLOCK_ROWS].astype(np.int64)
+            for t, values in enumerate(block.tolist(), start):
+                fh.write(row % (t, *values))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from pmfl.client import NodeState, _epoch_batches
+from pmfl.client import _epoch_batches
 from pmfl.contrastive import LocalBuffer
 from pmfl.config import ExperimentConfig
 from pmfl.data import LabeledDataset, _check_labels
@@ -27,6 +27,7 @@ from pmfl.nn import (
     sgd_step,
     unflatten,
 )
+from pmfl.rng import stream
 from pmfl.server import _advance, _smooth
 
 log = logging.getLogger(__name__)
@@ -388,7 +389,8 @@ def looped_loss_and_grad(
 
 
 def looped_local_train(
-    node: NodeState,
+    data: LabeledDataset,
+    node_id: int,
     global_params: ModelParams,
     cfg: ExperimentConfig,
     round_idx: int,
@@ -399,7 +401,8 @@ def looped_local_train(
     the node's window, a push after every step and a fresh model from every
     SGD step.  Returns the update and the buffer's rows."""
     batches = _epoch_batches(
-        node.round_rng(round_idx), node.data.num_samples, cfg.batch_size, cfg.local_iterations
+        stream(cfg.seed, "train", node_id, round_idx), data.num_samples, cfg.batch_size,
+        cfg.local_iterations,
     )
     buffer = LocalBuffer(cfg.local_buffer_size, global_params.spec())
     buffer.rows = window.copy()
@@ -407,7 +410,7 @@ def looped_local_train(
     w = global_params
     for batch_idx in batches:
         _, grad = looped_loss_and_grad(
-            w, node.data.rows(batch_idx), global_params, buffer.rows, cfg.temperature,
+            w, data.rows(batch_idx), global_params, buffer.rows, cfg.temperature,
             cfg.contrastive_weight, mu_reference,
         )
         buffer.push(w)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmfl.client import NodeState, _epoch_batches, local_train
+from pmfl.client import _epoch_batches, local_train
 from pmfl.config import ExperimentConfig
 from pmfl.contrastive import LocalBuffer, combined_loss_and_grad
 from pmfl.data import LabeledDataset
@@ -36,6 +36,7 @@ from pmfl.nn import (
     unflatten,
 )
 from pmfl.participation import ParticipationSchedule
+from pmfl.rng import stream
 from pmfl.server import AggregatorState, history_coefficient, update_weights
 
 from fixtures import assert_same_outputs, assert_same_sweeps, gradcheck_case, tiny_config
@@ -242,21 +243,17 @@ def test_04_contrastive_loss_identities():
     buffer = LocalBuffer(3, spec)
     buffer.push(perturbed(global_params, rng, 0.2))
     buffer.push(perturbed(global_params, rng, 0.1))
-    node = NodeState(
-        node_id=0,
-        data=LabeledDataset(rng.standard_normal((40, 5)), rng.integers(0, 3, size=40), 3),
-        root_seed=11,
-    )
+    shard = LabeledDataset(rng.standard_normal((40, 5)), rng.integers(0, 3, size=40), 3)
     cfg = ExperimentConfig(
         local_iterations=4, local_lr=0.1, batch_size=16,
-        temperature=0.5, contrastive_weight=0.0, local_buffer_size=3,
+        temperature=0.5, contrastive_weight=0.0, local_buffer_size=3, seed=11,
     )
-    update, _ = local_train(node, global_params, cfg, 7, buffer.rows)
+    update, _ = local_train(shard, 0, global_params, cfg, 7, buffer.rows)
 
-    plain_rng = node.round_rng(7)
+    plain_rng = stream(11, "train", 0, 7)
     w = global_params.copy()
-    for batch_idx in _epoch_batches(plain_rng, node.data.num_samples, 16, 4):
-        _, grad = cross_entropy_and_grad(w, node.data.rows(batch_idx))
+    for batch_idx in _epoch_batches(plain_rng, shard.num_samples, 16, 4):
+        _, grad = cross_entropy_and_grad(w, shard.rows(batch_idx))
         w = sgd_step(w, grad, 0.1)
     np.testing.assert_array_equal(update, param_delta(w, global_params))
 

@@ -290,9 +290,10 @@ class TestLabelsAreCheckedOnce:
         env = build_environment(cfg)
         params = init_params(env.spec, stream(3, "model"))
         label_checks.clear()
-        _, window = local_train(env.nodes[0], params, cfg, 0, np.empty((0, env.spec.num_params)))
-        local_train(env.nodes[1], params, cfg, 1, window)
-        for labelled in (env.train, env.test, *(n.data for n in env.nodes)):
+        _, window = local_train(env.nodes[0], 0, params, cfg, 0,
+                                np.empty((0, env.spec.num_params)))
+        local_train(env.nodes[1], 1, params, cfg, 1, window)
+        for labelled in (env.train, env.test, *env.nodes):
             evaluate(params, labelled, env.eval_workspace)
         assert label_checks == []
 
@@ -302,4 +303,11 @@ class TestLabelsAreCheckedOnce:
         run_experiment(ExperimentConfig(), tmp_path)
         checked = list(label_checks)
         train, test = synth_dataset(DatasetSpec())
+        assert checked == [train.num_samples, test.num_samples, train.num_samples]
+
+    def test_standardizing_checks_no_labels_again(self, tmp_path, label_checks):
+        # the standardized splits keep the labels the raw ones were checked with
+        run_experiment(ExperimentConfig(dataset_standardize=True, rounds=2), tmp_path)
+        checked = list(label_checks)
+        train, test = synth_dataset(DatasetSpec(standardize=True))
         assert checked == [train.num_samples, test.num_samples, train.num_samples]

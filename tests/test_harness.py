@@ -135,8 +135,9 @@ class TestEnvironment:
         np.testing.assert_array_equal(
             a.assignment.frequencies, b.assignment.frequencies
         )
-        for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa, sb)
+        for sa, sb in zip(a.nodes, b.nodes, strict=True):
+            np.testing.assert_array_equal(sa.features, sb.features)
+            np.testing.assert_array_equal(sa.labels, sb.labels)
         np.testing.assert_array_equal(a.train.features, b.train.features)
 
     def test_everything_has_the_configured_shape(self):
@@ -144,7 +145,7 @@ class TestEnvironment:
         env = build_environment(cfg)
         assert env.trace.shape == (6, 4)
         assert len(env.nodes) == 4
-        assert sum(n.data.num_samples for n in env.nodes) == env.train.num_samples
+        assert sum(shard.num_samples for shard in env.nodes) == env.train.num_samples
         assert env.spec == model_spec_for(cfg)
         assert env.spec.num_classes == 3
 
@@ -349,12 +350,12 @@ class TestCheckpointing:
         real = harness.local_train
         seen = []
 
-        def wrapper(node, global_params, cfg, t, *args):
+        def wrapper(shard, node_id, global_params, cfg, t, *args):
             if t == round_idx:
-                seen.append(node.node_id)
+                seen.append(node_id)
                 if len(seen) == participant:
                     raise exc
-            return real(node, global_params, cfg, t, *args)
+            return real(shard, node_id, global_params, cfg, t, *args)
 
         monkeypatch.setattr(harness, "local_train", wrapper)
 
@@ -407,10 +408,10 @@ class TestCheckpointing:
         cfg = tiny_config(local_iterations=3, local_buffer_size=4)
         real = harness.local_train
 
-        def wrapper(node, global_params, cfg, t, *args):
+        def wrapper(shard, node_id, global_params, cfg, t, *args):
             if t == 3:
                 os.kill(os.getpid(), signal.SIGTERM)
-            return real(node, global_params, cfg, t, *args)
+            return real(shard, node_id, global_params, cfg, t, *args)
 
         monkeypatch.setattr(harness, "local_train", wrapper)
         before = signal.getsignal(signal.SIGTERM)

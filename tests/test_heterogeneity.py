@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from pmfl.data import LabeledDataset
 from pmfl.heterogeneity import (
     FREQUENCY_FLOOR,
     assign_frequencies,
@@ -152,7 +153,8 @@ class TestAssignFrequencies:
     def test_pre_floor_mean_is_exact(self):
         dists = self._dists(1)
         a = assign_frequencies(dists, beta=0.1, target_mean=0.3, rng=stream(1, "f"))
-        pre = a.scores / (a.scores.mean() / 0.3)
+        scores = dists @ a.mixing
+        pre = scores / (scores.mean() / 0.3)
         assert pre.mean() == pytest.approx(0.3, rel=1e-12)
         np.testing.assert_array_equal(
             a.frequencies, np.maximum(np.minimum(pre, 1.0), FREQUENCY_FLOOR)
@@ -177,14 +179,13 @@ class TestAssignFrequencies:
     def test_scores_are_mixing_weighted_class_mass(self):
         dists = self._dists(4)
         a = assign_frequencies(dists, beta=0.2, target_mean=0.1, rng=stream(4, "f"))
-        np.testing.assert_allclose(a.scores, dists @ a.mixing, rtol=0, atol=0)
         assert a.mixing.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_order_follows_scores(self):
         dists = self._dists(5)
         a = assign_frequencies(dists, beta=0.1, target_mean=0.1, rng=stream(5, "f"))
         unfloored = ~np.isclose(a.frequencies, FREQUENCY_FLOOR)
-        order_scores = np.argsort(a.scores[unfloored])
+        order_scores = np.argsort((dists @ a.mixing)[unfloored])
         order_freqs = np.argsort(a.frequencies[unfloored])
         np.testing.assert_array_equal(order_scores, order_freqs)
 
@@ -220,11 +221,13 @@ class TestManifest:
         labels = balanced_labels(3, 30)
         shards, dists = dirichlet_partition(labels, 3, 4, 0.5, stream(9, "p"))
         a = assign_frequencies(dists, 0.1, 0.2, stream(9, "f"))
-        doc = partition_manifest(shards, dists, a)
+        full = LabeledDataset(np.zeros((labels.size, 1)), labels, 3)
+        doc = partition_manifest([full.rows(shard) for shard in shards], dists, a)
         text = json.dumps(doc)
         back = json.loads(text)
         assert back["num_nodes"] == 4
         assert len(back["nodes"]) == 4
+        assert [n["samples"] for n in back["nodes"]] == [shard.size for shard in shards]
         assert sum(n["samples"] for n in back["nodes"]) == labels.size
         for n in back["nodes"]:
             assert n["frequency"] >= FREQUENCY_FLOOR

@@ -107,8 +107,7 @@ class TestEvaluateBuffers:
 
     def _sets(self, env):
         train, test = env.train, env.test
-        shards = [env.nodes[k] for k in (3, 0, 17)]
-        sets = [train, *[n.data for n in shards], test]
+        sets = [train, *[env.nodes[k] for k in (3, 0, 17)], test]
         # mixed order, each set several times
         return [sets[i] for i in (0, 1, 4, 0, 2, 4, 3, 0, 1, 4, 2)]
 
@@ -231,11 +230,11 @@ class TestEvaluationHead:
     def test_every_desk_shard(self, desk_env):
         env = desk_env
         params = init_params(env.spec, stream(73, "model"))
-        for node in env.nodes:
-            logits, y = forward_logits(params, node.data.features), node.data.labels
+        for k, shard in enumerate(env.nodes):
+            logits, y = forward_logits(params, shard.features), shard.labels
             want = (float((np.argmax(logits, axis=1) == y).mean()), cross_entropy(logits, y))
-            got = evaluate(params, node.data, env.eval_workspace)
-            assert [_bits(v) for v in got] == [_bits(v) for v in want], f"node {node.node_id}"
+            got = evaluate(params, shard, env.eval_workspace)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], f"node {k}"
 
 
 class TestEvaluate:

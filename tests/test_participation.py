@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pmfl.participation import (
+    EXPORT_BLOCK_ROWS,
     ParticipationSchedule,
     export_trace_csv,
     markov_exit_probability,
@@ -191,6 +193,9 @@ def _traces():
     yield "markovian", schedule("markovian", freqs[:30], seed=31).trace_matrix(120)
     yield "cyclic", schedule("cyclic", freqs[:7], seed=32, cycle_length=9).trace_matrix(50)
     yield "no_rounds", schedule("bernoulli", freqs[:5], seed=33).trace_matrix(0)
+    # two whole blocks and a short one
+    yield "blocks", schedule("bernoulli", freqs[:3], seed=34).trace_matrix(
+        2 * EXPORT_BLOCK_ROWS + 7)
     yield "no_nodes", np.zeros((4, 0), dtype=np.int8)
     yield "wide_ints", rng.integers(-1000, 10**12, size=(6, 5))
     yield "bools", rng.random((5, 4)) < 0.5
@@ -215,3 +220,15 @@ class TestMatchesTheLoopedWriter:
         with pytest.raises(ValueError, match="integers only"):
             export_trace_csv(np.array([[0.0, 1.0], [1.0, bad]]), path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_full_scale_trace_is_never_held_whole(self, tmp_path):
+        # 250 nodes by 10,000 rounds: as one table of Python integers the
+        # write peaked at 39 MiB; a block of rows at a time stays near 3 MiB
+        trace = (np.random.default_rng(35).random((10_000, 250)) < 0.1).astype(np.int8)
+        tracemalloc.start()
+        try:
+            export_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
